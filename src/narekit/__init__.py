@@ -39,9 +39,9 @@ from .diagnostics import (
     sep_f,
     stable_basis,
     solution_distance_bound,
-    subspace_distance,
 )
 from .errors import NarekitError
+from .kernel import subspace_distance
 from .problems import (
     RandomMnareSpec,
     TransportSpec,

@@ -10,9 +10,9 @@ Subcommands::
 
 Exit codes: 0 success, 2 solver breakdown, 3 no convergence,
 4 classification failure (not an M-matrix equation, or ambiguous spectrum),
-5 input/output error.  In JSON mode errors are reported as
-{"error": <code-name>, "message": ...} on standard output; a human-readable
-message always goes to standard error.
+5 input/output error, 6 the problem exceeds a dense size cap.  In JSON mode
+errors are reported as {"error": <code-name>, "message": ...} on standard
+output; a human-readable message always goes to standard error.
 """
 
 import argparse
@@ -29,6 +29,7 @@ from .diagnostics import delta_central, gap_of, report_for
 from .errors import (
     Breakdown,
     ClassificationAmbiguous,
+    DimensionCap,
     InitSingular,
     InvalidProblem,
     NarekitError,
@@ -48,12 +49,14 @@ EXIT_BREAKDOWN = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CLASSIFICATION = 4
 EXIT_IO = 5
+EXIT_SIZE_CAP = 6
 
 _EXIT_NAMES = {
     EXIT_BREAKDOWN: "breakdown",
     EXIT_NO_CONVERGENCE: "no-convergence",
     EXIT_CLASSIFICATION: "classification",
     EXIT_IO: "io",
+    EXIT_SIZE_CAP: "size-cap",
 }
 
 
@@ -380,11 +383,7 @@ def cmd_bench(args):
         "header": BENCH_HEADER,
         "rows": rows,
     }
-    fmt_args = args
-    if args.format == "json":
-        _emit(fmt_args, payload)
-    else:
-        _emit(fmt_args, payload, rows=(BENCH_HEADER, rows))
+    _emit(args, payload, rows=(BENCH_HEADER, rows))  # json ignores rows
     return EXIT_OK
 
 
@@ -416,6 +415,8 @@ def main(argv=None):
         return _error_exit(args, EXIT_BREAKDOWN, str(exc))
     except (ClassificationAmbiguous, InvalidProblem) as exc:
         return _error_exit(args, EXIT_CLASSIFICATION, str(exc))
+    except DimensionCap as exc:
+        return _error_exit(args, EXIT_SIZE_CAP, str(exc))
     except NarekitError as exc:
         # remaining library failures are iteration/pipeline breakdowns
         return _error_exit(args, EXIT_NO_CONVERGENCE, str(exc))

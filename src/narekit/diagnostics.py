@@ -29,7 +29,6 @@ from .kernel import (
     frobenius_norm,
     kron_sylvester_operator,
     smallest_singular_value,
-    spectral_norm,
 )
 
 
@@ -55,15 +54,6 @@ def cayley_gap(h: LinearizingMatrix, gamma: float) -> float:
 def sep_f(m, n) -> float:
     """sigma_min(I (x) M - N^T (x) I), the separation of M and N."""
     return smallest_singular_value(kron_sylvester_operator(m, n))
-
-
-def subspace_distance(b1, b2) -> float:
-    """Spectral-norm distance between the orthogonal projectors of two bases."""
-    b1 = np.asarray(b1)
-    b2 = np.asarray(b2)
-    if b1.shape[0] != b2.shape[0]:
-        raise InvalidProblem("bases live in different ambient dimensions")
-    return float(spectral_norm(b1 @ b1.T - b2 @ b2.T))
 
 
 def schur_basis(m, select):

@@ -1,17 +1,18 @@
 """Dense linear-algebra primitives shared by the whole package.
 
-Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy): pivoted
-LU solves, thin QR with a fixed sign convention, dense nonsymmetric
-eigenvalues, singular values, and the Kronecker matrix of the Sylvester
-operator X -> M@X - X@N.  All functions are pure and accept/return plain
-ndarrays; float32 inputs are honored for the single-precision mode.
+Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy): a
+guarded pivoted LU, thin QR with a fixed sign convention, the distance
+between subspaces, dense nonsymmetric eigenvalues, singular values, and the
+Kronecker matrix of the Sylvester operator X -> M@X - X@N.  All functions
+are pure and accept/return plain ndarrays; float32 inputs are honored for
+the single-precision mode.
 """
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionCap, DimensionCap as _DimensionCap  # noqa: F401
-from .errors import InvalidProblem, NoConvergence, RankDeficient, SingularMatrix
+from .errors import DimensionCap, InvalidProblem, NoConvergence
+from .errors import RankDeficient, SingularMatrix
 
 #: dense eigensolver dimension cap
 EIG_DIM_CAP = 1024
@@ -48,53 +49,46 @@ def _eps(dtype):
     return float(np.finfo(np.dtype(dtype)).eps)
 
 
-def lu_solve(m, rhs):
-    """Solve m @ x = rhs by LU with partial pivoting.
+def lu_factor(m, pivot_tol=None, error=SingularMatrix):
+    """Guarded pivoted LU factors (lu, piv) of a square matrix.
 
-    Raises SingularMatrix when a pivot falls below
-    eps * ||m||_F * dim, i.e. the factorization is numerically singular.
+    Raises `error` for non-finite entries and when the smallest pivot
+    modulus is zero or below pivot_tol, which defaults to eps * ||m||_F * dim.
+    pivot_tol=0.0 rejects only an exact zero pivot, for inverse iteration,
+    which wants a nearly singular matrix.
     """
     m = np.asarray(m)
-    rhs = np.asarray(rhs)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidProblem("lu_factor needs a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise error("matrix has non-finite entries")
     n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise InvalidProblem("lu_solve needs a square matrix")
-    if rhs.shape[0] != n:
-        raise InvalidProblem("rhs row count does not match matrix dimension")
+    if pivot_tol is None:
+        pivot_tol = _eps(m.dtype) * frobenius_norm(m) * n
     lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    thresh = _eps(m.dtype) * frobenius_norm(m) * n
     small = np.abs(np.diag(lu)).min() if n else np.inf
-    if small < thresh or small == 0.0:
-        raise SingularMatrix(
-            f"pivot {small:.3e} below singularity threshold {thresh:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def lu_factor_checked(m):
-    """LU factorization with the same singularity guard as lu_solve.
-
-    Returns an opaque factor object to pass to apply_lu; lets callers
-    amortize one factorization over many solves.
-    """
-    m = np.asarray(m)
-    n = m.shape[0]
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    thresh = _eps(m.dtype) * frobenius_norm(m) * n
-    small = np.abs(np.diag(lu)).min() if n else np.inf
-    if small < thresh or small == 0.0:
-        raise SingularMatrix("matrix is numerically singular")
+    if small < pivot_tol or small == 0.0:
+        raise error(f"matrix is numerically singular: smallest pivot {small:.3e}, "
+                    f"threshold {pivot_tol:.3e}")
     return lu, piv
 
 
-def apply_lu(factor, rhs):
+def lu_solve(m, rhs):
+    """Solve m @ x = rhs through lu_factor; raises SingularMatrix when m is
+    numerically singular."""
+    factor = lu_factor(m)
+    rhs = np.asarray(rhs)
+    if rhs.shape[0] != factor[0].shape[0]:
+        raise InvalidProblem("rhs row count does not match matrix dimension")
     return scipy.linalg.lu_solve(factor, rhs, check_finite=False)
 
 
-def thin_qr(m):
+def thin_qr(m, check_rank=True):
     """Thin QR with nonnegative diagonal of R (deterministic sign convention).
 
-    Raises RankDeficient when some |R_ii| < eps * ||m||_F * rows.
+    With check_rank, raises RankDeficient when some |R_ii| falls below
+    eps * ||m||_F * rows; inverse iteration turns the check off, its
+    iterates being close to singular on purpose.
     """
     m = np.asarray(m)
     rows, cols = m.shape
@@ -105,10 +99,23 @@ def thin_qr(m):
     sign[sign == 0] = 1.0
     q = q * sign
     r = sign[:, None] * r
-    thresh = _eps(m.dtype) * frobenius_norm(m) * rows
+    thresh = _eps(m.dtype) * frobenius_norm(m) * rows if check_rank else 0.0
     if cols and np.abs(np.diag(r)).min() < thresh:
         raise RankDeficient("matrix is numerically rank deficient")
     return q, r
+
+
+def subspace_distance(b1, b2) -> float:
+    """Spectral-norm distance ||P1 - P2||_2 between the orthogonal projectors
+    of two orthonormal bases, computed thinly as ||B1 - B2 (B2^T B1)||_2
+    with B1 the wider basis (for unequal widths the distance is 1)."""
+    b1 = np.asarray(b1)
+    b2 = np.asarray(b2)
+    if b1.shape[0] != b2.shape[0]:
+        raise InvalidProblem("bases live in different ambient dimensions")
+    if b1.shape[1] < b2.shape[1]:
+        b1, b2 = b2, b1
+    return spectral_norm(b1 - b2 @ (b2.T @ b1))
 
 
 def eigenvalues(m, dim_cap=EIG_DIM_CAP):

@@ -10,7 +10,9 @@ invariant subspaces of that cluster, the rank-k update
 multiplies the k central eigenvalues by (1 + s) while leaving every right
 invariant subspace of H (and hence the minimal solution) unchanged.  The
 bases are computed by inverse orthogonal iteration, which also yields a
-convergence-rate estimate t ~ |xi_k| / |xi_{k+1}| used to pick s.
+convergence-rate estimate t ~ |xi_k| / |xi_{k+1}| used to pick s.  H is
+LU-factored once per solve; every inverse iteration, the left one with
+H^T included, reuses that factor.
 
 `sushi_solve` chains the whole pipeline: detect k, compute the central
 pair, choose s, build the shifted equation, run the doubling solver on it
@@ -20,7 +22,7 @@ coefficients in floating point perturbs the solution at level
 eps * (1 + s), which the correction removes).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import time
 
 import numpy as np
@@ -47,7 +49,8 @@ from .errors import (
     SingularH,
     UVSingular,
 )
-from .kernel import eigenvalues, frobenius_norm, smallest_singular_value
+from .kernel import eigenvalues, frobenius_norm, lu_factor, smallest_singular_value
+from .kernel import subspace_distance, thin_qr
 from .sda import SdaConfig, SdaOutcome, sda_solve
 
 #: seed of the deterministic starting basis, fixed so step counts reproduce
@@ -72,51 +75,34 @@ class ShiftPlan:
     rationale: dict = field(default_factory=dict)
 
 
-def _factor(h):
-    """LU factors of h; inverse iteration tolerates near-singularity, so
-    only an exactly singular (zero-pivot) or non-finite matrix is rejected."""
-    if not np.all(np.isfinite(h)):
-        raise SingularH("matrix has non-finite entries")
-    lu, piv = scipy.linalg.lu_factor(h, check_finite=False)
-    if h.shape[0] and np.abs(np.diag(lu)).min() == 0.0:
-        raise SingularH("matrix is exactly singular")
-    return lu, piv
-
-
-def _qr(m):
-    """Thin QR with the nonnegative-R-diagonal convention but without the
-    rank guard: the iterates here are deliberately close to singular."""
-    q, r = np.linalg.qr(m)
-    sign = np.sign(np.diag(r))
-    sign[sign == 0] = 1.0
-    return q * sign, sign[:, None] * r
-
-
-def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED):
+def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
+                                 factor=None, trans=0):
     """Orthonormal basis of the invariant subspace of the k smallest-modulus
-    eigenvalues of h, by repeated solve + thin QR.
+    eigenvalues of h (of h^T when trans=1), by repeated solve + thin QR.
 
-    Stops when the projector distance between successive bases drops below
-    tol, or when it stagnates at its roundoff floor (once past the initial
-    transient, a step that recovers less than a factor 0.9 means the basis
-    only jitters).  Returns (Q, steps, t_estimate) where t_estimate is the
-    geometric-mean contraction per step over the genuinely converging
-    window, an estimate of |xi_k| / |xi_{k+1}|.
+    factor is h's LU factor from kernel.lu_factor; without one, h is
+    factored here.  Stops when the subspace distance between successive
+    bases drops below tol, or when it stagnates at its roundoff floor (once
+    past the initial transient, a step that recovers less than a factor 0.9
+    means the basis only jitters).  Returns (Q, steps, t_estimate) where
+    t_estimate is the geometric-mean contraction per step over the
+    genuinely converging window, an estimate of |xi_k| / |xi_{k+1}|.
     """
     h = np.asarray(h)
     dim = h.shape[0]
     if k < 1 or k > dim:
         raise InvalidProblem(f"subspace dimension k={k} out of range")
-    factor = _factor(h)
+    if factor is None:
+        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
     rng = np.random.default_rng(seed)
-    q, _ = _qr(rng.standard_normal((dim, k)).astype(h.dtype))
+    q, _ = thin_qr(rng.standard_normal((dim, k)).astype(h.dtype), check_rank=False)
     dists = []
     converged = False
     armed = False
     for _ in range(max_iters):
-        z = scipy.linalg.lu_solve(factor, q, check_finite=False)
-        q_new, _ = _qr(z)
-        d = float(np.linalg.norm(q_new @ q_new.T - q @ q.T, 2))
+        z = scipy.linalg.lu_solve(factor, q, trans=trans, check_finite=False)
+        q_new, _ = thin_qr(z, check_rank=False)
+        d = subspace_distance(q_new, q)
         q = q_new
         prev = dists[-1] if dists else None
         dists.append(d)
@@ -158,16 +144,21 @@ def _contraction_estimate(dists):
 
 
 def compute_central_pair(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
-                         cond_cap=1e8) -> CentralSubspaces:
+                         cond_cap=1e8, factor=None) -> CentralSubspaces:
     """Left and right central bases plus the central eigenvalues.
 
     The right basis comes from inverse iteration on h, the left one from
-    the same iteration on h^T.  Refuses to return a pair whose coupling
-    matrix U^T V has condition number above cond_cap.
+    the same iteration on h^T, both on one LU factor of h (factor, or a
+    fresh one).  Refuses to return a pair whose coupling matrix U^T V has
+    condition number above cond_cap.
     """
     h = np.asarray(h)
-    v, steps_v, t = inverse_orthogonal_iteration(h, k, tol, max_iters, seed)
-    u, _, _ = inverse_orthogonal_iteration(h.T, k, tol, max_iters, seed)
+    if factor is None:
+        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
+    v, steps_v, t = inverse_orthogonal_iteration(h, k, tol, max_iters, seed,
+                                                 factor=factor)
+    u, _, _ = inverse_orthogonal_iteration(h, k, tol, max_iters, seed,
+                                           factor=factor, trans=1)
     sv = np.linalg.svd(u.T @ v, compute_uv=False)
     cond_uv = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond_uv > cond_cap:
@@ -180,20 +171,24 @@ def compute_central_pair(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
 
 
 def detect_k(h, k0=2, k_max=8, slow_threshold=0.5, probe_iters=12,
-             seed=DEFAULT_SEED, tol=1e-12):
+             seed=DEFAULT_SEED, tol=1e-12, factor=None):
     """Smallest k >= k0 whose inverse iteration contracts fast enough.
 
-    Runs a few probe iterations per candidate k and accepts the first one
-    with rate estimate <= slow_threshold (a zero estimate means convergence
-    was immediate and counts as fast).  Raises KMaxReached when no k up to
-    k_max separates the central cluster from the rest of the spectrum.
+    Runs a few probe iterations per candidate k, all on one LU factor of h
+    (factor, or a fresh one), and accepts the first one with rate estimate
+    <= slow_threshold (a zero estimate means convergence was immediate and
+    counts as fast).  Raises KMaxReached when no k up to k_max separates
+    the central cluster from the rest of the spectrum.
     """
     if k0 < 2:
         raise InvalidProblem("k0 must be at least 2")
+    if factor is None:
+        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
     last_t = 1.0
     for k in range(k0, k_max + 1):
         try:
-            _, _, t = inverse_orthogonal_iteration(h, k, tol, probe_iters, seed)
+            _, _, t = inverse_orthogonal_iteration(h, k, tol, probe_iters, seed,
+                                                   factor=factor)
         except NoConvergence as exc:
             t = exc.diagnostics["t_estimate"]
             if t == 0.0:
@@ -206,8 +201,9 @@ def detect_k(h, k0=2, k_max=8, slow_threshold=0.5, probe_iters=12,
     raise KMaxReached(k_max, last_t)
 
 
-def estimate_next_modulus(h, k, steps=8, seed=DEFAULT_SEED):
-    """Estimate of |xi_{k+1}| from a (k + 1)-column probe iteration.
+def estimate_next_modulus(h, k, steps=8, seed=DEFAULT_SEED, factor=None):
+    """Estimate of |xi_{k+1}| from a (k + 1)-column probe iteration on an
+    LU factor of h (factor, or a fresh one).
 
     Once the leading k columns have settled, the last diagonal entry of R
     in the iteration's thin QR converges to 1 / |xi_{k+1}|; a handful of
@@ -215,11 +211,14 @@ def estimate_next_modulus(h, k, steps=8, seed=DEFAULT_SEED):
     |xi_{k+1}| is not separated from the eigenvalues above it.
     """
     h = np.asarray(h)
-    factor = _factor(h)
+    if factor is None:
+        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
     rng = np.random.default_rng(seed)
-    q, r = _qr(rng.standard_normal((h.shape[0], k + 1)).astype(h.dtype))
+    q, r = thin_qr(rng.standard_normal((h.shape[0], k + 1)).astype(h.dtype),
+                   check_rank=False)
     for _ in range(steps):
-        q, r = _qr(scipy.linalg.lu_solve(factor, q, check_finite=False))
+        q, r = thin_qr(scipy.linalg.lu_solve(factor, q, check_finite=False),
+                       check_rank=False)
     entry = abs(float(r[k, k]))
     if entry == 0.0:
         raise DegenerateSpectrum("probe iteration collapsed to a singular R")
@@ -342,14 +341,16 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
             )
     h = build_h(p)
     work = h.H
+    factor = lu_factor(work, pivot_tol=0.0, error=SingularH)  # shared below
     iter_tol = max(opts.iter_tol, 100.0 * float(np.finfo(p.dtype).eps))
     k = opts.k if opts.k is not None else detect_k(
-        work, k_max=opts.k_max, seed=opts.seed, tol=iter_tol)
-    cs = compute_central_pair(work, k, iter_tol, opts.max_iters, opts.seed)
+        work, k_max=opts.k_max, seed=opts.seed, tol=iter_tol, factor=factor)
+    cs = compute_central_pair(work, k, iter_tol, opts.max_iters, opts.seed,
+                              factor=factor)
     if opts.s is not None:
         plan = ShiftPlan(s=float(opts.s), k=k, rationale={"fixed": True})
     else:
-        xi_next = estimate_next_modulus(work, k, seed=opts.seed)
+        xi_next = estimate_next_modulus(work, k, seed=opts.seed, factor=factor)
         plan = choose_shift_s(cs, h_norm=frobenius_norm(work), xi_next=xi_next)
     shifted = build_shifted_h(LinearizingMatrix(work, h.n, h.m), cs, plan.s)
     shifted_problem = NareProblem(
@@ -365,8 +366,8 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
         floor = 100.0 * float(np.finfo(p.dtype).eps)
         x, res = newton_polish(p, x, floor=floor)
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
-    elapsed = time.perf_counter() - t0
-    object.__setattr__(plan, "rationale", dict(plan.rationale, elapsed_s=elapsed))
+    plan = replace(plan, rationale=dict(plan.rationale,
+                                        elapsed_s=time.perf_counter() - t0))
     return solution, cs, plan, outcome
 
 

@@ -77,6 +77,15 @@ class TestSolve:
         assert code == 5
         assert json.loads(out)["error"] == "io"
 
+    def test_size_cap_exits_6(self, capsys):
+        # 2n = 1040 exceeds the dense eigensolver cap of the M-matrix
+        # classification, which fails before any eigenvalue is computed
+        code, out, err = run(capsys, "solve", "--family", "transport",
+                             "--n", "520", "--beta", "1e-3")
+        assert code == 6
+        assert json.loads(out)["error"] == "size-cap"
+        assert "cap" in err
+
     def test_save_solution_and_trace(self, tmp_path, capsys):
         sol = tmp_path / "x.json"
         trace = tmp_path / "trace.jsonl"

@@ -125,6 +125,48 @@ class TestSubspaceDistance:
         with pytest.raises(InvalidProblem):
             nk.subspace_distance(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
+    @staticmethod
+    def _projector_distance(b1, b2):
+        # the dense reference: spectral norm of the projector difference
+        return np.linalg.norm(b1 @ b1.T - b2 @ b2.T, 2)
+
+    def test_matches_projector_formula(self):
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            dim = int(rng.integers(8, 65))
+            k = int(rng.integers(1, 5))
+            b1, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+            b2, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+            assert abs(nk.subspace_distance(b1, b2)
+                       - self._projector_distance(b1, b2)) <= 1e-13
+
+    def test_nearly_equal_bases(self):
+        # B2 = B1 cos(theta) + W sin(theta) with W orthonormal and
+        # orthogonal to B1: every principal angle is theta
+        rng = np.random.default_rng(36)
+        for dist in np.logspace(-14, -6, 9):
+            dim = int(rng.integers(8, 65))
+            k = int(rng.integers(1, 5))
+            b1, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+            w = rng.standard_normal((dim, k))
+            w, _ = np.linalg.qr(w - b1 @ (b1.T @ w))
+            theta = np.arcsin(dist)
+            b2 = np.cos(theta) * b1 + np.sin(theta) * w
+            got = nk.subspace_distance(b1, b2)
+            assert abs(got - self._projector_distance(b1, b2)) <= 1e-13
+            assert got == pytest.approx(dist, rel=1e-6, abs=1e-15)
+
+    def test_unequal_widths(self):
+        # projectors of different ranks are at distance 1 (the value the
+        # dense projector formula gives)
+        rng = np.random.default_rng(41)
+        b1, _ = np.linalg.qr(rng.standard_normal((10, 1)))
+        b2, _ = np.linalg.qr(rng.standard_normal((10, 3)))
+        e = np.eye(5)
+        for x, y in ((b1, b2), (e[:, :1], e[:, :2])):
+            assert nk.subspace_distance(x, y) == pytest.approx(1.0, abs=1e-13)
+            assert nk.subspace_distance(y, x) == pytest.approx(1.0, abs=1e-13)
+
 
 class TestSolutionDistanceBound:
     def test_zero_solutions(self):

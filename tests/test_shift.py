@@ -89,6 +89,46 @@ class TestComputeCentralPair:
         assert frobenius_norm(cs.U.T @ w) <= 1e-8
 
 
+class TestSharedFactor:
+    def test_one_lu_of_h_per_solve(self, monkeypatch):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
+        dim = p.n + p.m
+        shapes = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        nk.sushi_solve(p)
+        assert shapes.count((dim, dim)) == 1
+
+    def test_left_basis_from_transposed_solves(self):
+        # the left basis, from solves with H^T on H's factor, spans the
+        # subspace that inverse iteration on H^T itself finds
+        rng = np.random.default_rng(28)
+        eigs = np.concatenate([[0.05, -0.06], rng.uniform(1.0, 2.0, 8)])
+        h, _ = planted_matrix(rng, eigs)
+        cs = nk.compute_central_pair(h, 2)
+        u, _, _ = nk.inverse_orthogonal_iteration(h.T, 2)
+        assert nk.subspace_distance(cs.U, u) <= 1e-10
+
+    def test_rectangular_blocks(self):
+        # m = 10, n = 6 blocks of a random near-critical 16 x 16 M-matrix
+        rng = np.random.default_rng(0)
+        big = rng.uniform(0.0, 1.0, (16, 16))
+        m = (np.max(np.abs(np.linalg.eigvals(big))) + 1e-3) * np.eye(16) - big
+        n = 6
+        p = nk.NareProblem(A=m[n:, n:], B=-m[n:, :n], C=-m[:n, n:], D=m[:n, :n])
+        solution, _, _, _ = nk.sushi_solve(p)
+        x = solution.X
+        assert x.shape == (10, 6)
+        assert solution.residual <= 1e-12
+        assert x.min() >= -np.finfo(float).eps * frobenius_norm(x)
+        assert nk.relative_error(x, nk.sda_solve(p).X) <= 1e-12
+
+
 class TestDetectK:
     def test_planted_cluster_of_four(self):
         rng = np.random.default_rng(24)
@@ -255,6 +295,14 @@ class TestSushiSolve:
         assert cs.k == 2
         assert plan.s == 100.0
         assert solution.residual <= 1e-12
+
+    def test_plan_records_elapsed_time(self):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
+        solution, cs, plan, outcome = nk.sushi_solve(p)
+        assert plan.rationale["elapsed_s"] > 0.0
+        assert "xi_1" in plan.rationale
+        report = nk.sushi_report(solution, cs, plan, outcome)
+        assert report["timings"]["total_s"] == plan.rationale["elapsed_s"]
 
     def test_report_schema(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
