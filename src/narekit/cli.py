@@ -195,11 +195,10 @@ def _emit(args, payload, rows=None):
     """
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif rows is None:
-        header = sorted(payload)
-        rows = (header, [[payload[k] for k in header]])
-        text = _format_rows(args.format, *rows)
     else:
+        if rows is None:
+            header = sorted(payload)
+            rows = (header, [[payload[k] for k in header]])
         text = _format_rows(args.format, *rows)
     if args.output:
         try:
@@ -244,19 +243,15 @@ def _open_trace(args):
 
 
 def cmd_gen(args):
-    p = _load_problem_for_gen(args)
+    if args.family is None:
+        raise _CliFailure(EXIT_IO, "gen requires --family")
+    p = _generate(args.family, args.n, beta=args.beta, alpha=args.alpha,
+                  c=args.c, seed=args.seed)
     try:
         p.save(args.out)
     except OSError as exc:
         raise _CliFailure(EXIT_IO, str(exc))
     return EXIT_OK
-
-
-def _load_problem_for_gen(args):
-    if args.family is None:
-        raise _CliFailure(EXIT_IO, "gen requires --family")
-    return _generate(args.family, args.n, beta=args.beta, alpha=args.alpha,
-                     c=args.c, seed=args.seed)
 
 
 def cmd_solve(args):

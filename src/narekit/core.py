@@ -227,12 +227,14 @@ def residual(p: NareProblem, x) -> np.ndarray:
 
 
 def relative_residual(p: NareProblem, x) -> float:
-    """||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F)."""
+    """||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F), each product formed
+    once; the numerator sums in `residual`'s order, so it is bit-identical."""
     x = np.asarray(x)
-    den = frobenius_norm(x @ p.C @ x + p.B) + frobenius_norm(p.A @ x + x @ p.D)
+    xcx, ax, xd = x @ p.C @ x, p.A @ x, x @ p.D
+    den = frobenius_norm(xcx + p.B) + frobenius_norm(ax + xd)
     if den < np.finfo(np.float64).eps:
         raise DegenerateDenominator("relative residual denominator is zero")
-    return frobenius_norm(residual(p, x)) / den
+    return frobenius_norm(xcx - ax - xd + p.B) / den
 
 
 def relative_error(x_approx, x_ref) -> float:

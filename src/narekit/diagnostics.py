@@ -12,8 +12,8 @@ relsep    sep of the (A11, A22) blocks of a unitary reduction of H along
 delta     minimum distance from the central eigenvalues to the rest of
           the spectrum; large delta with small gap is the regime where
           the subspace shift pays off.
-cond_uv   spectral condition of the coupling matrix U^T V of the left and
-          right central bases.
+cond_uv   ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V) for the left and right
+          central bases; the value CentralSubspaces.cond_uv stores.
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,7 @@ import scipy.linalg
 from .core import LinearizingMatrix, cayley, ordered_eigenvalues
 from .errors import InvalidProblem, MatchFailure, NotInvariant, UVSingular
 from .kernel import (
+    coupling_cond,
     eigenvalues,
     frobenius_norm,
     kron_sylvester_operator,
@@ -144,16 +145,12 @@ def delta_central(h: LinearizingMatrix, central_eigs, match_tol=1e-6) -> float:
 
 
 def cond_uv(u, v) -> float:
-    """Spectral norm of (U^T V)^-1, i.e. 1 / sigma_min(U^T V)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    uv = u.T @ v
-    if uv.shape[0] != uv.shape[1]:
-        raise InvalidProblem("U^T V must be square")
-    smin = smallest_singular_value(uv)
-    if smin <= np.finfo(np.float64).eps * max(uv.shape[0], 1):
+    """Spectral norm of (U^T V)^-1, i.e. 1 / sigma_min(U^T V); raises
+    UVSingular when sigma_min is at roundoff level."""
+    cond = coupling_cond(u, v)
+    if cond * np.finfo(np.float64).eps * max(np.shape(u)[1], 1) >= 1.0:
         raise UVSingular("U^T V is numerically singular")
-    return 1.0 / smin
+    return cond
 
 
 @dataclass(frozen=True)

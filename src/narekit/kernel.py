@@ -118,6 +118,16 @@ def subspace_distance(b1, b2) -> float:
     return spectral_norm(b1 - b2 @ (b2.T @ b1))
 
 
+def coupling_cond(u, v) -> float:
+    """||(U^T V)^-1||_2 = 1 / sigma_min(U^T V), the conditioning of a pair of
+    left and right bases; inf when U^T V is exactly singular."""
+    uv = np.asarray(u).T @ np.asarray(v)
+    if uv.shape[0] != uv.shape[1]:
+        raise InvalidProblem("U^T V must be square")
+    smin = smallest_singular_value(uv)
+    return 1.0 / smin if smin > 0 else np.inf
+
+
 def eigenvalues(m, dim_cap=EIG_DIM_CAP):
     """All eigenvalues of a square dense matrix, as a complex 1-d array."""
     m = np.asarray(m)
@@ -132,14 +142,9 @@ def eigenvalues(m, dim_cap=EIG_DIM_CAP):
         raise NoConvergence(str(exc)) from exc
 
 
-def singular_values(m):
-    m = np.asarray(m)
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def smallest_singular_value(m):
     """sigma_min(m); 0.0 is a valid return for singular input."""
-    sv = singular_values(m)
+    sv = np.linalg.svd(np.asarray(m), compute_uv=False)
     return float(sv[-1]) if sv.size else 0.0
 
 

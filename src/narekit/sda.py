@@ -36,7 +36,10 @@ from .errors import (
     NoConvergence,
     SingularMatrix,
 )
-from .kernel import frobenius_norm, lu_solve
+from .kernel import frobenius_norm, lu_factor, lu_solve
+
+#: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
+BREAKDOWN_COND = 1e13
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class SdaConfig:
     gamma: float = None  # default: gamma_star of the problem being initialized
     tol: float = 1e-15
     max_steps: int = 60
-    breakdown_threshold: float = 1e13
     trace: object = None  # callable(dict) invoked once per step
 
 
@@ -85,12 +87,15 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
     F0 = I - 2 gamma W^-1,   W = (A + gamma I) - B (D + gamma I)^-1 C
     G0 = 2 gamma (D + gamma I)^-1 C W^-1
     H0 = 2 gamma W^-1 B (D + gamma I)^-1
+
+    Each matrix is factored once; D + gamma I is solved on [C | I].
     """
     dt = p.dtype
     m, n = p.m, p.n
     g = dt.type(gamma)
-    a_g = p.A + g * np.eye(m, dtype=dt)
-    d_g = p.D + g * np.eye(n, dtype=dt)
+    eye_m, eye_n = np.eye(m, dtype=dt), np.eye(n, dtype=dt)
+    a_g = p.A + g * eye_m
+    d_g = p.D + g * eye_n
 
     def solve(mat, rhs, which):
         try:
@@ -98,46 +103,49 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
         except SingularMatrix as exc:
             raise InitSingular(which, f"{which} is singular: {exc}") from exc
 
-    dg_inv_c = solve(d_g, p.C, "D+gamma*I")
+    dg_sol = solve(d_g, np.hstack([p.C, eye_n]), "D+gamma*I")
+    dg_inv_c, dg_inv = dg_sol[:, :m], dg_sol[:, m:]
     ag_inv_b = solve(a_g, p.B, "A+gamma*I")
     w = a_g - p.B @ dg_inv_c
     v = d_g - p.C @ ag_inv_b
-    e0 = np.eye(n, dtype=dt) - 2 * g * solve(v, np.eye(n, dtype=dt), "V_gamma")
-    w_inv = solve(w, np.eye(m, dtype=dt), "W_gamma")
-    f0 = np.eye(m, dtype=dt) - 2 * g * w_inv
+    e0 = eye_n - 2 * g * solve(v, eye_n, "V_gamma")
+    w_inv = solve(w, eye_m, "W_gamma")
+    f0 = eye_m - 2 * g * w_inv
     g0 = 2 * g * dg_inv_c @ w_inv
-    h0 = 2 * g * w_inv @ p.B @ solve(d_g, np.eye(n, dtype=dt), "D+gamma*I")
+    h0 = 2 * g * w_inv @ p.B @ dg_inv
     return SdaState(E=e0, F=f0, G=g0, Hm=h0, step=0)
 
 
-def _step_factors(s: SdaState, breakdown_threshold: float):
-    """LU factors of I - G@H and I - H@G, with a 1-norm condition guard."""
-    n, m = s.G.shape[0], s.Hm.shape[0]
-    igh = np.eye(n, dtype=s.G.dtype) - s.G @ s.Hm
-    ihg = np.eye(m, dtype=s.G.dtype) - s.Hm @ s.G
-    worst = 0.0
-    factors = []
-    for mat in (igh, ihg):
-        lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
-        rcond, _ = gecon(lu, np.linalg.norm(mat, 1))
-        cond = 1.0 / rcond if rcond > 0 else np.inf
-        worst = max(worst, cond)
-        if cond > breakdown_threshold:
-            raise Breakdown(s.step, cond)
-        factors.append((lu, piv))
-    return factors[0], factors[1], worst
+def _guarded_factor(mat, step):
+    """LU factor of I - G@H or I - H@G; raises Breakdown(step, cond) when
+    the 1-norm condition estimate exceeds BREAKDOWN_COND, and
+    Breakdown(step, inf) on an exact zero pivot or non-finite entries."""
+    try:
+        factor = lu_factor(mat, pivot_tol=0.0)
+    except SingularMatrix:
+        raise Breakdown(step, np.inf) from None
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
+    rcond, _ = gecon(factor[0], np.linalg.norm(mat, 1))
+    cond = 1.0 / rcond if rcond > 0 else np.inf
+    if cond > BREAKDOWN_COND:
+        raise Breakdown(step, cond)
+    return factor
 
 
-def sda_step(s: SdaState, cfg: SdaConfig = SdaConfig()) -> SdaState:
-    """One doubling step; raises Breakdown when I - G@H is numerically singular."""
-    f_igh, f_ihg, _ = _step_factors(s, cfg.breakdown_threshold)
-    sol_igh = lambda rhs: scipy.linalg.lu_solve(f_igh, rhs, check_finite=False)
-    sol_ihg = lambda rhs: scipy.linalg.lu_solve(f_ihg, rhs, check_finite=False)
-    g_new = s.G + s.E @ sol_igh(s.G) @ s.F
-    h_new = s.Hm + s.F @ sol_ihg(s.Hm) @ s.E
-    e_new = s.E @ sol_igh(s.E)
-    f_new = s.F @ sol_ihg(s.F)
+def sda_step(s: SdaState) -> SdaState:
+    """One doubling step; raises Breakdown when I - G@H is numerically singular.
+
+    Each factor is applied once, to the stacked [G | E] or [Hm | F].
+    """
+    n, m = s.G.shape
+    f_igh = _guarded_factor(np.eye(n, dtype=s.G.dtype) - s.G @ s.Hm, s.step)
+    f_ihg = _guarded_factor(np.eye(m, dtype=s.G.dtype) - s.Hm @ s.G, s.step)
+    sol_ge = scipy.linalg.lu_solve(f_igh, np.hstack([s.G, s.E]), check_finite=False)
+    sol_hf = scipy.linalg.lu_solve(f_ihg, np.hstack([s.Hm, s.F]), check_finite=False)
+    g_new = s.G + s.E @ sol_ge[:, :m] @ s.F
+    h_new = s.Hm + s.F @ sol_hf[:, :n] @ s.E
+    e_new = s.E @ sol_ge[:, m:]
+    f_new = s.F @ sol_hf[:, n:]
     return SdaState(E=e_new, F=f_new, G=g_new, Hm=h_new, step=s.step + 1)
 
 
@@ -163,7 +171,7 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig(),
     stagnation_floor = max(100.0 * cfg.tol, 1e-10)
     converged = False
     while state.step < cfg.max_steps:
-        new = sda_step(state, cfg)
+        new = sda_step(state)
         dx = frobenius_norm(new.Hm - state.Hm) / max(frobenius_norm(new.Hm),
                                                      np.finfo(np.float64).tiny)
         state = new

@@ -49,8 +49,8 @@ from .errors import (
     SingularH,
     UVSingular,
 )
-from .kernel import eigenvalues, frobenius_norm, lu_factor, smallest_singular_value
-from .kernel import subspace_distance, thin_qr
+from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
+from .kernel import smallest_singular_value, subspace_distance, thin_qr
 from .sda import SdaConfig, SdaOutcome, sda_solve
 
 #: seed of the deterministic starting basis, fixed so step counts reproduce
@@ -65,7 +65,7 @@ class CentralSubspaces:
     central_eigs: np.ndarray  # eigenvalues of V^T H V
     inv_iter_steps: int
     rate_estimate_t: float
-    cond_uv: float
+    cond_uv: float  # ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V)
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,8 @@ def compute_central_pair(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
 
     The right basis comes from inverse iteration on h, the left one from
     the same iteration on h^T, both on one LU factor of h (factor, or a
-    fresh one).  Refuses to return a pair whose coupling matrix U^T V has
-    condition number above cond_cap.
+    fresh one).  Refuses to return a pair with ||(U^T V)^-1||_2 above
+    cond_cap.
     """
     h = np.asarray(h)
     if factor is None:
@@ -159,8 +159,7 @@ def compute_central_pair(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
                                                  factor=factor)
     u, _, _ = inverse_orthogonal_iteration(h, k, tol, max_iters, seed,
                                            factor=factor, trans=1)
-    sv = np.linalg.svd(u.T @ v, compute_uv=False)
-    cond_uv = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    cond_uv = coupling_cond(u, v)
     if cond_uv > cond_cap:
         raise CentralPairIllConditioned(cond_uv)
     central = eigenvalues(v.T @ h @ v)
@@ -314,10 +313,6 @@ class SushiOptions:
     tol: float = 1e-15
     max_steps: int = 60
     iter_tol: float = 1e-12
-    max_iters: int = 100
-    seed: int = DEFAULT_SEED
-    k_max: int = 8
-    polish: bool = True    # Newton defect correction on the original equation
     force: bool = False    # skip the M-matrix classification guard
     trace: object = None
 
@@ -327,8 +322,8 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
 
     Pipeline: classify, (detect k), compute central pair, choose s, build
     the shifted equation, run the doubling solver on it with the original
-    problem's gamma, and polish/report residuals against the original
-    equation.
+    problem's gamma, and polish the result with Newton defect correction
+    on the original equation.
 
     Returns (Solution, CentralSubspaces, ShiftPlan, SdaOutcome).
     """
@@ -343,28 +338,21 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     work = h.H
     factor = lu_factor(work, pivot_tol=0.0, error=SingularH)  # shared below
     iter_tol = max(opts.iter_tol, 100.0 * float(np.finfo(p.dtype).eps))
-    k = opts.k if opts.k is not None else detect_k(
-        work, k_max=opts.k_max, seed=opts.seed, tol=iter_tol, factor=factor)
-    cs = compute_central_pair(work, k, iter_tol, opts.max_iters, opts.seed,
-                              factor=factor)
+    k = opts.k if opts.k is not None else detect_k(work, tol=iter_tol,
+                                                   factor=factor)
+    cs = compute_central_pair(work, k, iter_tol, factor=factor)
     if opts.s is not None:
         plan = ShiftPlan(s=float(opts.s), k=k, rationale={"fixed": True})
     else:
-        xi_next = estimate_next_modulus(work, k, seed=opts.seed, factor=factor)
+        xi_next = estimate_next_modulus(work, k, factor=factor)
         plan = choose_shift_s(cs, h_norm=frobenius_norm(work), xi_next=xi_next)
     shifted = build_shifted_h(LinearizingMatrix(work, h.n, h.m), cs, plan.s)
-    shifted_problem = NareProblem(
-        shifted.block_a(), shifted.block_b(),
-        shifted.block_c(), shifted.block_d(),
-    )
+    shifted_problem = shifted.to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
     outcome = sda_solve(shifted_problem, cfg, residual_problem=p)
-    x = outcome.X
-    res = relative_residual(p, x)
-    if opts.polish:
-        floor = 100.0 * float(np.finfo(p.dtype).eps)
-        x, res = newton_polish(p, x, floor=floor)
+    floor = 100.0 * float(np.finfo(p.dtype).eps)
+    x, res = newton_polish(p, outcome.X, floor=floor)
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
     plan = replace(plan, rationale=dict(plan.rationale,
                                         elapsed_s=time.perf_counter() - t0))

@@ -124,6 +124,20 @@ class TestResiduals:
         assert frobenius_norm(nk.residual(p, x0)) <= 1e-13 * scale
         assert nk.relative_residual(p, x0) <= 1e-14
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m, n", [(7, 4), (3, 9)])
+    def test_relative_residual_bit_equal_to_residual_norm(self, m, n, dtype):
+        rng = np.random.default_rng(13)
+        p = nk.NareProblem(A=rng.standard_normal((m, m)),
+                           B=rng.standard_normal((m, n)),
+                           C=rng.standard_normal((n, m)),
+                           D=rng.standard_normal((n, n))).astype(dtype)
+        x = rng.uniform(0.0, 1.0, (m, n)).astype(dtype)
+        den = (frobenius_norm(x @ p.C @ x + p.B)
+               + frobenius_norm(p.A @ x + x @ p.D))
+        got = nk.relative_residual(p, x)
+        assert got == frobenius_norm(nk.residual(p, x)) / den
+
     def test_degenerate_denominator(self):
         p = nk.NareProblem(A=[[0.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])
         with pytest.raises(DegenerateDenominator):

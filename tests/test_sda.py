@@ -1,9 +1,11 @@
 import io
 import json
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import narekit as nk
 from narekit.errors import Breakdown, InitSingular, NoConvergence
@@ -87,7 +89,56 @@ class TestStep:
                                 atol=1e-13)
 
 
+def _unit_spectral(rng, rows, cols, dtype, scale=1.0):
+    a = rng.standard_normal((rows, cols))
+    return (scale / np.linalg.norm(a, 2) * a).astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), m=st.integers(1, 10),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_matches_explicit_formulas(n, m, dtype, seed):
+    # m != n, so a slip in splitting the stacked solves [G | E] and
+    # [Hm | F] shows as a shape error or a wrong block
+    assume(m != n)
+    rng = np.random.default_rng(seed)
+    e = _unit_spectral(rng, n, n, dtype)
+    f = _unit_spectral(rng, m, m, dtype)
+    g = _unit_spectral(rng, n, m, dtype, 0.5)  # ||G@H||_2 <= 1/4
+    h = _unit_spectral(rng, m, n, dtype, 0.5)
+    out = nk.sda_step(SdaState(E=e, F=f, G=g, Hm=h, step=3))
+    e, f, g, h = (a.astype(np.float64) for a in (e, f, g, h))
+    igh = np.eye(n) - g @ h
+    ihg = np.eye(m) - h @ g
+    want = {
+        "E": e @ np.linalg.solve(igh, e),
+        "F": f @ np.linalg.solve(ihg, f),
+        "G": g + e @ np.linalg.solve(igh, g) @ f,
+        "Hm": h + f @ np.linalg.solve(ihg, h) @ e,
+    }
+    tol = 1e-12 if dtype is np.float64 else 1e-5
+    for name, ref in want.items():
+        got = getattr(out, name)
+        assert got.dtype == dtype and got.shape == ref.shape, name
+        assert frobenius_norm(got - ref) <= tol * max(frobenius_norm(ref), 1.0), name
+    assert out.step == 4
+
+
 class TestSolve:
+    def test_four_lus_to_start_then_two_per_step(self, monkeypatch):
+        p = nk.random_mnare(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3))
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        out = nk.sda_solve(p, nk.SdaConfig())
+        assert len(calls) == 4 + 2 * out.steps
+
     def test_random_mnare_converges_nonnegative(self):
         p = nk.random_mnare(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3))
         out = nk.sda_solve(p, nk.SdaConfig())

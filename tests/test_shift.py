@@ -5,6 +5,7 @@ import scipy.linalg
 
 import narekit as nk
 from narekit.errors import (
+    CentralPairIllConditioned,
     DegenerateSpectrum,
     InvalidProblem,
     KMaxReached,
@@ -87,6 +88,24 @@ class TestComputeCentralPair:
         cs = nk.compute_central_pair(h, 2)
         w, _ = np.linalg.qr(t[:, 2:])
         assert frobenius_norm(cs.U.T @ w) <= 1e-8
+
+
+    def test_cond_uv_is_norm_of_coupling_inverse(self):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
+        cs = nk.compute_central_pair(nk.build_h(p).H, 2)
+        assert cs.cond_uv == pytest.approx(nk.cond_uv(cs.U, cs.V))
+
+    def test_ill_conditioned_single_eigenvalue_refused(self):
+        # k = 1: U^T V is 1 x 1, so only 1 / sigma_min can see that the
+        # eigenvalue 0.01, coupled to 1.0 by 1e5, has condition about 1e5
+        rng = np.random.default_rng(25)
+        t = np.diag([0.01, 1.0, 2.0, 3.0])
+        t[0, 1] = 1e5
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        h = q @ t @ q.T
+        with pytest.raises(CentralPairIllConditioned) as err:
+            nk.compute_central_pair(h, 1, cond_cap=1e3)
+        assert "e+05" in str(err.value)
 
 
 class TestSharedFactor:
