@@ -16,6 +16,7 @@ output; a human-readable message always goes to standard error.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .core import NareProblem, build_h, build_m, classify_mmatrix, gamma_star
+from .core import require_mmatrix
 from .diagnostics import delta_central, gap_of, report_for
 from .errors import (
     Breakdown,
@@ -177,16 +179,6 @@ def _generate(family, n, beta=None, alpha=None, c=None, seed=0):
         raise _CliFailure(EXIT_IO, str(exc))
 
 
-def _classification_guard(p, force):
-    if force:
-        return
-    if not classify_mmatrix(build_m(p)).is_mmatrix():
-        raise _CliFailure(
-            EXIT_CLASSIFICATION,
-            "problem is not M-matrix-structured (rerun with --force to override)",
-        )
-
-
 def _emit(args, payload, rows=None):
     """Write the report in the requested format.
 
@@ -232,14 +224,18 @@ def _cell(v):
     return str(v)
 
 
-def _open_trace(args):
-    if getattr(args, "trace", None) is None:
-        return None, None
+@contextlib.contextmanager
+def _trace(args):
+    """The --trace callable (None without --trace), its file closed on exit."""
+    if args.trace is None:
+        yield None
+        return
     try:
         fh = open(args.trace, "w")
     except OSError as exc:
         raise _CliFailure(EXIT_IO, str(exc))
-    return trace_writer(fh), fh
+    with fh:
+        yield trace_writer(fh)
 
 
 def cmd_gen(args):
@@ -256,49 +252,34 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     p = _load_problem(args)
-    _classification_guard(p, args.force)
-    trace, fh = _open_trace(args)
-    cfg = SdaConfig(gamma=args.gamma, tol=args.tol,
-                    max_steps=args.max_steps, trace=trace)
-    try:
-        outcome = sda_solve(p, cfg)
-    finally:
-        if fh is not None:
-            fh.close()
-    report = outcome.report()
-    report["schema"] = f"narekit-solve/{__version__}"
-    _emit(args, report)
-    if args.save_solution:
-        _save_solution(args.save_solution, outcome.X)
-    return EXIT_OK
+    if not args.force:
+        require_mmatrix(p)
+    with _trace(args) as trace:
+        outcome = sda_solve(p, SdaConfig(gamma=args.gamma, tol=args.tol,
+                                         max_steps=args.max_steps, trace=trace))
+    return _finish(args, "solve", outcome.report(), outcome.X)
 
 
 def cmd_sushi(args):
     p = _load_problem(args)
-    trace, fh = _open_trace(args)
-    opts = SushiOptions(k=args.k, s=args.s, tol=args.tol,
-                        max_steps=args.max_steps, force=args.force, trace=trace)
-    try:
+    with _trace(args) as trace:
+        opts = SushiOptions(k=args.k, s=args.s, tol=args.tol, max_steps=args.max_steps,
+                            force=args.force, trace=trace)
         solution, cs, plan, outcome = sushi_solve(p, opts)
-    except InvalidProblem as exc:
-        raise _CliFailure(EXIT_CLASSIFICATION, str(exc))
-    finally:
-        if fh is not None:
-            fh.close()
-    report = sushi_report(solution, cs, plan, outcome)
-    report["schema"] = f"narekit-sushi/{__version__}"
+    return _finish(args, "sushi", sushi_report(solution, cs, plan, outcome), solution.X)
+
+
+def _finish(args, command, report, x):
+    """Emit a solver report; write X to the --save-solution path if given."""
+    report["schema"] = f"narekit-{command}/{__version__}"
     _emit(args, report)
     if args.save_solution:
-        _save_solution(args.save_solution, solution.X)
+        try:
+            with open(args.save_solution, "w") as fh:
+                json.dump({"X": np.asarray(x).tolist()}, fh)
+        except OSError as exc:
+            raise _CliFailure(EXIT_IO, str(exc))
     return EXIT_OK
-
-
-def _save_solution(path, x):
-    try:
-        with open(path, "w") as fh:
-            json.dump({"X": np.asarray(x).tolist()}, fh)
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, str(exc))
 
 
 def cmd_diagnose(args):

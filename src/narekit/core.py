@@ -16,15 +16,17 @@ from dataclasses import dataclass, field
 import json
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ClassificationAmbiguous,
     DegenerateDenominator,
     InvalidProblem,
     PoleHit,
+    SingularMatrix,
     ZeroReference,
 )
-from .kernel import as_matrix, eigenvalues, frobenius_norm
+from .kernel import as_matrix, eigenvalues, frobenius_norm, lu_factor
 
 
 @dataclass(frozen=True)
@@ -198,9 +200,13 @@ def build_m(p: NareProblem) -> np.ndarray:
 def classify_mmatrix(m, zero_tol=1e-10) -> MMatrixClass:
     """Classify a square matrix as nonsingular M-matrix, singular M-matrix, or neither.
 
-    Sign test first (off-diagonal entries must be <= 0 up to roundoff), then
-    write m = s*I - N with s = max diagonal and compare s with the spectral
-    radius of N.
+    Sign test first (off-diagonal entries must be <= 0 up to roundoff); the
+    Z-matrix m = s*I - N (s = max diagonal) is then certified by solves, not
+    eigenvalues.  With tau = zero_tol * max(|s|, 1), (m -+ tau*I) x = 1 has
+    a solution x > 0 exactly when s - rho(N) > +-tau: NonsingularM for
+    m - tau*I, else SingularM for m + tau*I, else NotM.  The evidence is
+    the lower bound on s - rho(N) the accepted x certifies: tau + 1/max(x),
+    1/max(x) - tau, or nan for NotM.
     """
     m = as_matrix(m, name="M")
     if m.shape[0] != m.shape[1]:
@@ -209,15 +215,26 @@ def classify_mmatrix(m, zero_tol=1e-10) -> MMatrixClass:
     off = m - np.diag(np.diag(m))
     if off.size and off.max(initial=0.0) > 1e-14 * scale:
         return MMatrixClass("NotM", float("nan"))
+    m = m.astype(np.float64, copy=False)
     s = float(np.max(np.diag(m)))
-    n_part = s * np.eye(m.shape[0]) - m
-    rho = float(np.max(np.abs(eigenvalues(n_part)))) if m.shape[0] else 0.0
-    evidence = s - rho
-    if abs(evidence) <= zero_tol * max(abs(s), 1.0):
-        return MMatrixClass("SingularM", evidence)
-    if s > rho:
-        return MMatrixClass("NonsingularM", evidence)
-    return MMatrixClass("NotM", evidence)
+    tau = zero_tol * max(abs(s), 1.0)
+    for tag, shift in (("NonsingularM", tau), ("SingularM", -tau)):
+        try:
+            factor = lu_factor(m - shift * np.eye(m.shape[0]), pivot_tol=0.0)
+        except SingularMatrix:
+            continue
+        x = scipy.linalg.lu_solve(factor, np.ones(m.shape[0]), check_finite=False)
+        if np.all(np.isfinite(x)) and np.all(x > 0):
+            return MMatrixClass(tag, shift + 1.0 / float(x.max()))
+    return MMatrixClass("NotM", float("nan"))
+
+
+def require_mmatrix(p: NareProblem) -> MMatrixClass:
+    """The solvers' guard: InvalidProblem unless build_m(p) is an M-matrix."""
+    cls = classify_mmatrix(build_m(p))
+    if not cls.is_mmatrix():
+        raise InvalidProblem("problem is not M-matrix-structured (override with force)")
+    return cls
 
 
 def residual(p: NareProblem, x) -> np.ndarray:

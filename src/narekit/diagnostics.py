@@ -144,13 +144,18 @@ def delta_central(h: LinearizingMatrix, central_eigs, match_tol=1e-6) -> float:
     return float(min(np.min(np.abs(others - lam[i])) for i in matched))
 
 
+def check_coupling(cond, k) -> float:
+    """cond = ||(U^T V)^-1||_2 of k-column bases, passed through; raises
+    UVSingular when sigma_min(U^T V) = 1 / cond is at most eps * k."""
+    if cond * np.finfo(np.float64).eps * max(k, 1) >= 1.0:
+        raise UVSingular("U^T V is numerically singular")
+    return cond
+
+
 def cond_uv(u, v) -> float:
     """Spectral norm of (U^T V)^-1, i.e. 1 / sigma_min(U^T V); raises
     UVSingular when sigma_min is at roundoff level."""
-    cond = coupling_cond(u, v)
-    if cond * np.finfo(np.float64).eps * max(np.shape(u)[1], 1) >= 1.0:
-        raise UVSingular("U^T V is numerically singular")
-    return cond
+    return check_coupling(coupling_cond(u, v), np.shape(u)[1])
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ import scipy.linalg
 from .errors import DimensionCap, InvalidProblem, NoConvergence
 from .errors import RankDeficient, SingularMatrix
 
-#: dense eigensolver dimension cap
-EIG_DIM_CAP = 1024
 #: cap on rows*cols of an explicitly assembled Sylvester operator
 SYLVESTER_ASSEMBLY_CAP = 4096
 
@@ -128,14 +126,11 @@ def coupling_cond(u, v) -> float:
     return 1.0 / smin if smin > 0 else np.inf
 
 
-def eigenvalues(m, dim_cap=EIG_DIM_CAP):
+def eigenvalues(m):
     """All eigenvalues of a square dense matrix, as a complex 1-d array."""
     m = np.asarray(m)
-    n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise InvalidProblem("eigenvalues needs a square matrix")
-    if n > dim_cap:
-        raise DimensionCap(f"dimension {n} exceeds the eigensolver cap {dim_cap}")
     try:
         return np.linalg.eigvals(m.astype(np.float64, copy=False))
     except np.linalg.LinAlgError as exc:  # QR iteration failed to converge

@@ -153,9 +153,11 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig(),
               residual_problem: NareProblem = None) -> SdaOutcome:
     """Run the doubling iteration to convergence.
 
-    residual_problem, when given, is the equation residuals are measured
-    against; a shifted solve passes the original problem here, since both
-    share the minimal solution.
+    residual_problem, when given, is the equation the primal residual is
+    measured against; a shifted solve passes the original problem here,
+    since both share the minimal solution.  The dual residual is always
+    measured against p's dual: the shift keeps right invariant subspaces
+    only, so G converges to the dual solution of the equation iterated.
 
     Stops when the relative change of the primal iterate drops below
     cfg.tol, or earlier when the relative residual stagnates at its
@@ -194,7 +196,7 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig(),
             f"(relative residual {final_res:.3e})",
             diagnostics={"residual_history": history},
         )
-    dual_res = relative_residual(target.dual(), state.G)
+    dual_res = relative_residual(p.dual(), state.G)
     return SdaOutcome(
         X=state.Hm, Y=state.G, steps=state.step, residual_history=history,
         converged=converged, residual=float(final_res),

@@ -33,12 +33,12 @@ from .core import (
     NareProblem,
     Solution,
     build_h,
-    build_m,
-    classify_mmatrix,
     gamma_star,
     relative_residual,
+    require_mmatrix,
     residual,
 )
+from .diagnostics import check_coupling
 from .errors import (
     CentralPairIllConditioned,
     DegenerateSpectrum,
@@ -50,7 +50,7 @@ from .errors import (
     UVSingular,
 )
 from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
-from .kernel import smallest_singular_value, subspace_distance, thin_qr
+from .kernel import subspace_distance, thin_qr
 from .sda import SdaConfig, SdaOutcome, sda_solve
 
 #: seed of the deterministic starting basis, fixed so step counts reproduce
@@ -257,11 +257,13 @@ def choose_shift_s(cs: CentralSubspaces, h_norm=None, s_min=0.1, s_max=1e6,
 
 def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
                     s: float) -> LinearizingMatrix:
-    """The rank-k update H (I + s V (U^T V)^-1 U^T) as a LinearizingMatrix."""
-    uv = cs.U.T @ cs.V
-    if smallest_singular_value(uv) <= np.finfo(np.float64).eps * cs.k:
-        raise UVSingular("U^T V is numerically singular")
-    correction = cs.V @ np.linalg.solve(uv, cs.U.T)
+    """The rank-k update H (I + s V (U^T V)^-1 U^T) as a LinearizingMatrix;
+    UVSingular by diagnostics.cond_uv's rule, applied to cs.cond_uv."""
+    check_coupling(cs.cond_uv, cs.k)
+    try:
+        correction = cs.V @ np.linalg.solve(cs.U.T @ cs.V, cs.U.T)
+    except np.linalg.LinAlgError as exc:
+        raise UVSingular(f"U^T V is singular: {exc}") from exc
     shifted = h.H @ (np.eye(h.dim, dtype=h.H.dtype) + s * correction)
     return LinearizingMatrix(shifted, h.n, h.m)
 
@@ -281,15 +283,16 @@ def classical_shift(h, v, u, s):
     return h + (s / uv) * np.outer(v, u)
 
 
-def newton_polish(p: NareProblem, x, max_steps=2, floor=1e-13):
+def newton_polish(p: NareProblem, x, max_steps=2, floor=1e-13, res=None):
     """Newton defect correction on the original equation.
 
     Solves (X C - A) D + D (C X - D_coef) = -R(X) for the correction D and
     keeps the update while the relative residual improves.  A no-op when
-    the residual is already at the floor.
+    the residual is already at the floor.  res, x's relative residual when
+    the caller has it, saves evaluating it again.
     """
     x = np.asarray(x)
-    res = relative_residual(p, x)
+    res = relative_residual(p, x) if res is None else res
     for _ in range(max_steps):
         if res <= floor:
             break
@@ -329,11 +332,7 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     """
     t0 = time.perf_counter()
     if not opts.force:
-        cls = classify_mmatrix(build_m(p))
-        if not cls.is_mmatrix():
-            raise InvalidProblem(
-                "problem is not M-matrix-structured; pass force=True to override"
-            )
+        require_mmatrix(p)
     h = build_h(p)
     work = h.H
     factor = lu_factor(work, pivot_tol=0.0, error=SingularH)  # shared below
@@ -352,7 +351,7 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
                     max_steps=opts.max_steps, trace=opts.trace)
     outcome = sda_solve(shifted_problem, cfg, residual_problem=p)
     floor = 100.0 * float(np.finfo(p.dtype).eps)
-    x, res = newton_polish(p, outcome.X, floor=floor)
+    x, res = newton_polish(p, outcome.X, floor=floor, res=outcome.residual)
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
     plan = replace(plan, rationale=dict(plan.rationale,
                                         elapsed_s=time.perf_counter() - t0))

@@ -77,11 +77,15 @@ class TestSolve:
         assert code == 5
         assert json.loads(out)["error"] == "io"
 
-    def test_size_cap_exits_6(self, capsys):
-        # 2n = 1040 exceeds the dense eigensolver cap of the M-matrix
-        # classification, which fails before any eigenvalue is computed
-        code, out, err = run(capsys, "solve", "--family", "transport",
-                             "--n", "520", "--beta", "1e-3")
+    def test_size_cap_exits_6(self, capsys, monkeypatch):
+        # the Kronecker assembly cap of sep_f is the dense size cap left;
+        # no command reaches it on its own, so the report raises it here
+        def oversized_report(*args, **kwargs):
+            return nk.sep_f(np.eye(80), np.eye(80))
+
+        monkeypatch.setattr("narekit.cli.report_for", oversized_report)
+        code, out, err = run(capsys, "diagnose", "--family", "transport",
+                             "--n", "8", "--beta", "1e-3")
         assert code == 6
         assert json.loads(out)["error"] == "size-cap"
         assert "cap" in err

@@ -1,9 +1,10 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import narekit as nk
-from narekit.core import ordered_eigenvalues
+from narekit.core import ordered_eigenvalues, require_mmatrix
 from narekit.errors import (
     DegenerateDenominator,
     InvalidProblem,
@@ -99,6 +100,67 @@ class TestClassifyMmatrix:
         assert nk.classify_mmatrix(nk.build_m(p)).tag == "NonsingularM"
         critical = nk.transport_problem(nk.TransportSpec(n=8, alpha=0.0, c=1.0))
         assert nk.classify_mmatrix(nk.build_m(critical), zero_tol=1e-8).tag == "SingularM"
+
+    def test_beyond_former_eigensolver_cap(self):
+        # 2n = 1040 was refused with DimensionCap by the dense eig this
+        # classification used to make
+        p = nk.transport_problem(nk.TransportSpec.near_critical(520, 1e-3))
+        assert nk.classify_mmatrix(nk.build_m(p)).tag == "NonsingularM"
+
+    def test_no_eigenvalue_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify_mmatrix computed eigenvalues")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-12))
+        assert nk.classify_mmatrix(nk.build_m(p)).is_mmatrix()
+
+    def test_require_mmatrix(self):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        assert require_mmatrix(p).tag == "NonsingularM"
+        with pytest.raises(InvalidProblem):
+            require_mmatrix(scalar_problem(1.0, 2.0, 3.0, 1.0))
+
+
+def _eig_oracle(m, zero_tol):
+    """(tag, s - rho(N), tau) of the Z-matrix m = s*I - N from a dense eig."""
+    m = np.asarray(m, dtype=np.float64)
+    s = float(np.max(np.diag(m)))
+    margin = s - float(np.max(np.abs(np.linalg.eigvals(s * np.eye(len(m)) - m))))
+    tau = zero_tol * max(abs(s), 1.0)
+    tag = "NonsingularM" if margin > tau else "SingularM" if margin > -tau else "NotM"
+    return tag, margin, tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.integers(1, 12),
+       kind=st.sampled_from(["dense", "diagonal", "reducible"]),
+       where=st.sampled_from([10.0, 0.5, 0.0, -0.5, -10.0]),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2**32 - 1))
+def test_certificate_matches_eig_oracle(size, kind, where, dtype, seed):
+    # M = (rho(N) + alpha) I - N with N >= 0 has s - rho(N) = alpha; alpha
+    # is placed at where * tau, above tau, inside +-tau or below -tau
+    rng = np.random.default_rng(seed)
+    nmat = rng.uniform(0.0, 1.0, (size, size))
+    if kind == "diagonal":
+        nmat = np.diag(np.diag(nmat))
+    elif kind == "reducible":
+        nmat[size // 2:, : size // 2] = 0.0
+    zero_tol = 1e-10 if dtype == np.float64 else 1e-4
+    rho = float(np.max(np.abs(np.linalg.eigvals(nmat))))
+    tau = zero_tol * max(rho - np.min(np.diag(nmat)), 1.0)
+    m = ((rho + where * tau) * np.eye(size) - nmat).astype(dtype)
+    tag, margin, tau = _eig_oracle(m, zero_tol)
+    got = nk.classify_mmatrix(m, zero_tol=zero_tol)
+    assert got.tag == tag
+    evidence = got.spectral_abscissa_evidence
+    if tag == "NotM":
+        assert np.isnan(evidence)
+    else:
+        # a certified lower bound of s - rho(N), on the right side of +-tau
+        assert evidence > (tau if tag == "NonsingularM" else -tau)
+        assert evidence <= margin + 1e-3 * tau
 
 
 class TestResiduals:

@@ -101,9 +101,9 @@ class TestEigenvalues:
         m = rng.standard_normal((12, 12))
         assert conjugation_closed(eigenvalues(m), frobenius_norm(m))
 
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionCap):
-            eigenvalues(np.eye(8), dim_cap=4)
+    def test_no_dimension_cap(self):
+        # no size ceiling: 1040 was refused by the former cap of 1024
+        npt.assert_array_equal(eigenvalues(np.eye(1040)), np.ones(1040))
 
 
 class TestSingularValues:

@@ -12,6 +12,7 @@ from narekit.errors import (
     NoConvergence,
     OrthogonalPair,
     SingularH,
+    UVSingular,
 )
 from narekit.kernel import frobenius_norm
 from narekit.shift import (
@@ -110,18 +111,33 @@ class TestComputeCentralPair:
 
 class TestSharedFactor:
     def test_one_lu_of_h_per_solve(self, monkeypatch):
+        # the classification factors M -/+ tau*I, of H's size but not H
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
-        dim = p.n + p.m
-        shapes = []
+        h = nk.build_h(p).H
+        of_h = []
         lu_factor = scipy.linalg.lu_factor
 
         def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            of_h.append(np.array_equal(a, h))
             return lu_factor(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
         nk.sushi_solve(p)
-        assert shapes.count((dim, dim)) == 1
+        assert sum(of_h) == 1
+
+    def test_no_eig_larger_than_k(self, monkeypatch):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
+        shapes = []
+        for mod, name in [(np.linalg, "eigvals"), (np.linalg, "eig"),
+                          (scipy.linalg, "eigvals"), (scipy.linalg, "eig")]:
+            def counting(a, *args, _fn=getattr(mod, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(mod, name, counting)
+        nk.sda_solve(p)
+        assert shapes == []
+        _, cs, _, _ = nk.sushi_solve(p)
+        assert shapes and all(max(shape) <= cs.k for shape in shapes)
 
     def test_left_basis_from_transposed_solves(self):
         # the left basis, from solves with H^T on H's factor, spans the
@@ -223,6 +239,22 @@ class TestBuildShiftedH:
         shifted = nk.build_shifted_h(h, cs, 9.0)
         got = np.sort(np.linalg.eigvals(shifted.H).real)
         npt.assert_allclose(got, [-1.0, -0.2, 0.1, 1.0], atol=1e-12)
+
+    def test_uv_rule_reads_stored_cond(self, monkeypatch):
+        # the eps * k rule of diagnostics.cond_uv is applied to cs.cond_uv;
+        # no SVD of U^T V is taken, and an exactly singular U^T V that
+        # slips past the rule fails in the k x k solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_shifted_h took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        h = nk.LinearizingMatrix(np.diag([0.01, -0.02, 1.0, -1.0]), 2, 2)
+        v = np.eye(4)[:, :2]
+        for u, cond in ((v, 1e17), (np.eye(4)[:, 2:], 1.0)):
+            cs = CentralSubspaces(V=v, U=u, k=2, central_eigs=np.array([0.01, -0.02]),
+                                  inv_iter_steps=0, rate_estimate_t=0.0, cond_uv=cond)
+            with pytest.raises(UVSingular):
+                nk.build_shifted_h(h, cs, 9.0)
 
     def test_spectrum_split_random(self):
         rng = np.random.default_rng(25)
@@ -331,6 +363,12 @@ class TestSushiSolve:
         assert report["k"] == 2
         assert report["residual"] <= 1e-12
 
+    def test_dual_residual_of_iterated_equation(self):
+        # G converges to the dual solution of the shifted equation
+        p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-12))
+        _, _, _, outcome = nk.sushi_solve(p)
+        assert outcome.dual_residual <= 1e-13
+
     def test_residual_not_degraded_vs_plain(self, transport_bench):
         runs, _ = transport_bench
         for cell in runs.values():
@@ -344,3 +382,14 @@ def test_newton_polish_improves_residual():
     polished, res = newton_polish(p, rough, max_steps=2)
     assert res < nk.relative_residual(p, rough)
     assert res <= 1e-12
+
+
+def test_newton_polish_reuses_given_residual(monkeypatch):
+    p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
+    out = nk.sda_solve(p, nk.SdaConfig())
+    calls = []
+    monkeypatch.setattr("narekit.shift.relative_residual",
+                        lambda *args: calls.append(args) or 0.0)
+    x, res = newton_polish(p, out.X, res=out.residual)
+    assert calls == []
+    assert x is out.X and res == out.residual
