@@ -26,12 +26,11 @@ import numpy as np
 
 from . import __version__
 from .core import NareProblem, build_h, build_m, classify_mmatrix, gamma_star
-from .core import require_mmatrix
-from .diagnostics import delta_central, gap_of, report_for
+from .core import ordered_eigenvalues, require_mmatrix
+from .diagnostics import _delta, _gap, report_for
 from .errors import (
     Breakdown,
     ClassificationAmbiguous,
-    DimensionCap,
     InitSingular,
     InvalidProblem,
     NarekitError,
@@ -51,14 +50,12 @@ EXIT_BREAKDOWN = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CLASSIFICATION = 4
 EXIT_IO = 5
-EXIT_SIZE_CAP = 6
 
 _EXIT_NAMES = {
     EXIT_BREAKDOWN: "breakdown",
     EXIT_NO_CONVERGENCE: "no-convergence",
     EXIT_CLASSIFICATION: "classification",
     EXIT_IO: "io",
-    EXIT_SIZE_CAP: "size-cap",
 }
 
 
@@ -310,9 +307,10 @@ def _bench_cell(family, n, param, seed, tol, max_steps, skip_delta):
     h = build_h(p)
     row = {"n": n, "param": param, "seed": seed if family == "random" else ""}
     try:
-        row["gap"] = gap_of(h)
+        lam = ordered_eigenvalues(h)
+        row["gap"] = _gap(h, lam)
     except NarekitError as exc:
-        row["gap"] = f"error:{type(exc).__name__}"
+        lam, row["gap"] = None, f"error:{type(exc).__name__}"
     try:
         plain = sda_solve(p, SdaConfig(tol=tol, max_steps=max_steps))
         row["sda_its"] = plain.steps
@@ -327,9 +325,11 @@ def _bench_cell(family, n, param, seed, tol, max_steps, skip_delta):
         row["sushi_res"] = solution.residual
         if skip_delta:
             row["delta"] = ""
+        elif lam is None:  # the spectrum failed; gap holds its error tag
+            row["delta"] = row["gap"]
         else:
             try:
-                row["delta"] = delta_central(h, cs.central_eigs)
+                row["delta"] = _delta(h, lam, cs.central_eigs)
             except NarekitError as exc:
                 row["delta"] = f"error:{type(exc).__name__}"
     except NarekitError as exc:
@@ -391,8 +391,6 @@ def main(argv=None):
         return _error_exit(args, EXIT_BREAKDOWN, str(exc))
     except (ClassificationAmbiguous, InvalidProblem) as exc:
         return _error_exit(args, EXIT_CLASSIFICATION, str(exc))
-    except DimensionCap as exc:
-        return _error_exit(args, EXIT_SIZE_CAP, str(exc))
     except NarekitError as exc:
         # remaining library failures are iteration/pipeline breakdowns
         return _error_exit(args, EXIT_NO_CONVERGENCE, str(exc))

@@ -7,6 +7,8 @@ cayley    max antistable / min stable modulus after the Cayley transform;
 sep       smallest singular value of the Sylvester operator
           X -> M X - X N; always a lower bound of the minimal
           eigenvalue-pair distance, and equal to it for normal matrices.
+          Found by trsyl solves on the real Schur forms of M and N (Byers,
+          IEEE Trans. Automat. Control 29, 1984), with no Kronecker matrix.
 relsep    sep of the (A11, A22) blocks of a unitary reduction of H along
           an invariant subspace, divided by ||H||_F.
 delta     minimum distance from the central eigenvalues to the rest of
@@ -23,20 +25,30 @@ import numpy as np
 import scipy.linalg
 
 from .core import LinearizingMatrix, cayley, ordered_eigenvalues
-from .errors import InvalidProblem, MatchFailure, NotInvariant, UVSingular
-from .kernel import (
-    coupling_cond,
-    eigenvalues,
-    frobenius_norm,
-    kron_sylvester_operator,
-    smallest_singular_value,
-)
+from .errors import InvalidProblem, MatchFailure, NoConvergence, NotInvariant
+from .errors import UVSingular
+from .kernel import coupling_cond, frobenius_norm
+
+#: step cap of the Lanczos iteration in sep_f
+SEP_MAX_STEPS = 5000
+#: sep_f stops once a step raises the Ritz value by at most this fraction
+SEP_RTOL = 1e-14
+
+
+def _gap(h, lam):
+    return float(abs(lam[h.n - 1] - lam[h.n]))
 
 
 def gap_of(h: LinearizingMatrix) -> float:
     """|lambda_n - lambda_{n+1}| under the descending-real-part ordering."""
-    lam = ordered_eigenvalues(h)
-    return float(abs(lam[h.n - 1] - lam[h.n]))
+    return _gap(h, ordered_eigenvalues(h))
+
+
+def _cayley_gap(h, lam, gamma):
+    anti, stab = lam[: h.n], lam[h.n:]
+    num = max(abs(cayley(z, gamma)) for z in anti)
+    den = min(abs(cayley(z, gamma)) for z in stab)
+    return float(num / den)
 
 
 def cayley_gap(h: LinearizingMatrix, gamma: float) -> float:
@@ -45,16 +57,46 @@ def cayley_gap(h: LinearizingMatrix, gamma: float) -> float:
     The general form: valid for shifted matrices, where the extremal
     eigenvalues need not be the two central ones.
     """
-    lam = ordered_eigenvalues(h)
-    anti, stab = lam[: h.n], lam[h.n:]
-    num = max(abs(cayley(z, gamma)) for z in anti)
-    den = min(abs(cayley(z, gamma)) for z in stab)
-    return float(num / den)
+    return _cayley_gap(h, ordered_eigenvalues(h), gamma)
 
 
 def sep_f(m, n) -> float:
-    """sigma_min(I (x) M - N^T (x) I), the separation of M and N."""
-    return smallest_singular_value(kron_sylvester_operator(m, n))
+    """sigma_min of T: X -> M X - X N, the separation of M and N.
+
+    Lanczos iteration on (T^T T)^-1 in the coordinates of the real Schur
+    forms Tm, Tn, which leave the singular values of T unchanged: one step
+    solves Tm^T U - U Tn^T = V, then Tm Z - Z Tn = U, with LAPACK trsyl.
+    The largest Ritz value grows to 1/sigma_min^2, so the estimate falls to
+    sigma_min from above.  0.0 when T is numerically singular.
+    """
+    m, n = (np.asarray(a, dtype=np.float64) for a in (m, n))
+    if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in (m, n)):
+        raise InvalidProblem("sep_f needs square matrices")
+    if not m.size * n.size:
+        return 0.0
+    tm, tn = (scipy.linalg.schur(a, output="real")[0] for a in (m, n))
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (tm, tn))
+    v = np.full((len(m), len(n)), 1.0 / np.sqrt(len(m) * len(n)))
+    v_prev, b = np.zeros_like(v), 0.0
+    alpha, beta, theta = [], [], 0.0
+    for step in range(1, SEP_MAX_STEPS + 1):
+        u, scale_u, info_u = trsyl(tm, tn, v, trana="T", tranb="T", isgn=-1)
+        w, scale_w, info_w = trsyl(tm, tn, u, isgn=-1)
+        w /= scale_u * scale_w
+        if info_u or info_w or not np.all(np.isfinite(w)):
+            return 0.0  # trsyl perturbed a (near-)common eigenvalue, or overflow
+        alpha.append(float(np.vdot(v, w)))
+        w -= alpha[-1] * v + b * v_prev
+        new = scipy.linalg.eigvalsh_tridiagonal(
+            alpha, beta, select="i", select_range=(step - 1, step - 1))[0]
+        b = frobenius_norm(w)
+        if new - theta <= SEP_RTOL * new or b == 0.0:
+            return float(1.0 / np.sqrt(new))
+        theta = new
+        beta.append(b)
+        v_prev, v = v, w / b
+    raise NoConvergence(f"sep_f: no convergence in {SEP_MAX_STEPS} steps", diagnostics={
+        "steps": SEP_MAX_STEPS, "estimate": float(1.0 / np.sqrt(theta))})
 
 
 def schur_basis(m, select):
@@ -118,14 +160,7 @@ def solution_distance_bound(x, xt, dist) -> float:
     )
 
 
-def delta_central(h: LinearizingMatrix, central_eigs, match_tol=1e-6) -> float:
-    """Minimum distance from the central eigenvalues to the rest of sigma(H).
-
-    Each claimed central eigenvalue is matched greedily to its nearest
-    spectrum point; a match farther than match_tol (relative to ||H||_F)
-    raises MatchFailure.
-    """
-    lam = eigenvalues(h.H)
+def _delta(h, lam, central_eigs, match_tol=1e-6):
     scale = frobenius_norm(h.H)
     central = np.atleast_1d(np.asarray(central_eigs, dtype=complex))
     remaining = list(range(lam.size))
@@ -142,6 +177,16 @@ def delta_central(h: LinearizingMatrix, central_eigs, match_tol=1e-6) -> float:
     if others.size == 0:
         raise InvalidProblem("no non-central eigenvalues to measure against")
     return float(min(np.min(np.abs(others - lam[i])) for i in matched))
+
+
+def delta_central(h: LinearizingMatrix, central_eigs, match_tol=1e-6) -> float:
+    """Minimum distance from the central eigenvalues to the rest of sigma(H).
+
+    Each claimed central eigenvalue is matched greedily to its nearest
+    spectrum point; a match farther than match_tol (relative to ||H||_F)
+    raises MatchFailure.
+    """
+    return _delta(h, ordered_eigenvalues(h), central_eigs, match_tol)
 
 
 def check_coupling(cond, k) -> float:
@@ -210,8 +255,8 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
     """
     lam = ordered_eigenvalues(h)
     kwargs = {
-        "gap": gap_of(h),
-        "cayley_gap": cayley_gap(h, gamma),
+        "gap": _gap(h, lam),
+        "cayley_gap": _cayley_gap(h, lam, gamma),
         "lambda_n": float(lam[h.n - 1].real),
         "lambda_n1": float(lam[h.n].real),
     }
@@ -221,6 +266,6 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
         kwargs["sep_f_stable"] = rs * frobenius_norm(h.H)
     if central_pair is not None:
         kwargs["relsep_central"] = relsep_of_subspace(h.H, central_pair.V)
-        kwargs["delta_central"] = delta_central(h, central_pair.central_eigs)
+        kwargs["delta_central"] = _delta(h, lam, central_pair.central_eigs)
         kwargs["cond_uv"] = cond_uv(central_pair.U, central_pair.V)
     return DiagnosticsReport(**kwargs)

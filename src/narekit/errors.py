@@ -28,10 +28,6 @@ class NoConvergence(NarekitError):
         self.diagnostics = diagnostics
 
 
-class DimensionCap(NarekitError):
-    """A dense assembly would exceed the configured size cap."""
-
-
 # --- problem model ----------------------------------------------------------
 
 class DegenerateDenominator(NarekitError):

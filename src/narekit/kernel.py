@@ -2,20 +2,15 @@
 
 Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy): a
 guarded pivoted LU, thin QR with a fixed sign convention, the distance
-between subspaces, dense nonsymmetric eigenvalues, singular values, and the
-Kronecker matrix of the Sylvester operator X -> M@X - X@N.  All functions
-are pure and accept/return plain ndarrays; float32 inputs are honored for
-the single-precision mode.
+between subspaces, dense nonsymmetric eigenvalues and singular values.
+All functions are pure and accept/return plain ndarrays; float32 inputs
+are honored for the single-precision mode.
 """
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionCap, InvalidProblem, NoConvergence
-from .errors import RankDeficient, SingularMatrix
-
-#: cap on rows*cols of an explicitly assembled Sylvester operator
-SYLVESTER_ASSEMBLY_CAP = 4096
+from .errors import InvalidProblem, NoConvergence, RankDeficient, SingularMatrix
 
 
 def as_matrix(a, dtype=None, name="matrix"):
@@ -141,20 +136,6 @@ def smallest_singular_value(m):
     """sigma_min(m); 0.0 is a valid return for singular input."""
     sv = np.linalg.svd(np.asarray(m), compute_uv=False)
     return float(sv[-1]) if sv.size else 0.0
-
-
-def kron_sylvester_operator(m, n, assembly_cap=SYLVESTER_ASSEMBLY_CAP):
-    """Matrix of X -> m@X - X@n under column-stacking: I (x) m - n^T (x) I."""
-    m = np.asarray(m)
-    n = np.asarray(n)
-    if m.shape[0] != m.shape[1] or n.shape[0] != n.shape[1]:
-        raise InvalidProblem("kron_sylvester_operator needs square matrices")
-    p, q = m.shape[0], n.shape[0]
-    if p * q > assembly_cap:
-        raise DimensionCap(
-            f"operator dimension {p * q} exceeds the assembly cap {assembly_cap}"
-        )
-    return np.kron(np.eye(q, dtype=m.dtype), m) - np.kron(n.T, np.eye(p, dtype=n.dtype))
 
 
 def conjugation_closed(values, scale, tol=1e-10):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import narekit as nk
+import narekit.errors
+from narekit import cli
 from narekit.cli import main
 
 
@@ -77,18 +79,11 @@ class TestSolve:
         assert code == 5
         assert json.loads(out)["error"] == "io"
 
-    def test_size_cap_exits_6(self, capsys, monkeypatch):
-        # the Kronecker assembly cap of sep_f is the dense size cap left;
-        # no command reaches it on its own, so the report raises it here
-        def oversized_report(*args, **kwargs):
-            return nk.sep_f(np.eye(80), np.eye(80))
-
-        monkeypatch.setattr("narekit.cli.report_for", oversized_report)
-        code, out, err = run(capsys, "diagnose", "--family", "transport",
-                             "--n", "8", "--beta", "1e-3")
-        assert code == 6
-        assert json.loads(out)["error"] == "size-cap"
-        assert "cap" in err
+    def test_no_size_cap(self):
+        # sep_f no longer assembles the Kronecker operator, the last dense
+        # size cap; its error class and exit code 6 went with it
+        assert not hasattr(narekit.errors, "DimensionCap")
+        assert 6 not in cli._EXIT_NAMES
 
     def test_save_solution_and_trace(self, tmp_path, capsys):
         sol = tmp_path / "x.json"
@@ -178,6 +173,26 @@ class TestBench:
         for values in payload["rows"]:
             row = dict(zip(payload["header"], values))
             assert row["sushi_its"] < row["sda_its"]
+
+    def test_delta_column_from_one_spectrum(self, capsys, monkeypatch):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-3))
+        h = nk.build_h(p)
+        want = nk.delta_central(h, nk.sushi_solve(p)[1].central_eigs)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        code, out, _ = run(capsys, "bench", "--family", "transport",
+                           "--sizes", "16", "--params", "1e-3")
+        assert code == 0
+        payload = json.loads(out)
+        row = dict(zip(payload["header"], payload["rows"][0]))
+        assert row["delta"] == want
+        assert calls.count(h.H.shape) == 1  # gap and delta share it
 
     def test_bad_grid_exits_5(self, capsys):
         code, _, _ = run(capsys, "bench", "--sizes", "abc")

@@ -1,15 +1,18 @@
 import json
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
 import narekit as nk
+from narekit import diagnostics
 from narekit.diagnostics import _complete_basis, stable_basis
 from narekit.errors import (
     InvalidProblem,
     MatchFailure,
+    NoConvergence,
     NotInvariant,
     UVSingular,
 )
@@ -70,6 +73,126 @@ class TestSep:
             sep_a = nk.sep_f(a, b)
             assert nk.sep_f(a11, b) >= sep_a - 1e-10
             assert nk.sep_f(a22, b) >= sep_a - 1e-10
+
+
+def kron_oracle(m, n):
+    """Matrix of X -> M X - X N under column stacking: I (x) M - N^T (x) I."""
+    m = np.asarray(m, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    return np.kron(np.eye(len(n)), m) - np.kron(n.T, np.eye(len(m)))
+
+
+def sep_oracle(m, n):
+    return float(np.linalg.svd(kron_oracle(m, n), compute_uv=False)[-1])
+
+
+class TestKronOracle:
+    def test_scalar(self):
+        npt.assert_allclose(kron_oracle([[3.0]], [[1.0]]), [[2.0]])
+
+    def test_diagonal(self):
+        op = kron_oracle(np.diag([1.0, 2.0]), [[4.0]])
+        npt.assert_allclose(op, np.diag([-3.0, -2.0]))
+
+    def test_vec_identity(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((3, 3))
+        n = rng.standard_normal((3, 3))
+        x = rng.standard_normal((3, 3))
+        lhs = kron_oracle(m, n) @ x.flatten(order="F")
+        rhs = (m @ x - x @ n).flatten(order="F")
+        npt.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _sep_pair(rng, p, q, kind):
+    if kind == "normal":
+        pair = []
+        for dim in (p, q):
+            u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            pair.append(u @ np.diag(rng.uniform(-3.0, 3.0, dim)) @ u.T)
+        return pair
+    m, n = rng.standard_normal((p, p)), rng.standard_normal((q, q))
+    if kind == "block_triangular":
+        m[(p + 1) // 2:, : (p + 1) // 2] = 0.0
+        n[(q + 1) // 2:, : (q + 1) // 2] = 0.0
+    return m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 6),
+       kind=st.sampled_from(["random", "normal", "block_triangular"]),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sep_f_matches_kron_oracle(p, q, kind, dtype, seed):
+    m, n = (a.astype(dtype) for a in _sep_pair(np.random.default_rng(seed), p, q, kind))
+    got, want = nk.sep_f(m, n), sep_oracle(m, n)
+    scale = frobenius_norm(m) + frobenius_norm(n)
+    assert got >= want - 1e-12 * scale
+    # the SVD oracle itself is only accurate to about eps * ||T||
+    assert abs(got - want) <= 1e-10 * want + np.finfo(np.float64).eps * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 6), lower=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sep_f_common_eigenvalue(p, q, lower, seed):
+    # triangular M and N with the same diagonal entry lam share that
+    # eigenvalue exactly, so the operator is singular
+    rng = np.random.default_rng(seed)
+    m, n = np.triu(rng.standard_normal((p, p))), np.triu(rng.standard_normal((q, q)))
+    lam = rng.standard_normal()
+    i, j = rng.integers(p), rng.integers(q)
+    m[i, i], n[j, j] = lam, lam
+    if lower:
+        n = n.T.copy()
+    scale = frobenius_norm(m) + frobenius_norm(n)
+    assert nk.sep_f(m, n) <= np.finfo(np.float64).eps * scale * p * q
+
+
+class TestSepIteration:
+    def test_sigma_min_is_operator_minimum(self):
+        # sep_f is the minimum of ||MX - XN||_F over unit-Frobenius X,
+        # probed by random sampling plus the oracle's singular-vector minimizer
+        rng = np.random.default_rng(6)
+        for dim in (2, 3):
+            m = rng.standard_normal((dim, dim))
+            n = rng.standard_normal((dim, dim))
+            sep = nk.sep_f(m, n)
+            for _ in range(200):
+                x = rng.standard_normal((dim, dim))
+                x /= frobenius_norm(x)
+                assert frobenius_norm(m @ x - x @ n) >= sep - 1e-12
+            _, _, vt = np.linalg.svd(kron_oracle(m, n))
+            xmin = vt[-1].reshape((dim, dim), order="F")
+            assert frobenius_norm(m @ xmin - xmin @ n) == pytest.approx(sep, rel=1e-10)
+
+    def test_no_svd(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        monkeypatch.setattr(scipy.linalg, "svd", counted(scipy.linalg.svd))
+        rng = np.random.default_rng(7)
+        sep = nk.sep_f(rng.standard_normal((32, 32)), rng.standard_normal((32, 32)))
+        assert sep > 0.0
+        assert calls == []
+
+    def test_step_cap_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "SEP_MAX_STEPS", 1)
+        rng = np.random.default_rng(8)
+        with pytest.raises(NoConvergence) as info:
+            nk.sep_f(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+        assert info.value.diagnostics["steps"] == 1
+        assert info.value.diagnostics["estimate"] > 0.0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(InvalidProblem):
+            nk.sep_f(np.ones((2, 3)), np.eye(2))
 
 
 class TestRelsep:
@@ -234,6 +357,32 @@ class TestReport:
         assert payload["gap"] == report.gap
         table = report.to_table()
         assert len(table.splitlines()) == 2
+
+    def test_transport_n128_stable_sep(self):
+        # the stable pair is 128 x 128 each: a 16384-square Kronecker matrix
+        p = nk.transport_problem(nk.TransportSpec.near_critical(128, 1e-6))
+        h = nk.build_h(p)
+        report = nk.report_for(h, nk.gamma_star(p), stable_basis=stable_basis(h.H))
+        assert 0.0 < report.sep_f_stable <= report.gap
+
+    def test_one_spectrum_of_h(self, monkeypatch):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        h = nk.build_h(p)
+        cs = nk.compute_central_pair(h.H, 2)
+        basis = stable_basis(h.H)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        report = nk.report_for(h, nk.gamma_star(p), basis, cs)
+        assert calls.count(h.H.shape) == 1
+        assert report.gap == nk.gap_of(h)
+        assert report.cayley_gap == nk.cayley_gap(h, nk.gamma_star(p))
+        assert report.delta_central == nk.delta_central(h, cs.central_eigs)
 
     def test_to_table_skips_missing(self):
         report = nk.DiagnosticsReport(gap=1.0, cayley_gap=0.5)

@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from narekit.errors import (
-    DimensionCap,
     InvalidProblem,
     RankDeficient,
     SingularMatrix,
@@ -12,7 +11,6 @@ from narekit.kernel import (
     conjugation_closed,
     eigenvalues,
     frobenius_norm,
-    kron_sylvester_operator,
     lu_solve,
     norms,
     read_matrix_market,
@@ -119,47 +117,6 @@ class TestSingularValues:
         m = rng.standard_normal((6, 6))
         oracle = np.linalg.svd(m, compute_uv=False)[-1]
         assert smallest_singular_value(m) == pytest.approx(oracle, rel=1e-12)
-
-
-class TestKronSylvester:
-    def test_scalar(self):
-        npt.assert_allclose(kron_sylvester_operator([[3.0]], [[1.0]]), [[2.0]])
-
-    def test_diagonal(self):
-        op = kron_sylvester_operator(np.diag([1.0, 2.0]), [[4.0]])
-        npt.assert_allclose(op, np.diag([-3.0, -2.0]))
-
-    def test_vec_identity(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((3, 3))
-        n = rng.standard_normal((3, 3))
-        x = rng.standard_normal((3, 3))
-        op = kron_sylvester_operator(m, n)
-        lhs = op @ x.flatten(order="F")
-        rhs = (m @ x - x @ n).flatten(order="F")
-        npt.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_assembly_cap(self):
-        with pytest.raises(DimensionCap):
-            kron_sylvester_operator(np.eye(80), np.eye(80))
-
-    def test_sigma_min_is_operator_minimum(self):
-        # sigma_min of the assembled operator equals the minimum of
-        # ||MX - XN||_F over unit-Frobenius X, probed by random sampling
-        # plus the exact singular-vector minimizer.
-        rng = np.random.default_rng(6)
-        for dim in (2, 3):
-            m = rng.standard_normal((dim, dim))
-            n = rng.standard_normal((dim, dim))
-            op = kron_sylvester_operator(m, n)
-            smin = smallest_singular_value(op)
-            for _ in range(200):
-                x = rng.standard_normal((dim, dim))
-                x /= frobenius_norm(x)
-                assert frobenius_norm(m @ x - x @ n) >= smin - 1e-6
-            _, _, vt = np.linalg.svd(op)
-            xmin = vt[-1].reshape((dim, dim), order="F")
-            assert frobenius_norm(m @ xmin - xmin @ n) == pytest.approx(smin, abs=1e-6)
 
 
 class TestNorms:
