@@ -33,11 +33,6 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def norms(m):
-    """Return (Frobenius norm, spectral norm) of a matrix."""
-    return frobenius_norm(m), spectral_norm(m)
-
-
 def _eps(dtype):
     return float(np.finfo(np.dtype(dtype)).eps)
 
@@ -136,16 +131,6 @@ def smallest_singular_value(m):
     """sigma_min(m); 0.0 is a valid return for singular input."""
     sv = np.linalg.svd(np.asarray(m), compute_uv=False)
     return float(sv[-1]) if sv.size else 0.0
-
-
-def conjugation_closed(values, scale, tol=1e-10):
-    """True when every non-real value has its conjugate present (within tol*scale)."""
-    vals = np.asarray(values, dtype=complex)
-    nonreal = vals[np.abs(vals.imag) > tol * scale]
-    for v in nonreal:
-        if np.min(np.abs(nonreal - np.conj(v))) > tol * scale:
-            return False
-    return True
 
 
 # --- Matrix Market array-format IO ------------------------------------------

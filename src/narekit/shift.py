@@ -19,7 +19,9 @@ pair, choose s, build the shifted equation, run the doubling solver on it
 with the original problem's gamma, and polish the result with a Newton
 defect-correction step on the original equation (forming the shifted
 coefficients in floating point perturbs the solution at level
-eps * (1 + s), which the correction removes).
+eps * (1 + s), which the correction removes).  The step's Sylvester
+equation has M-matrix coefficients and is solved by Smith doubling on
+their Cayley transforms: two LUs and matrix products, no Schur form.
 """
 
 from dataclasses import dataclass, field, replace
@@ -47,6 +49,7 @@ from .errors import (
     NoConvergence,
     OrthogonalPair,
     SingularH,
+    SingularMatrix,
     UVSingular,
 )
 from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
@@ -55,6 +58,8 @@ from .sda import SdaConfig, SdaOutcome, sda_solve
 
 #: seed of the deterministic starting basis, fixed so step counts reproduce
 DEFAULT_SEED = 20120601
+#: doubling cap of the polish's Sylvester solve (2^50 terms of its sum)
+POLISH_MAX_DOUBLINGS = 50
 
 
 @dataclass(frozen=True)
@@ -96,32 +101,24 @@ def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SE
         factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
     rng = np.random.default_rng(seed)
     q, _ = thin_qr(rng.standard_normal((dim, k)).astype(h.dtype), check_rank=False)
-    dists = []
-    converged = False
-    armed = False
+    dists, armed = [], False
     for _ in range(max_iters):
         z = scipy.linalg.lu_solve(factor, q, trans=trans, check_finite=False)
         q_new, _ = thin_qr(z, check_rank=False)
-        d = subspace_distance(q_new, q)
+        dists.append(subspace_distance(q_new, q))
         q = q_new
-        prev = dists[-1] if dists else None
-        dists.append(d)
-        if d <= tol:
-            converged = True
+        if dists[-1] <= tol or (armed and dists[-1] >= 0.9 * dists[-2]):
             break
-        if armed and d >= 0.9 * prev:
-            converged = True
-            break
-        if d < 1e-2:
-            armed = True
-    t = _contraction_estimate(dists)
-    if not converged:
+        armed = armed or dists[-1] < 1e-2
+    else:
+        t = _contraction_estimate(dists)
         raise NoConvergence(
             f"inverse iteration did not settle in {max_iters} steps "
             f"(rate estimate {t:.3g})",
-            diagnostics={"basis": q, "steps": len(dists), "t_estimate": t},
+            diagnostics={"basis": q, "steps": len(dists), "t_estimate": t,
+                         "distance": dists[-1] if dists else np.inf},
         )
-    return q, len(dists), t
+    return q, len(dists), _contraction_estimate(dists)
 
 
 def _contraction_estimate(dists):
@@ -176,7 +173,8 @@ def detect_k(h, k0=2, k_max=8, slow_threshold=0.5, probe_iters=12,
     Runs a few probe iterations per candidate k, all on one LU factor of h
     (factor, or a fresh one), and accepts the first one with rate estimate
     <= slow_threshold (a zero estimate means convergence was immediate and
-    counts as fast).  Raises KMaxReached when no k up to k_max separates
+    counts as fast, as does a probe that ran out of steps within sqrt(tol)
+    of settling).  Raises KMaxReached when no k up to k_max separates
     the central cluster from the rest of the spectrum.
     """
     if k0 < 2:
@@ -190,8 +188,8 @@ def detect_k(h, k0=2, k_max=8, slow_threshold=0.5, probe_iters=12,
                                                    factor=factor)
         except NoConvergence as exc:
             t = exc.diagnostics["t_estimate"]
-            if t == 0.0:
-                # the probe neither converged nor yielded a measurable
+            if t == 0.0 and exc.diagnostics["distance"] > np.sqrt(tol):
+                # the probe neither settled nor yielded a measurable
                 # contraction window: treat as too slow
                 t = 1.0
         last_t = t
@@ -283,23 +281,25 @@ def classical_shift(h, v, u, s):
     return h + (s / uv) * np.outer(v, u)
 
 
-def newton_polish(p: NareProblem, x, max_steps=2, floor=1e-13, res=None):
+def newton_polish(p: NareProblem, x, max_steps=2, floor=1e-13, res=None,
+                  xi=None):
     """Newton defect correction on the original equation.
 
-    Solves (X C - A) D + D (C X - D_coef) = -R(X) for the correction D and
-    keeps the update while the relative residual improves.  A no-op when
-    the residual is already at the floor.  res, x's relative residual when
-    the caller has it, saves evaluating it again.
+    Solves (A - X C) D + D (D_coef - C X) = R(X) for the correction D by
+    Smith doubling and keeps the update while the relative residual
+    improves.  A no-op when the residual is already at the floor.  res,
+    x's relative residual when the caller has it, saves evaluating it
+    again.  xi, the smallest central eigenvalue modulus, gives the Cayley
+    parameter sqrt(xi * gamma*), the best single shift for a real spectrum
+    in [xi, gamma*]; without it the parameter is gamma*.
     """
     x = np.asarray(x)
     res = relative_residual(p, x) if res is None else res
     for _ in range(max_steps):
         if res <= floor:
             break
-        try:
-            delta = scipy.linalg.solve_sylvester(
-                x @ p.C - p.A, p.C @ x - p.D, -residual(p, x))
-        except (np.linalg.LinAlgError, ValueError):
+        delta = _smith_correction(p, x, xi)
+        if delta is None:
             break
         candidate = x + delta
         new_res = relative_residual(p, candidate)
@@ -307,6 +307,40 @@ def newton_polish(p: NareProblem, x, max_steps=2, floor=1e-13, res=None):
             break
         x, res = candidate, new_res
     return x, float(res)
+
+
+def _smith_correction(p: NareProblem, x, xi):
+    """Sum over j of S^j D0 T^j, with S = (P + gI)^-1 (P - gI), T = (Q + gI)^-1
+    (Q - gI), D0 = 2g (P + gI)^-1 R(X) (Q + gI)^-1, P = A - X C and
+    Q = D_coef - C X, by doubling until an increment no longer changes X (a
+    residual target would drop the slowly converging part); None when a
+    factor is singular or the sum diverges, as it can unless P and Q are
+    M-matrices."""
+    g_star = gamma_star(p)
+    eps = float(np.finfo(x.dtype).eps)
+    g = g_star if xi is None else float(np.sqrt(max(xi, eps * g_star) * g_star))
+    pm, qm = p.A - x @ p.C, p.D - p.C @ x
+    eye_m, eye_n = np.eye(p.m, dtype=x.dtype), np.eye(p.n, dtype=x.dtype)
+    try:
+        fp, fq = lu_factor(pm + g * eye_m), lu_factor(qm + g * eye_n)
+    except SingularMatrix:
+        return None
+    s = scipy.linalg.lu_solve(fp, pm - g * eye_m, check_finite=False)
+    t = scipy.linalg.lu_solve(fq, qm - g * eye_n, check_finite=False)
+    left = scipy.linalg.lu_solve(fp, 2.0 * g * residual(p, x), check_finite=False)
+    delta = scipy.linalg.lu_solve(fq, left.T, trans=1, check_finite=False).T
+    stop = eps * frobenius_norm(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: divergence
+        for _ in range(POLISH_MAX_DOUBLINGS):
+            inc = s @ delta @ t
+            size = frobenius_norm(inc)
+            if not np.isfinite(size):
+                return None
+            delta += inc
+            if size <= stop:
+                break
+            s, t = s @ s, t @ t
+    return delta
 
 
 @dataclass(frozen=True)
@@ -351,7 +385,8 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
                     max_steps=opts.max_steps, trace=opts.trace)
     outcome = sda_solve(shifted_problem, cfg, residual_problem=p)
     floor = 100.0 * float(np.finfo(p.dtype).eps)
-    x, res = newton_polish(p, outcome.X, floor=floor, res=outcome.residual)
+    x, res = newton_polish(p, outcome.X, floor=floor, res=outcome.residual,
+                           xi=float(np.min(np.abs(cs.central_eigs))))
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
     plan = replace(plan, rationale=dict(plan.rationale,
                                         elapsed_s=time.perf_counter() - t0))

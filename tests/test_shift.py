@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +16,7 @@ from narekit.errors import (
     UVSingular,
 )
 from narekit.kernel import frobenius_norm
+from narekit import shift
 from narekit.shift import (
     CentralSubspaces,
     estimate_next_modulus,
@@ -175,6 +177,15 @@ class TestDetectK:
     def test_transport_uses_two(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
         assert nk.detect_k(nk.build_h(p).H) == 2
+
+    @pytest.mark.parametrize("beta", [1e-2, 3e-3, 1e-3])
+    def test_settled_probe_counts_as_fast(self, beta):
+        # the k = 2 probe ends its steps just above tol with no measurable
+        # contraction window; it has settled, so k = 2 is accepted
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, beta))
+        assert nk.detect_k(nk.build_h(p).H) == 2
+        solution, cs, _, _ = nk.sushi_solve(p)
+        assert cs.k == 2 and solution.residual <= 1e-12
 
     def test_no_separation_raises(self):
         # all eigenvalues on the unit circle: no modulus gap anywhere
@@ -393,3 +404,64 @@ def test_newton_polish_reuses_given_residual(monkeypatch):
     x, res = newton_polish(p, out.X, res=out.residual)
     assert calls == []
     assert x is out.X and res == out.residual
+
+
+def _bartels_stewart_polish(p, x, max_steps=2, floor=1e-13):
+    """Reference: the same Newton steps with a Schur-based Sylvester solve."""
+    res = nk.relative_residual(p, x)
+    for _ in range(max_steps):
+        if res <= floor:
+            break
+        delta = scipy.linalg.solve_sylvester(
+            p.A - x @ p.C, p.D - p.C @ x, nk.residual(p, x))
+        new_res = nk.relative_residual(p, x + delta)
+        if not new_res < res:
+            break
+        x, res = x + delta, new_res
+    return x, res
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), m=st.integers(1, 10),
+       log_margin=st.floats(-6.0, 0.0), scale=st.floats(1e-8, 1e-4),
+       seed=st.integers(0, 2**32 - 1))
+def test_newton_polish_matches_bartels_stewart(n, m, log_margin, scale, seed):
+    # random M-NARE with m x n solution, started off the minimal solution
+    rng = np.random.default_rng(seed)
+    big = rng.uniform(0.0, 1.0, (n + m, n + m))
+    rho = np.max(np.abs(np.linalg.eigvals(big)))
+    mm = (rho + 10.0 ** log_margin) * np.eye(n + m) - big
+    p = nk.NareProblem(A=mm[n:, n:], B=-mm[n:, :n], C=-mm[:n, n:], D=mm[:n, :n])
+    x_min = nk.sda_solve(p).X
+    x = x_min + scale * frobenius_norm(x_min) * rng.uniform(0.0, 1.0, x_min.shape)
+    want, want_res = _bartels_stewart_polish(p, x)
+    got, got_res = newton_polish(p, x)
+    assert got.shape == (m, n)
+    assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+    assert got_res <= 10.0 * max(want_res, np.finfo(float).eps)
+
+
+def test_sushi_solve_makes_no_schur_form(monkeypatch):
+    p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
+    calls = []
+    for name in ("solve_sylvester", "schur"):
+        def counting(*args, _fn=getattr(scipy.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, counting)
+    solution, _, _, outcome = nk.sushi_solve(p)
+    assert solution.residual < outcome.residual  # the polish ran
+    assert calls == []
+
+
+@pytest.mark.parametrize("doublings", [2, shift.POLISH_MAX_DOUBLINGS])
+def test_newton_polish_keeps_x_when_doubling_diverges(monkeypatch, doublings):
+    # 3x^2 - 2x + 2 = 0 has no real root: P = Q = -1/2 at x = 1/2, the
+    # Cayley factors have modulus 3, and the doubling diverges
+    monkeypatch.setattr(shift, "POLISH_MAX_DOUBLINGS", doublings)
+    p = nk.NareProblem(A=[[1.0]], B=[[2.0]], C=[[3.0]], D=[[1.0]])
+    x = np.array([[0.5]])
+    with np.errstate(all="raise"):
+        got, res = newton_polish(p, x)
+    assert got is x
+    assert res == nk.relative_residual(p, x)
