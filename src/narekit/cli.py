@@ -10,7 +10,7 @@ Subcommands::
 
 Exit codes: 0 success, 2 solver breakdown, 3 no convergence,
 4 classification failure (not an M-matrix equation, or ambiguous spectrum),
-5 input/output error, 6 the problem exceeds a dense size cap.  In JSON mode
+5 input/output error; 6 is unassigned.  In JSON mode
 errors are reported as {"error": <code-name>, "message": ...} on standard
 output; a human-readable message always goes to standard error.
 """
@@ -189,6 +189,11 @@ def _emit(args, payload, rows=None):
             header = sorted(payload)
             rows = (header, [[payload[k] for k in header]])
         text = _format_rows(args.format, *rows)
+    _write(args, text)
+
+
+def _write(args, text):
+    """Write text to the --output file, or to stdout without one."""
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -289,7 +294,7 @@ def cmd_diagnose(args):
     payload["classification"] = classify_mmatrix(build_m(p)).tag
     payload["schema"] = f"narekit-diagnose/{__version__}"
     if args.format == "table":
-        sys.stdout.write(report.to_table() + "\n")
+        _write(args, report.to_table() + "\n")
         return EXIT_OK
     _emit(args, payload)
     return EXIT_OK

@@ -28,6 +28,10 @@ from .errors import (
 )
 from .kernel import as_matrix, eigenvalues, frobenius_norm, lu_factor
 
+#: largest imaginary part, relative to ||H||_F, of a boundary eigenvalue
+#: that central_real_pair still takes as real
+REAL_PAIR_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class NareProblem:
@@ -304,13 +308,13 @@ def ordered_eigenvalues(h: LinearizingMatrix):
     return ev[order]
 
 
-def central_real_pair(h: LinearizingMatrix, tol=1e-10):
+def central_real_pair(h: LinearizingMatrix):
     """(lambda_n, lambda_{n+1}) as reals; they are real for M-NARE problems."""
     lam = ordered_eigenvalues(h)
     scale = frobenius_norm(h.H)
     pair = lam[h.n - 1], lam[h.n]
     for v in pair:
-        if abs(v.imag) > tol * scale:
+        if abs(v.imag) > REAL_PAIR_TOL * scale:
             raise ClassificationAmbiguous(
                 f"boundary eigenvalue {v} is not real within tolerance"
             )

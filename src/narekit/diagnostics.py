@@ -33,6 +33,9 @@ from .kernel import coupling_cond, frobenius_norm
 SEP_MAX_STEPS = 5000
 #: sep_f stops once a step raises the Ritz value by at most this fraction
 SEP_RTOL = 1e-14
+#: largest distance, relative to max(||H||_F, 1), from a claimed central
+#: eigenvalue to the spectrum point it is matched to
+MATCH_TOL = 1e-6
 
 
 def _gap(h, lam):
@@ -160,7 +163,7 @@ def solution_distance_bound(x, xt, dist) -> float:
     )
 
 
-def _delta(h, lam, central_eigs, match_tol=1e-6):
+def _delta(h, lam, central_eigs):
     scale = frobenius_norm(h.H)
     central = np.atleast_1d(np.asarray(central_eigs, dtype=complex))
     remaining = list(range(lam.size))
@@ -168,7 +171,7 @@ def _delta(h, lam, central_eigs, match_tol=1e-6):
     for c in central:
         dists = np.abs(lam[remaining] - c)
         j = int(np.argmin(dists))
-        if dists[j] > match_tol * max(scale, 1.0):
+        if dists[j] > MATCH_TOL * max(scale, 1.0):
             raise MatchFailure(
                 f"central eigenvalue {c} is {dists[j]:.3e} from the spectrum"
             )
@@ -179,14 +182,14 @@ def _delta(h, lam, central_eigs, match_tol=1e-6):
     return float(min(np.min(np.abs(others - lam[i])) for i in matched))
 
 
-def delta_central(h: LinearizingMatrix, central_eigs, match_tol=1e-6) -> float:
+def delta_central(h: LinearizingMatrix, central_eigs) -> float:
     """Minimum distance from the central eigenvalues to the rest of sigma(H).
 
     Each claimed central eigenvalue is matched greedily to its nearest
-    spectrum point; a match farther than match_tol (relative to ||H||_F)
+    spectrum point; a match farther than MATCH_TOL (relative to ||H||_F)
     raises MatchFailure.
     """
-    return _delta(h, ordered_eigenvalues(h), central_eigs, match_tol)
+    return _delta(h, ordered_eigenvalues(h), central_eigs)
 
 
 def check_coupling(cond, k) -> float:

@@ -16,10 +16,6 @@ class SingularMatrix(NarekitError):
     """A pivot of a factorization fell below the singularity threshold."""
 
 
-class RankDeficient(NarekitError):
-    """A matrix expected to have full column rank does not."""
-
-
 class NoConvergence(NarekitError):
     """An iteration exceeded its step cap without meeting its tolerance."""
 

@@ -10,12 +10,12 @@ are honored for the single-precision mode.
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidProblem, NoConvergence, RankDeficient, SingularMatrix
+from .errors import InvalidProblem, NoConvergence, SingularMatrix
 
 
-def as_matrix(a, dtype=None, name="matrix"):
+def as_matrix(a, name="matrix"):
     """Validate and return a 2-d float array with finite entries."""
-    m = np.asarray(a, dtype=dtype)
+    m = np.asarray(a)
     if m.dtype not in (np.float32, np.float64):
         m = m.astype(np.float64)
     if m.ndim != 2:
@@ -71,12 +71,11 @@ def lu_solve(m, rhs):
     return scipy.linalg.lu_solve(factor, rhs, check_finite=False)
 
 
-def thin_qr(m, check_rank=True):
+def thin_qr(m):
     """Thin QR with nonnegative diagonal of R (deterministic sign convention).
 
-    With check_rank, raises RankDeficient when some |R_ii| falls below
-    eps * ||m||_F * rows; inverse iteration turns the check off, its
-    iterates being close to singular on purpose.
+    No rank check: inverse iteration, its only use, feeds it iterates that
+    are close to rank deficient on purpose.
     """
     m = np.asarray(m)
     rows, cols = m.shape
@@ -87,9 +86,6 @@ def thin_qr(m, check_rank=True):
     sign[sign == 0] = 1.0
     q = q * sign
     r = sign[:, None] * r
-    thresh = _eps(m.dtype) * frobenius_norm(m) * rows if check_rank else 0.0
-    if cols and np.abs(np.diag(r)).min() < thresh:
-        raise RankDeficient("matrix is numerically rank deficient")
     return q, r
 
 
@@ -135,11 +131,11 @@ def smallest_singular_value(m):
 
 # --- Matrix Market array-format IO ------------------------------------------
 
-def write_matrix_market(path, m, comment=""):
+def write_matrix_market(path, m):
     """Write a dense matrix in Matrix Market array format."""
     import scipy.io
 
-    scipy.io.mmwrite(str(path), np.asarray(m, dtype=np.float64), comment=comment)
+    scipy.io.mmwrite(str(path), np.asarray(m, dtype=np.float64))
 
 
 def read_matrix_market(path):

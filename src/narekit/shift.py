@@ -10,9 +10,11 @@ invariant subspaces of that cluster, the rank-k update
 multiplies the k central eigenvalues by (1 + s) while leaving every right
 invariant subspace of H (and hence the minimal solution) unchanged.  The
 bases are computed by inverse orthogonal iteration, which also yields a
-convergence-rate estimate t ~ |xi_k| / |xi_{k+1}| used to pick s.  H is
-LU-factored once per solve; every inverse iteration, the left one with
-H^T included, reuses that factor.
+convergence-rate estimate t ~ |xi_k| / |xi_{k+1}| used to pick k; s comes
+from a (k + 1)-column probe of |xi_{k+1}|.  H is LU-factored once per
+solve; every inverse iteration, the left one with H^T included, reuses
+that factor.  The pipeline's fixed settings (seed, step caps, k and s
+limits) are the module constants below.
 
 `sushi_solve` chains the whole pipeline: detect k, compute the central
 pair, choose s, build the shifted equation, run the doubling solver on it
@@ -56,10 +58,16 @@ from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
 from .kernel import subspace_distance, thin_qr
 from .sda import SdaConfig, SdaOutcome, sda_solve
 
-#: seed of the deterministic starting basis, fixed so step counts reproduce
-DEFAULT_SEED = 20120601
-#: doubling cap of the polish's Sylvester solve (2^50 terms of its sum)
-POLISH_MAX_DOUBLINGS = 50
+DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
+PAIR_MAX_ITERS = 100       #: inverse-iteration step cap of the central pair
+COND_CAP = 1e8             #: largest ||(U^T V)^-1||_2 of an accepted central pair
+K_MAX = 8                  #: largest central dimension detect_k tries, from k = 2
+SLOW_RATE = 0.5            #: contraction rate up to which a probed k is accepted
+PROBE_ITERS = 12           #: inverse-iteration steps of each detect_k probe
+NEXT_MODULUS_STEPS = 8     #: steps of the (k + 1)-column probe of |xi_{k+1}|
+S_MIN, S_MAX = 0.1, 1e6    #: clamp of the shift magnitude s
+POLISH_MAX_STEPS = 2       #: Newton corrections the polish tries
+POLISH_MAX_DOUBLINGS = 50  #: doubling cap of the polish's Sylvester solve (2^50 terms)
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,8 @@ class ShiftPlan:
     rationale: dict = field(default_factory=dict)
 
 
-def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
-                                 factor=None, trans=0):
+def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, factor=None,
+                                 trans=0):
     """Orthonormal basis of the invariant subspace of the k smallest-modulus
     eigenvalues of h (of h^T when trans=1), by repeated solve + thin QR.
 
@@ -99,12 +107,12 @@ def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SE
         raise InvalidProblem(f"subspace dimension k={k} out of range")
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
-    rng = np.random.default_rng(seed)
-    q, _ = thin_qr(rng.standard_normal((dim, k)).astype(h.dtype), check_rank=False)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    q, _ = thin_qr(rng.standard_normal((dim, k)).astype(h.dtype))
     dists, armed = [], False
     for _ in range(max_iters):
         z = scipy.linalg.lu_solve(factor, q, trans=trans, check_finite=False)
-        q_new, _ = thin_qr(z, check_rank=False)
+        q_new, _ = thin_qr(z)
         dists.append(subspace_distance(q_new, q))
         q = q_new
         if dists[-1] <= tol or (armed and dists[-1] >= 0.9 * dists[-2]):
@@ -140,24 +148,23 @@ def _contraction_estimate(dists):
     return float((a[j1] / a[j0]) ** (1.0 / (j1 - j0)))
 
 
-def compute_central_pair(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
-                         cond_cap=1e8, factor=None) -> CentralSubspaces:
+def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
     """Left and right central bases plus the central eigenvalues.
 
     The right basis comes from inverse iteration on h, the left one from
     the same iteration on h^T, both on one LU factor of h (factor, or a
     fresh one).  Refuses to return a pair with ||(U^T V)^-1||_2 above
-    cond_cap.
+    COND_CAP.
     """
     h = np.asarray(h)
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
-    v, steps_v, t = inverse_orthogonal_iteration(h, k, tol, max_iters, seed,
+    v, steps_v, t = inverse_orthogonal_iteration(h, k, tol, PAIR_MAX_ITERS,
                                                  factor=factor)
-    u, _, _ = inverse_orthogonal_iteration(h, k, tol, max_iters, seed,
+    u, _, _ = inverse_orthogonal_iteration(h, k, tol, PAIR_MAX_ITERS,
                                            factor=factor, trans=1)
     cond_uv = coupling_cond(u, v)
-    if cond_uv > cond_cap:
+    if cond_uv > COND_CAP:
         raise CentralPairIllConditioned(cond_uv)
     central = eigenvalues(v.T @ h @ v)
     return CentralSubspaces(
@@ -166,25 +173,22 @@ def compute_central_pair(h, k, tol=1e-12, max_iters=100, seed=DEFAULT_SEED,
     )
 
 
-def detect_k(h, k0=2, k_max=8, slow_threshold=0.5, probe_iters=12,
-             seed=DEFAULT_SEED, tol=1e-12, factor=None):
-    """Smallest k >= k0 whose inverse iteration contracts fast enough.
+def detect_k(h, tol=1e-12, factor=None):
+    """Smallest k >= 2 whose inverse iteration contracts fast enough.
 
-    Runs a few probe iterations per candidate k, all on one LU factor of h
-    (factor, or a fresh one), and accepts the first one with rate estimate
-    <= slow_threshold (a zero estimate means convergence was immediate and
-    counts as fast, as does a probe that ran out of steps within sqrt(tol)
-    of settling).  Raises KMaxReached when no k up to k_max separates
-    the central cluster from the rest of the spectrum.
+    Runs PROBE_ITERS probe iterations per candidate k, all on one LU factor
+    of h (factor, or a fresh one), and accepts the first one with rate
+    estimate <= SLOW_RATE (a zero estimate means convergence was immediate
+    and counts as fast, as does a probe that ran out of steps within
+    sqrt(tol) of settling).  Raises KMaxReached when no k up to K_MAX
+    separates the central cluster from the rest of the spectrum.
     """
-    if k0 < 2:
-        raise InvalidProblem("k0 must be at least 2")
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
     last_t = 1.0
-    for k in range(k0, k_max + 1):
+    for k in range(2, K_MAX + 1):
         try:
-            _, _, t = inverse_orthogonal_iteration(h, k, tol, probe_iters, seed,
+            _, _, t = inverse_orthogonal_iteration(h, k, tol, PROBE_ITERS,
                                                    factor=factor)
         except NoConvergence as exc:
             t = exc.diagnostics["t_estimate"]
@@ -193,12 +197,12 @@ def detect_k(h, k0=2, k_max=8, slow_threshold=0.5, probe_iters=12,
                 # contraction window: treat as too slow
                 t = 1.0
         last_t = t
-        if t <= slow_threshold:
+        if t <= SLOW_RATE:
             return k
-    raise KMaxReached(k_max, last_t)
+    raise KMaxReached(K_MAX, last_t)
 
 
-def estimate_next_modulus(h, k, steps=8, seed=DEFAULT_SEED, factor=None):
+def estimate_next_modulus(h, k, factor=None):
     """Estimate of |xi_{k+1}| from a (k + 1)-column probe iteration on an
     LU factor of h (factor, or a fresh one).
 
@@ -210,26 +214,22 @@ def estimate_next_modulus(h, k, steps=8, seed=DEFAULT_SEED, factor=None):
     h = np.asarray(h)
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
-    rng = np.random.default_rng(seed)
-    q, r = thin_qr(rng.standard_normal((h.shape[0], k + 1)).astype(h.dtype),
-                   check_rank=False)
-    for _ in range(steps):
-        q, r = thin_qr(scipy.linalg.lu_solve(factor, q, check_finite=False),
-                       check_rank=False)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    q, r = thin_qr(rng.standard_normal((h.shape[0], k + 1)).astype(h.dtype))
+    for _ in range(NEXT_MODULUS_STEPS):
+        q, r = thin_qr(scipy.linalg.lu_solve(factor, q, check_finite=False))
     entry = abs(float(r[k, k]))
     if entry == 0.0:
         raise DegenerateSpectrum("probe iteration collapsed to a singular R")
     return 1.0 / entry
 
 
-def choose_shift_s(cs: CentralSubspaces, h_norm=None, s_min=0.1, s_max=1e6,
-                   xi_next=None) -> ShiftPlan:
-    """Shift magnitude s = |xi_{k+1}| / |xi_1| - 1, clamped to [s_min, s_max].
+def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm=None) -> ShiftPlan:
+    """Shift magnitude s = |xi_{k+1}| / |xi_1| - 1, clamped to [S_MIN, S_MAX].
 
-    |xi_{k+1}| is taken from xi_next when the caller has an estimate (or
-    the exact value); without one, the fallback is |xi_k| / t from the
-    iteration's contraction rate, which is cruder since it can be diluted
-    by the roundoff floor of the subspace distances.
+    xi_next is |xi_{k+1}|, estimated (estimate_next_modulus) or exact.
+    DegenerateSpectrum when |xi_1| is zero or, given h_norm = ||H||_F,
+    below eps * h_norm.
     """
     mods = np.sort(np.abs(cs.central_eigs))
     xi1, xik = float(mods[0]), float(mods[-1])
@@ -238,15 +238,10 @@ def choose_shift_s(cs: CentralSubspaces, h_norm=None, s_min=0.1, s_max=1e6,
         raise DegenerateSpectrum(
             f"smallest central eigenvalue {xi1:.3e} is numerically zero"
         )
-    if xi_next is not None:
-        target = float(xi_next)
-    elif cs.rate_estimate_t > 0.0:
-        target = xik / cs.rate_estimate_t
-    else:
-        target = 10.0 * xik  # no usable estimate: modest default
+    target = float(xi_next)
     s = target / xi1 - 1.0
-    clamped = not (s_min <= s <= s_max)
-    s = float(min(max(s, s_min), s_max))
+    clamped = not (S_MIN <= s <= S_MAX)
+    s = float(min(max(s, S_MIN), S_MAX))
     return ShiftPlan(s=s, k=cs.k, rationale={
         "xi_1": xi1, "xi_k": xik, "xi_next_estimate": target,
         "t_estimate": cs.rate_estimate_t, "clamped": clamped,
@@ -281,21 +276,22 @@ def classical_shift(h, v, u, s):
     return h + (s / uv) * np.outer(v, u)
 
 
-def newton_polish(p: NareProblem, x, max_steps=2, floor=1e-13, res=None,
-                  xi=None):
+def newton_polish(p: NareProblem, x, res=None, xi=None):
     """Newton defect correction on the original equation.
 
     Solves (A - X C) D + D (D_coef - C X) = R(X) for the correction D by
-    Smith doubling and keeps the update while the relative residual
-    improves.  A no-op when the residual is already at the floor.  res,
+    Smith doubling and keeps the update, for up to POLISH_MAX_STEPS
+    corrections, while the relative residual improves.  A no-op when the
+    residual is already at the floor 100 * eps of x's dtype.  res,
     x's relative residual when the caller has it, saves evaluating it
     again.  xi, the smallest central eigenvalue modulus, gives the Cayley
     parameter sqrt(xi * gamma*), the best single shift for a real spectrum
     in [xi, gamma*]; without it the parameter is gamma*.
     """
     x = np.asarray(x)
+    floor = 100.0 * float(np.finfo(x.dtype).eps)
     res = relative_residual(p, x) if res is None else res
-    for _ in range(max_steps):
+    for _ in range(POLISH_MAX_STEPS):
         if res <= floor:
             break
         delta = _smith_correction(p, x, xi)
@@ -378,14 +374,13 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
         plan = ShiftPlan(s=float(opts.s), k=k, rationale={"fixed": True})
     else:
         xi_next = estimate_next_modulus(work, k, factor=factor)
-        plan = choose_shift_s(cs, h_norm=frobenius_norm(work), xi_next=xi_next)
-    shifted = build_shifted_h(LinearizingMatrix(work, h.n, h.m), cs, plan.s)
+        plan = choose_shift_s(cs, xi_next, h_norm=frobenius_norm(work))
+    shifted = build_shifted_h(h, cs, plan.s)
     shifted_problem = shifted.to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
     outcome = sda_solve(shifted_problem, cfg, residual_problem=p)
-    floor = 100.0 * float(np.finfo(p.dtype).eps)
-    x, res = newton_polish(p, outcome.X, floor=floor, res=outcome.residual,
+    x, res = newton_polish(p, outcome.X, res=outcome.residual,
                            xi=float(np.min(np.abs(cs.central_eigs))))
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
     plan = replace(plan, rationale=dict(plan.rationale,

@@ -141,6 +141,17 @@ class TestDiagnose:
         assert len(lines) == 2
         assert "gap" in lines[0]
 
+    def test_table_output_file(self, tmp_path, capsys):
+        dest = tmp_path / "diag.txt"
+        code, out, _ = run(capsys, "diagnose", "--family", "transport",
+                           "--n", "8", "--beta", "1e-3", "--format", "table",
+                           "--output", str(dest))
+        assert code == 0
+        assert out == ""
+        lines = dest.read_text().splitlines()
+        assert len(lines) == 2
+        assert "gap" in lines[0]
+
 
 class TestBench:
     def test_single_cell(self, capsys):

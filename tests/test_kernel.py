@@ -4,7 +4,6 @@ import pytest
 
 from narekit.errors import (
     InvalidProblem,
-    RankDeficient,
     SingularMatrix,
 )
 from narekit.kernel import (
@@ -66,11 +65,6 @@ class TestThinQr:
         assert frobenius_norm(q @ r - m) <= 1e-13 * scale
         assert frobenius_norm(q.T @ q - np.eye(3)) <= 1e-13
         assert np.all(np.diag(r) >= 0.0)
-
-    def test_rank_deficient_raises(self):
-        m = np.ones((4, 2))
-        with pytest.raises(RankDeficient):
-            thin_qr(m)
 
     def test_wide_input_rejected(self):
         with pytest.raises(InvalidProblem):

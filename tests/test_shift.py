@@ -98,7 +98,7 @@ class TestComputeCentralPair:
         cs = nk.compute_central_pair(nk.build_h(p).H, 2)
         assert cs.cond_uv == pytest.approx(nk.cond_uv(cs.U, cs.V))
 
-    def test_ill_conditioned_single_eigenvalue_refused(self):
+    def test_ill_conditioned_single_eigenvalue_refused(self, monkeypatch):
         # k = 1: U^T V is 1 x 1, so only 1 / sigma_min can see that the
         # eigenvalue 0.01, coupled to 1.0 by 1e5, has condition about 1e5
         rng = np.random.default_rng(25)
@@ -106,8 +106,9 @@ class TestComputeCentralPair:
         t[0, 1] = 1e5
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         h = q @ t @ q.T
+        monkeypatch.setattr(shift, "COND_CAP", 1e3)
         with pytest.raises(CentralPairIllConditioned) as err:
-            nk.compute_central_pair(h, 1, cond_cap=1e3)
+            nk.compute_central_pair(h, 1)
         assert "e+05" in str(err.value)
 
 
@@ -187,32 +188,29 @@ class TestDetectK:
         solution, cs, _, _ = nk.sushi_solve(p)
         assert cs.k == 2 and solution.residual <= 1e-12
 
-    def test_no_separation_raises(self):
+    def test_no_separation_raises(self, monkeypatch):
         # all eigenvalues on the unit circle: no modulus gap anywhere
         angles = np.linspace(0.3, 2.8, 5)
         blocks = [np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
                   for a in angles]
         h = scipy.linalg.block_diag(*blocks)
+        monkeypatch.setattr(shift, "K_MAX", 4)
         with pytest.raises(KMaxReached):
-            nk.detect_k(h, k_max=4)
+            nk.detect_k(h)
 
 
 class TestShiftSelection:
-    def _pair(self, central_eigs, t=0.0):
+    def _pair(self, central_eigs):
         central_eigs = np.asarray(central_eigs, dtype=complex)
         k = central_eigs.size
         v = np.eye(4)[:, :k]
         return CentralSubspaces(V=v, U=v, k=k, central_eigs=central_eigs,
-                                inv_iter_steps=1, rate_estimate_t=t, cond_uv=1.0)
+                                inv_iter_steps=1, rate_estimate_t=0.0, cond_uv=1.0)
 
     def test_rule_arithmetic(self):
         plan = nk.choose_shift_s(self._pair([0.5, 0.6]), xi_next=2.5)
         assert plan.s == pytest.approx(4.0)
         assert plan.k == 2
-
-    def test_fallback_uses_rate_estimate(self):
-        plan = nk.choose_shift_s(self._pair([0.5, 0.6], t=0.1))
-        assert plan.s == pytest.approx(0.6 / 0.1 / 0.5 - 1.0)
 
     def test_clamp_when_no_separation(self):
         plan = nk.choose_shift_s(self._pair([1.0, 1.0]), xi_next=1.0)
@@ -221,16 +219,17 @@ class TestShiftSelection:
 
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrum):
-            nk.choose_shift_s(self._pair([0.0, 1.0]))
+            nk.choose_shift_s(self._pair([0.0, 1.0]), xi_next=2.0)
 
-    def test_next_modulus_estimate_diagonal(self):
+    def test_next_modulus_estimate_diagonal(self, monkeypatch):
         h = np.diag([0.1, 0.2, 5.0, 7.0, 9.0])
         # the default step count only buys the leading digit; it must land
         # between |xi_3| and the largest modulus
         est = estimate_next_modulus(h, 2)
         assert 5.0 <= est <= 9.0
         # with enough steps the probe converges to |xi_3| exactly
-        assert estimate_next_modulus(h, 2, steps=40) == pytest.approx(5.0, rel=1e-6)
+        monkeypatch.setattr(shift, "NEXT_MODULUS_STEPS", 40)
+        assert estimate_next_modulus(h, 2) == pytest.approx(5.0, rel=1e-6)
 
 
 class TestBuildShiftedH:
@@ -390,7 +389,7 @@ def test_newton_polish_improves_residual():
     p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
     out = nk.sda_solve(p, nk.SdaConfig())
     rough = out.X + 1e-8 * np.ones_like(out.X)
-    polished, res = newton_polish(p, rough, max_steps=2)
+    polished, res = newton_polish(p, rough)
     assert res < nk.relative_residual(p, rough)
     assert res <= 1e-12
 
@@ -406,10 +405,11 @@ def test_newton_polish_reuses_given_residual(monkeypatch):
     assert x is out.X and res == out.residual
 
 
-def _bartels_stewart_polish(p, x, max_steps=2, floor=1e-13):
+def _bartels_stewart_polish(p, x):
     """Reference: the same Newton steps with a Schur-based Sylvester solve."""
+    floor = 100.0 * np.finfo(x.dtype).eps
     res = nk.relative_residual(p, x)
-    for _ in range(max_steps):
+    for _ in range(shift.POLISH_MAX_STEPS):
         if res <= floor:
             break
         delta = scipy.linalg.solve_sylvester(
