@@ -10,9 +10,10 @@ Subcommands::
 
 Exit codes: 0 success, 2 solver breakdown, 3 no convergence,
 4 classification failure (not an M-matrix equation, or ambiguous spectrum),
-5 input/output error; 6 is unassigned.  In JSON mode
-errors are reported as {"error": <code-name>, "message": ...} on standard
-output; a human-readable message always goes to standard error.
+5 usage or input/output error (a --k or --s out of range included);
+6 is unassigned.  In JSON mode errors are reported as
+{"error": <code-name>, "message": ...} on standard output; a
+human-readable message always goes to standard error.
 """
 
 import argparse
@@ -264,6 +265,10 @@ def cmd_solve(args):
 
 def cmd_sushi(args):
     p = _load_problem(args)
+    if args.k is not None and not 1 <= args.k <= p.n + p.m:
+        raise _CliFailure(EXIT_IO, f"--k {args.k} is outside 1..{p.n + p.m}")
+    if args.s is not None and not 1.0 + args.s > 0.0:
+        raise _CliFailure(EXIT_IO, f"--s {args.s} must satisfy 1 + s > 0")
     with _trace(args) as trace:
         opts = SushiOptions(k=args.k, s=args.s, tol=args.tol, max_steps=args.max_steps,
                             force=args.force, trace=trace)

@@ -47,7 +47,7 @@ class SdaConfig:
     gamma: float = None  # default: gamma_star of the problem being initialized
     tol: float = 1e-15
     max_steps: int = 60
-    trace: object = None  # callable(dict) invoked once per step
+    trace: object = None  # callable(dict) per step: step, delta_rel, residual, cond
 
 
 @dataclass
@@ -57,6 +57,7 @@ class SdaState:
     G: np.ndarray  # n x m, converges to the dual solution
     Hm: np.ndarray  # m x n, converges to the primal solution
     step: int = 0
+    cond: float = np.nan  # max cond estimate of the step's two factors; nan before a step
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,9 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
 
 
 def _guarded_factor(mat, step):
-    """LU factor of I - G@H or I - H@G; raises Breakdown(step, cond) when
-    the 1-norm condition estimate exceeds BREAKDOWN_COND, and
-    Breakdown(step, inf) on an exact zero pivot or non-finite entries."""
+    """LU factor of I - G@H or I - H@G and its 1-norm condition estimate;
+    raises Breakdown(step, cond) when the estimate exceeds BREAKDOWN_COND,
+    and Breakdown(step, inf) on an exact zero pivot or non-finite entries."""
     try:
         factor = lu_factor(mat, pivot_tol=0.0)
     except SingularMatrix:
@@ -129,24 +130,25 @@ def _guarded_factor(mat, step):
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > BREAKDOWN_COND:
         raise Breakdown(step, cond)
-    return factor
+    return factor, float(cond)
 
 
 def sda_step(s: SdaState) -> SdaState:
     """One doubling step; raises Breakdown when I - G@H is numerically singular.
 
-    Each factor is applied once, to the stacked [G | E] or [Hm | F].
+    The inverses enter only as left factors of E and F, so each factor is
+    applied once, by a transposed solve: Z_g = E (I - G H)^-1 (n columns)
+    and Z_h = F (I - H G)^-1 (m columns).  Then E' = Z_g E,
+    G' = G + Z_g (G F), F' = Z_h F and H' = H + Z_h (H E).
     """
     n, m = s.G.shape
-    f_igh = _guarded_factor(np.eye(n, dtype=s.G.dtype) - s.G @ s.Hm, s.step)
-    f_ihg = _guarded_factor(np.eye(m, dtype=s.G.dtype) - s.Hm @ s.G, s.step)
-    sol_ge = scipy.linalg.lu_solve(f_igh, np.hstack([s.G, s.E]), check_finite=False)
-    sol_hf = scipy.linalg.lu_solve(f_ihg, np.hstack([s.Hm, s.F]), check_finite=False)
-    g_new = s.G + s.E @ sol_ge[:, :m] @ s.F
-    h_new = s.Hm + s.F @ sol_hf[:, :n] @ s.E
-    e_new = s.E @ sol_ge[:, m:]
-    f_new = s.F @ sol_hf[:, n:]
-    return SdaState(E=e_new, F=f_new, G=g_new, Hm=h_new, step=s.step + 1)
+    f_igh, cond_gh = _guarded_factor(np.eye(n, dtype=s.G.dtype) - s.G @ s.Hm, s.step)
+    f_ihg, cond_hg = _guarded_factor(np.eye(m, dtype=s.G.dtype) - s.Hm @ s.G, s.step)
+    z_g = scipy.linalg.lu_solve(f_igh, s.E.T, trans=1, check_finite=False).T
+    z_h = scipy.linalg.lu_solve(f_ihg, s.F.T, trans=1, check_finite=False).T
+    return SdaState(E=z_g @ s.E, F=z_h @ s.F, G=s.G + z_g @ (s.G @ s.F),
+                    Hm=s.Hm + z_h @ (s.Hm @ s.E), step=s.step + 1,
+                    cond=max(cond_gh, cond_hg))
 
 
 def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig(),
@@ -181,7 +183,7 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig(),
         history.append(res)
         if cfg.trace is not None:
             cfg.trace({"step": state.step, "delta_rel": float(dx),
-                       "residual": float(res)})
+                       "residual": float(res), "cond": state.cond})
         if dx <= cfg.tol:
             converged = True
             break

@@ -251,7 +251,14 @@ def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm=None) -> ShiftPlan:
 def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
                     s: float) -> LinearizingMatrix:
     """The rank-k update H (I + s V (U^T V)^-1 U^T) as a LinearizingMatrix;
-    UVSingular by diagnostics.cond_uv's rule, applied to cs.cond_uv."""
+    UVSingular by diagnostics.cond_uv's rule, applied to cs.cond_uv.
+
+    InvalidProblem unless 1 + s > 0: a factor 1 + s <= 0 moves the central
+    eigenvalues onto or across the imaginary axis, so the doubling would
+    stall or converge to a nonnegative solution other than the minimal one.
+    """
+    if not 1.0 + s > 0.0:
+        raise InvalidProblem(f"shift s={s} must satisfy 1 + s > 0")
     check_coupling(cs.cond_uv, cs.k)
     try:
         correction = cs.V @ np.linalg.solve(cs.U.T @ cs.V, cs.U.T)

@@ -122,6 +122,16 @@ class TestSushi:
         code, _, _ = run(capsys, "sushi", "--problem", str(path))
         assert code == 4
 
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "17"),
+                                             ("--s", "-2"), ("--s", "-1")])
+    def test_out_of_range_override_exits_5(self, capsys, flag, value):
+        # n = m = 8 allows 1 <= k <= 16; a shift needs 1 + s > 0
+        code, out, err = run(capsys, "sushi", "--family", "transport",
+                             "--n", "8", "--beta", "1e-3", flag, value)
+        assert code == 5
+        assert json.loads(out)["error"] == "io"
+        assert flag in err
+
 
 class TestDiagnose:
     def test_json_report(self, capsys):

@@ -76,6 +76,26 @@ class TestStep:
             nk.sda_step(s)
         assert err.value.step == 0
 
+    def test_one_transposed_solve_per_factor(self, monkeypatch):
+        # each factor is applied once, by a transposed solve on E^T (n
+        # columns) or F^T (m columns)
+        n, m = 7, 4
+        rng = np.random.default_rng(12)
+        s = SdaState(E=_unit_spectral(rng, n, n, np.float64),
+                     F=_unit_spectral(rng, m, m, np.float64),
+                     G=_unit_spectral(rng, n, m, np.float64, 0.5),
+                     Hm=_unit_spectral(rng, m, n, np.float64, 0.5))
+        calls = []
+        lu_solve = scipy.linalg.lu_solve
+
+        def recording(factor, b, trans=0, **kwargs):
+            calls.append((factor[0].shape[0], np.shape(b), trans))
+            return lu_solve(factor, b, trans=trans, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", recording)
+        nk.sda_step(s)
+        assert calls == [(n, (n, n), 1), (m, (m, m), 1)]
+
     def test_doubling_consistency_decoupled(self):
         # with B = C = 0 the coupling never activates, so after k steps
         # E equals E0^(2^k)
@@ -99,8 +119,8 @@ def _unit_spectral(rng, rows, cols, dtype, scale=1.0):
        dtype=st.sampled_from([np.float64, np.float32]),
        seed=st.integers(0, 2**32 - 1))
 def test_step_matches_explicit_formulas(n, m, dtype, seed):
-    # m != n, so a slip in splitting the stacked solves [G | E] and
-    # [Hm | F] shows as a shape error or a wrong block
+    # m != n, so a slip in the shape of a transposed solve or of a
+    # product shows as a shape error or a wrong block
     assume(m != n)
     rng = np.random.default_rng(seed)
     e = _unit_spectral(rng, n, n, dtype)
@@ -208,4 +228,5 @@ def test_trace_writer_emits_json_lines():
     out = nk.sda_solve(p, nk.SdaConfig(trace=trace_writer(buf)))
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert len(lines) == out.steps
-    assert {"step", "delta_rel", "residual"} <= set(lines[0])
+    assert {"step", "delta_rel", "residual", "cond"} <= set(lines[0])
+    assert all(np.isfinite(line["cond"]) and line["cond"] >= 1.0 for line in lines)

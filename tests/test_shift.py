@@ -357,6 +357,23 @@ class TestSushiSolve:
         assert plan.s == 100.0
         assert solution.residual <= 1e-12
 
+    @pytest.mark.parametrize("s", [-2.0, -1.0, float("nan")])
+    def test_fixed_shift_needs_one_plus_s_positive(self, s):
+        # 1 + s < 0 moves the central eigenvalues across the imaginary
+        # axis, so doubling converges to another nonnegative solution with a
+        # tiny residual; 1 + s = 0 makes the shifted H singular
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        with pytest.raises(InvalidProblem):
+            nk.sushi_solve(p, nk.SushiOptions(s=s))
+
+    def test_fixed_shift_above_minus_one_is_minimal(self):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        plain = nk.sda_solve(p, nk.SdaConfig())
+        solution, _, plan, _ = nk.sushi_solve(p, nk.SushiOptions(s=-0.5))
+        assert plan.s == -0.5
+        assert nk.relative_error(solution.X, plain.X) <= 1e-10
+        assert solution.residual <= 1e-13
+
     def test_plan_records_elapsed_time(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
         solution, cs, plan, outcome = nk.sushi_solve(p)
