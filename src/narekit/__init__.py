@@ -49,7 +49,7 @@ from .problems import (
     reverse_engineered_problem,
     transport_problem,
 )
-from .sda import SdaConfig, SdaOutcome, SdaState, predicted_rate, sda_init, sda_solve, sda_step
+from .sda import SdaConfig, SdaOutcome, SdaState, sda_init, sda_solve, sda_step
 from .shift import (
     CentralSubspaces,
     ShiftPlan,
@@ -96,7 +96,6 @@ __all__ = [
     "gap_of",
     "inverse_orthogonal_iteration",
     "ordered_eigenvalues",
-    "predicted_rate",
     "random_mnare",
     "relative_error",
     "relative_residual",

@@ -10,7 +10,7 @@ Subcommands::
 
 Exit codes: 0 success, 2 solver breakdown, 3 no convergence,
 4 classification failure (not an M-matrix equation, or ambiguous spectrum),
-5 usage or input/output error (a --k or --s out of range included);
+5 usage or input/output error (a --k, --s or --gamma out of range included);
 6 is unassigned.  In JSON mode errors are reported as
 {"error": <code-name>, "message": ...} on standard output; a
 human-readable message always goes to standard error.
@@ -255,6 +255,10 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     p = _load_problem(args)
+    if args.gamma is not None and not gamma_star(p) <= args.gamma < np.inf:
+        # below gamma* the Cayley start loses the nonnegativity doubling needs
+        raise _CliFailure(EXIT_IO, f"--gamma {args.gamma} must be finite and at "
+                                   f"least gamma* = {gamma_star(p):.6g}")
     if not args.force:
         require_mmatrix(p)
     with _trace(args) as trace:
@@ -291,6 +295,8 @@ def _finish(args, command, report, x):
 
 def cmd_diagnose(args):
     p = _load_problem(args)
+    if args.gamma is not None and not 0.0 < args.gamma < np.inf:
+        raise _CliFailure(EXIT_IO, f"--gamma {args.gamma} must be finite and > 0")
     h = build_h(p)
     gamma = args.gamma if args.gamma is not None else gamma_star(p)
     report = report_for(h, gamma)

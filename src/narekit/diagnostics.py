@@ -15,7 +15,7 @@ delta     minimum distance from the central eigenvalues to the rest of
           the spectrum; large delta with small gap is the regime where
           the subspace shift pays off.
 cond_uv   ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V) for the left and right
-          central bases; the value CentralSubspaces.cond_uv stores.
+          central bases; report_for reads it from CentralSubspaces.cond_uv.
 """
 
 from dataclasses import dataclass
@@ -25,8 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import LinearizingMatrix, cayley, ordered_eigenvalues
-from .errors import InvalidProblem, MatchFailure, NoConvergence, NotInvariant
-from .errors import UVSingular
+from .errors import ClassificationAmbiguous, InvalidProblem, MatchFailure
+from .errors import NoConvergence, NotInvariant, UVSingular
 from .kernel import coupling_cond, frobenius_norm
 
 #: step cap of the Lanczos iteration in sep_f
@@ -50,17 +50,27 @@ def gap_of(h: LinearizingMatrix) -> float:
 def _cayley_gap(h, lam, gamma):
     anti, stab = lam[: h.n], lam[h.n:]
     num = max(abs(cayley(z, gamma)) for z in anti)
+    if num == 0.0:
+        # an exact Cayley zero on the antistable side; skip the stable
+        # minimum, which may sit at the transform's pole
+        return 0.0
     den = min(abs(cayley(z, gamma)) for z in stab)
     return float(num / den)
 
 
 def cayley_gap(h: LinearizingMatrix, gamma: float) -> float:
-    """max_i |C_gamma(lambda_i)| / min_j |C_gamma(lambda_{n+j})|.
+    """max_i |C_gamma(lambda_i)| / min_j |C_gamma(lambda_{n+j})|, the
+    quadratic convergence rate of doubling on H.
 
     The general form: valid for shifted matrices, where the extremal
-    eigenvalues need not be the two central ones.
+    eigenvalues need not be the two central ones.  ClassificationAmbiguous
+    unless the spectrum splits into n antistable and m stable eigenvalues.
     """
-    return _cayley_gap(h, ordered_eigenvalues(h), gamma)
+    lam = ordered_eigenvalues(h)
+    scale = frobenius_norm(h.H)
+    if lam[h.n - 1].real < -1e-8 * scale or lam[h.n].real > 1e-8 * scale:
+        raise ClassificationAmbiguous("spectrum does not split n antistable / m stable")
+    return _cayley_gap(h, lam, gamma)
 
 
 def sep_f(m, n) -> float:
@@ -270,5 +280,5 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
     if central_pair is not None:
         kwargs["relsep_central"] = relsep_of_subspace(h.H, central_pair.V)
         kwargs["delta_central"] = _delta(h, lam, central_pair.central_eigs)
-        kwargs["cond_uv"] = cond_uv(central_pair.U, central_pair.V)
+        kwargs["cond_uv"] = check_coupling(central_pair.cond_uv, central_pair.k)
     return DiagnosticsReport(**kwargs)

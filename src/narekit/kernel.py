@@ -61,16 +61,6 @@ def lu_factor(m, pivot_tol=None, error=SingularMatrix):
     return lu, piv
 
 
-def lu_solve(m, rhs):
-    """Solve m @ x = rhs through lu_factor; raises SingularMatrix when m is
-    numerically singular."""
-    factor = lu_factor(m)
-    rhs = np.asarray(rhs)
-    if rhs.shape[0] != factor[0].shape[0]:
-        raise InvalidProblem("rhs row count does not match matrix dimension")
-    return scipy.linalg.lu_solve(factor, rhs, check_finite=False)
-
-
 def thin_qr(m):
     """Thin QR with nonnegative diagonal of R (deterministic sign convention).
 

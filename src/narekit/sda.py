@@ -21,22 +21,9 @@ import json
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    LinearizingMatrix,
-    NareProblem,
-    cayley,
-    gamma_star,
-    ordered_eigenvalues,
-    relative_residual,
-)
-from .errors import (
-    Breakdown,
-    ClassificationAmbiguous,
-    InitSingular,
-    NoConvergence,
-    SingularMatrix,
-)
-from .kernel import frobenius_norm, lu_factor, lu_solve
+from .core import NareProblem, gamma_star, relative_residual
+from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
+from .kernel import frobenius_norm, lu_factor
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
@@ -90,7 +77,10 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
     H0 = 2 gamma W^-1 B (D + gamma I)^-1
 
     Each matrix is factored once; D + gamma I is solved on [C | I].
+    InvalidProblem unless 0 < gamma < inf (gamma = 0 starts at a fixed point).
     """
+    if not 0.0 < gamma < np.inf:
+        raise InvalidProblem(f"Cayley parameter gamma={gamma} must be finite and > 0")
     dt = p.dtype
     m, n = p.m, p.n
     g = dt.type(gamma)
@@ -100,9 +90,10 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
 
     def solve(mat, rhs, which):
         try:
-            return lu_solve(mat, rhs)
+            factor = lu_factor(mat)
         except SingularMatrix as exc:
             raise InitSingular(which, f"{which} is singular: {exc}") from exc
+        return scipy.linalg.lu_solve(factor, rhs, check_finite=False)
 
     dg_sol = solve(d_g, np.hstack([p.C, eye_n]), "D+gamma*I")
     dg_inv_c, dg_inv = dg_sol[:, :m], dg_sol[:, m:]
@@ -204,30 +195,6 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig(),
         converged=converged, residual=float(final_res),
         dual_residual=float(dual_res), gamma=float(gamma),
     )
-
-
-def predicted_rate(h: LinearizingMatrix, gamma: float) -> float:
-    """Quadratic convergence rate of the doubling iteration on H.
-
-    max over the n antistable eigenvalues of |cayley| divided by the min
-    over the m stable ones; for M-matrix-structured problems this reduces
-    to the ratio at the two boundary eigenvalues.
-    """
-    lam = ordered_eigenvalues(h)
-    anti, stab = lam[: h.n], lam[h.n:]
-    scale = frobenius_norm(h.H)
-    if anti.size and stab.size:
-        if anti[-1].real < -1e-8 * scale or stab[0].real > 1e-8 * scale:
-            raise ClassificationAmbiguous(
-                "eigenvalues do not split n antistable / m stable"
-            )
-    num = max(abs(cayley(z, gamma)) for z in anti)
-    if num == 0.0:
-        # an exact Cayley zero on the antistable side; skip the stable
-        # minimum, which may sit at the transform's pole
-        return 0.0
-    den = min(abs(cayley(z, gamma)) for z in stab)
-    return float(num / den)
 
 
 def trace_writer(stream):

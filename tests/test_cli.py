@@ -68,6 +68,52 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["residual"] <= 1e-12
 
+    def test_init_singular_exits_2(self, tmp_path, capsys):
+        # gamma* = 2 makes A + gamma*I = 0
+        path = tmp_path / "singular.json"
+        nk.NareProblem(A=[[-2.0]], B=[[0.0]], C=[[0.0]], D=[[2.0]]).save(path)
+        code, out, err = run(capsys, "solve", "--problem", str(path), "--force")
+        assert code == 2
+        assert json.loads(out)["error"] == "breakdown"
+        assert "A+gamma*I" in err
+
+    @pytest.mark.parametrize("gamma", ["0", "1e-9"])
+    def test_gamma_below_gamma_star_exits_5(self, capsys, gamma):
+        # gamma* = 27.6 here; gamma = 0 used to report converged, residual 1
+        code, out, err = run(capsys, "solve", "--family", "transport", "--n", "8",
+                             "--beta", "1e-3", "--gamma", gamma)
+        assert code == 5
+        assert json.loads(out)["error"] == "io"
+        assert "--gamma" in err
+
+    def test_gamma_above_gamma_star(self, capsys):
+        code, out, _ = run(capsys, "solve", "--family", "transport", "--n", "8",
+                           "--beta", "1e-3", "--gamma", "30")
+        assert code == 0
+        report = json.loads(out)
+        assert report["gamma"] == 30.0 and report["steps"] == 13
+        assert report["residual"] <= 1e-12
+
+    def test_csv_of_report(self, capsys):
+        # a report without rows becomes one csv row under its sorted keys
+        code, out, _ = run(capsys, "solve", "--family", "transport", "--n", "8",
+                           "--beta", "1e-3", "--format", "csv")
+        assert code == 0
+        header, values = out.splitlines()
+        assert header == "converged,dual_residual,gamma,residual,schema,steps"
+        assert values.startswith("True,") and values.endswith(",13")
+
+    @pytest.mark.parametrize("command", ["solve", "sushi"])
+    def test_table_format(self, capsys, command):
+        code, out, _ = run(capsys, command, "--family", "transport", "--n", "8",
+                           "--beta", "1e-3", "--format", "table")
+        assert code == 0
+        header, values = out.splitlines()
+        assert header.split()[:2] == (["converged", "dual_residual"]
+                                      if command == "solve" else
+                                      ["central_eigs", "cond_uv"])
+        assert len(values) == len(header)  # right-aligned columns
+
     def test_missing_source_exits_5(self, capsys):
         code, _, _ = run(capsys, "solve")
         assert code == 5
@@ -132,6 +178,13 @@ class TestSushi:
         assert json.loads(out)["error"] == "io"
         assert flag in err
 
+    def test_k_max_reached_exits_3(self, capsys):
+        # exactly critical: no central dimension up to K_MAX separates
+        code, out, _ = run(capsys, "sushi", "--family", "transport", "--n", "8",
+                           "--alpha", "0", "--c", "1")
+        assert code == 3
+        assert json.loads(out)["error"] == "no-convergence"
+
 
 class TestDiagnose:
     def test_json_report(self, capsys):
@@ -161,6 +214,15 @@ class TestDiagnose:
         lines = dest.read_text().splitlines()
         assert len(lines) == 2
         assert "gap" in lines[0]
+
+
+    @pytest.mark.parametrize("gamma", ["0", "-1"])
+    def test_bad_gamma_exits_5(self, capsys, gamma):
+        code, out, err = run(capsys, "diagnose", "--family", "transport",
+                             "--n", "8", "--beta", "1e-3", "--gamma", gamma)
+        assert code == 5
+        assert json.loads(out)["error"] == "io"
+        assert "--gamma" in err
 
 
 class TestBench:
@@ -214,6 +276,16 @@ class TestBench:
         row = dict(zip(payload["header"], payload["rows"][0]))
         assert row["delta"] == want
         assert calls.count(h.H.shape) == 1  # gap and delta share it
+
+    def test_table_format(self, capsys):
+        code, out, _ = run(capsys, "bench", "--family", "transport",
+                           "--sizes", "8,16", "--params", "1e-3",
+                           "--skip-delta", "--format", "table")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == cli.BENCH_HEADER
+        assert len(lines) == 3
+        assert len({len(line) for line in lines}) == 1  # right-aligned columns
 
     def test_bad_grid_exits_5(self, capsys):
         code, _, _ = run(capsys, "bench", "--sizes", "abc")

@@ -384,6 +384,22 @@ class TestReport:
         assert report.cayley_gap == nk.cayley_gap(h, nk.gamma_star(p))
         assert report.delta_central == nk.delta_central(h, cs.central_eigs)
 
+    def test_cond_uv_read_from_central_pair(self, monkeypatch):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        h = nk.build_h(p)
+        cs = nk.compute_central_pair(h.H, 2)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = nk.report_for(h, nk.gamma_star(p), central_pair=cs)
+        assert calls == []
+        assert report.cond_uv == cs.cond_uv == nk.cond_uv(cs.U, cs.V)
+
     def test_to_table_skips_missing(self):
         report = nk.DiagnosticsReport(gap=1.0, cayley_gap=0.5)
         head = report.to_table().splitlines()[0]

@@ -4,12 +4,13 @@ import pytest
 
 from narekit.errors import (
     InvalidProblem,
+    SingularH,
     SingularMatrix,
 )
 from narekit.kernel import (
     eigenvalues,
     frobenius_norm,
-    lu_solve,
+    lu_factor,
     read_matrix_market,
     smallest_singular_value,
     spectral_norm,
@@ -18,31 +19,27 @@ from narekit.kernel import (
 )
 
 
-class TestLuSolve:
-    def test_identity(self):
-        b = np.array([[1.0], [2.0], [3.0]])
-        npt.assert_allclose(lu_solve(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = lu_solve(np.diag([2.0, 4.0]), np.array([[2.0], [8.0]]))
-        npt.assert_allclose(x, [[1.0], [2.0]])
-
-    def test_random_roundtrip(self):
-        rng = np.random.default_rng(0)
-        m = np.eye(8) + 0.2 * rng.standard_normal((8, 8))
-        x0 = rng.standard_normal((8, 3))
-        x = lu_solve(m, m @ x0)
-        assert frobenius_norm(x - x0) <= 1e-12 * frobenius_norm(x0)
-
+class TestLuFactor:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
+            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-    def test_shape_checks(self):
+    def test_non_square_raises(self):
         with pytest.raises(InvalidProblem):
-            lu_solve(np.ones((2, 3)), np.ones((2, 1)))
-        with pytest.raises(InvalidProblem):
-            lu_solve(np.eye(2), np.ones((3, 1)))
+            lu_factor(np.ones((2, 3)))
+
+    def test_non_finite_raises_given_error(self):
+        with pytest.raises(SingularMatrix):
+            lu_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        with pytest.raises(SingularH):
+            lu_factor(np.array([[np.nan]]), error=SingularH)
+
+    def test_zero_pivot_tol_accepts_nearly_singular(self):
+        m = np.diag([1.0, 1e-17])
+        with pytest.raises(SingularMatrix):
+            lu_factor(m)
+        lu, _ = lu_factor(m, pivot_tol=0.0)
+        assert abs(lu[1, 1]) == 1e-17
 
 
 class TestThinQr:

@@ -8,9 +8,10 @@ import pytest
 import scipy.linalg
 
 import narekit as nk
-from narekit.errors import Breakdown, InitSingular, NoConvergence
+from narekit.errors import Breakdown, ClassificationAmbiguous, InitSingular
+from narekit.errors import InvalidProblem, NoConvergence
 from narekit.kernel import frobenius_norm
-from narekit.sda import SdaState, trace_writer
+from narekit.sda import BREAKDOWN_COND, SdaState, trace_writer
 
 
 def scalar_problem(a, b, c, d):
@@ -45,6 +46,14 @@ class TestInit:
             nk.sda_init(p, gamma=1.0)
         assert "A+gamma*I" in err.value.which
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        # gamma = 0 used to start at the fixed point E0 = F0 = I,
+        # G0 = H0 = 0 and report converged with residual 1
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        with pytest.raises(InvalidProblem):
+            nk.sda_solve(p, nk.SdaConfig(gamma=gamma))
+
 
 class TestStep:
     def test_zero_coupling_squares_e_and_f(self):
@@ -75,6 +84,17 @@ class TestStep:
         with pytest.raises(Breakdown) as err:
             nk.sda_step(s)
         assert err.value.step == 0
+
+    def test_breakdown_on_condition_estimate(self):
+        # I - G@H = diag(1, 1e-15): a nonzero pivot, but a condition
+        # estimate above BREAKDOWN_COND
+        s = SdaState(E=np.eye(2), F=np.eye(2), G=np.diag([0.0, 1.0]),
+                     Hm=np.diag([0.0, 1.0 - 1e-15]), step=5)
+        with pytest.raises(Breakdown) as err:
+            nk.sda_step(s)
+        assert err.value.step == 5
+        assert BREAKDOWN_COND < err.value.cond_estimate < np.inf
+        assert err.value.cond_estimate == pytest.approx(1.0e15, rel=0.2)
 
     def test_one_transposed_solve_per_factor(self, monkeypatch):
         # each factor is applied once, by a transposed solve on E^T (n
@@ -177,7 +197,7 @@ class TestSolve:
 
     def test_step_count_respects_rate_envelope(self):
         p = nk.transport_problem(nk.TransportSpec(n=8, alpha=0.3, c=0.7))
-        nu = nk.predicted_rate(nk.build_h(p), nk.gamma_star(p))
+        nu = nk.cayley_gap(nk.build_h(p), nk.gamma_star(p))
         assert nu < 0.99
         out = nk.sda_solve(p, nk.SdaConfig())
         envelope = np.ceil(np.log2(np.log(1e-15) / np.log(nu))) + 4
@@ -205,21 +225,23 @@ class TestSolve:
 
 
 class TestPredictedRate:
+    """The rate doubling is predicted to converge at: diagnostics.cayley_gap."""
+
     def test_exact_cayley_zero(self):
+        # the stable eigenvalue -1 sits on the pole of the transform at gamma = 1
         h = nk.LinearizingMatrix(np.diag([1.0, -1.0]), 1, 1)
-        assert nk.predicted_rate(h, 1.0) == 0.0
+        assert nk.cayley_gap(h, 1.0) == 0.0
 
     def test_transport_table_value(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(4, 1e-3))
-        rate = nk.predicted_rate(nk.build_h(p), nk.gamma_star(p))
+        rate = nk.cayley_gap(nk.build_h(p), nk.gamma_star(p))
         assert rate == pytest.approx(0.98, rel=0.01)
 
-    def test_matches_cayley_gap_on_mnare(self):
-        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
-        h = nk.build_h(p)
-        gamma = nk.gamma_star(p)
-        assert nk.predicted_rate(h, gamma) == pytest.approx(
-            nk.cayley_gap(h, gamma), rel=1e-12)
+    def test_no_split_is_ambiguous(self):
+        # both eigenvalues antistable: no rate, although the formula gives 0.4
+        h = nk.LinearizingMatrix(np.diag([2.0, 1.0]), 1, 1)
+        with pytest.raises(ClassificationAmbiguous):
+            nk.cayley_gap(h, 3.0)
 
 
 def test_trace_writer_emits_json_lines():

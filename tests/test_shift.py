@@ -13,6 +13,7 @@ from narekit.errors import (
     NoConvergence,
     OrthogonalPair,
     SingularH,
+    SingularMatrix,
     UVSingular,
 )
 from narekit.kernel import frobenius_norm
@@ -482,3 +483,17 @@ def test_newton_polish_keeps_x_when_doubling_diverges(monkeypatch, doublings):
         got, res = newton_polish(p, x)
     assert got is x
     assert res == nk.relative_residual(p, x)
+
+
+def test_newton_polish_keeps_x_when_a_factor_is_singular(monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularMatrix("forced")
+
+    monkeypatch.setattr(shift, "lu_factor", singular)
+    p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+    x = nk.sda_solve(p).X + 1e-8
+    res = nk.relative_residual(p, x)
+    assert res > 100.0 * np.finfo(float).eps  # above the polish's floor
+    got, got_res = newton_polish(p, x)
+    assert got is x
+    assert got_res == res
