@@ -2,18 +2,21 @@
 
 Subcommands::
 
-    gen       write a benchmark problem to a JSON file
+    gen       write a problem, generated or loaded, to a JSON file
     solve     doubling solver on a problem
     sushi     shifted solver on a problem
     diagnose  criticality metrics of a problem
     bench     grid of (plain vs shifted) runs, one row per cell
 
-Exit codes: 0 success, 2 solver breakdown, 3 no convergence,
-4 classification failure (not an M-matrix equation, or ambiguous spectrum),
-5 usage or input/output error (a --k, --s or --gamma out of range included);
-6 is unassigned.  In JSON mode errors are reported as
-{"error": <code-name>, "message": ...} on standard output; a
-human-readable message always goes to standard error.
+Exit codes: 0 success (--help and --version included), 2 solver
+breakdown, 3 no convergence, 4 classification failure (not an M-matrix
+equation, or ambiguous spectrum), 5 usage or input/output error (an
+unknown flag, a malformed value, or a --k, --s or --gamma out of range
+included); 6 is unassigned.  In JSON mode errors past argument parsing
+are reported as {"error": <code-name>, "message": ...} on standard
+output; a human-readable message always goes to standard error.  csv
+and table cells render lists and dicts as compact JSON and None as an
+empty cell.
 """
 
 import argparse
@@ -81,7 +84,6 @@ def _add_source_args(sub):
 def _add_solver_args(sub):
     sub.add_argument("--tol", type=float, default=1e-15)
     sub.add_argument("--max-steps", type=int, default=60)
-    sub.add_argument("--gamma", type=float, help="Cayley parameter override")
     sub.add_argument("--force", action="store_true",
                      help="skip the M-matrix classification guard")
     sub.add_argument("--trace", help="write per-step JSON lines to this file")
@@ -103,7 +105,7 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="generate a benchmark problem")
+    gen = subs.add_parser("gen", help="write a problem to a JSON file")
     _add_source_args(gen)
     gen.add_argument("--out", required=True, help="output JSON path")
 
@@ -111,6 +113,7 @@ def build_parser():
     _add_source_args(solve)
     _add_solver_args(solve)
     _add_output_args(solve)
+    solve.add_argument("--gamma", type=float, help="Cayley parameter override")
     solve.add_argument("--save-solution", help="write X to this JSON path")
 
     sushi = subs.add_parser("sushi", help="subspace-shifted solver")
@@ -137,8 +140,6 @@ def build_parser():
                        help="comma-separated seeds (random family only)")
     bench.add_argument("--tol", type=float, default=1e-15)
     bench.add_argument("--max-steps", type=int, default=60)
-    bench.add_argument("--skip-delta", action="store_true",
-                       help="omit the (eigenvalue-based) delta column")
     _add_output_args(bench)
     return parser
 
@@ -222,8 +223,12 @@ def _format_rows(fmt, header, rows):
 
 
 def _cell(v):
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.6g}"
+    if isinstance(v, (list, dict)):
+        return json.dumps(v, separators=(",", ":"))
     return str(v)
 
 
@@ -242,10 +247,7 @@ def _trace(args):
 
 
 def cmd_gen(args):
-    if args.family is None:
-        raise _CliFailure(EXIT_IO, "gen requires --family")
-    p = _generate(args.family, args.n, beta=args.beta, alpha=args.alpha,
-                  c=args.c, seed=args.seed)
+    p = _load_problem(args)
     try:
         p.save(args.out)
     except OSError as exc:
@@ -315,7 +317,7 @@ BENCH_HEADER = ["n", "param", "seed", "gap", "delta", "sda_its", "sda_res",
                 "sushi_its", "orth_its", "sushi_res"]
 
 
-def _bench_cell(family, n, param, seed, tol, max_steps, skip_delta):
+def _bench_cell(family, n, param, seed, tol, max_steps):
     if family == "transport":
         p = transport_problem(TransportSpec.near_critical(n, param))
     else:
@@ -339,9 +341,7 @@ def _bench_cell(family, n, param, seed, tol, max_steps, skip_delta):
         row["sushi_its"] = outcome.steps
         row["orth_its"] = cs.inv_iter_steps
         row["sushi_res"] = solution.residual
-        if skip_delta:
-            row["delta"] = ""
-        elif lam is None:  # the spectrum failed; gap holds its error tag
+        if lam is None:  # the spectrum failed; gap holds its error tag
             row["delta"] = row["gap"]
         else:
             try:
@@ -350,8 +350,7 @@ def _bench_cell(family, n, param, seed, tol, max_steps, skip_delta):
                 row["delta"] = f"error:{type(exc).__name__}"
     except NarekitError as exc:
         tag = f"error:{type(exc).__name__}"
-        row["sushi_its"] = row["orth_its"] = row["sushi_res"] = tag
-        row["delta"] = "" if skip_delta else tag
+        row["sushi_its"] = row["orth_its"] = row["sushi_res"] = row["delta"] = tag
     return [row[k] for k in BENCH_HEADER]
 
 
@@ -364,8 +363,7 @@ def cmd_bench(args):
         raise _CliFailure(EXIT_IO, f"bad grid specification: {exc}")
     seeds = seeds if args.family == "random" else [0]
     rows = [
-        _bench_cell(args.family, n, param, seed, args.tol, args.max_steps,
-                    args.skip_delta)
+        _bench_cell(args.family, n, param, seed, args.tol, args.max_steps)
         for n in sizes
         for param in params
         for seed in seeds
@@ -398,7 +396,10 @@ def _error_exit(args, code, message):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error is 2, our breakdown code
+        return EXIT_OK if exc.code in (0, None) else EXIT_IO
     try:
         return _COMMANDS[args.command](args)
     except _CliFailure as exc:

@@ -124,20 +124,6 @@ class NareProblem:
         with open(path) as fh:
             return cls.from_json(fh.read())
 
-    def save_matrix_market(self, stem):
-        """Write the four blocks as <stem>_A.mtx ... <stem>_D.mtx."""
-        from .kernel import write_matrix_market
-
-        for name in "ABCD":
-            write_matrix_market(f"{stem}_{name}.mtx", getattr(self, name))
-
-    @classmethod
-    def load_matrix_market(cls, stem):
-        from .kernel import read_matrix_market
-
-        blocks = {name: read_matrix_market(f"{stem}_{name}.mtx") for name in "ABCD"}
-        return cls(blocks["A"], blocks["B"], blocks["C"], blocks["D"])
-
 
 @dataclass(frozen=True)
 class LinearizingMatrix:
@@ -276,10 +262,10 @@ def gamma_star(p: NareProblem) -> float:
 
 
 def cayley(z, gamma):
-    """(z - gamma) / (z + gamma)."""
+    """(z - gamma) / (z + gamma); InvalidProblem unless 0 < gamma < inf."""
     z = complex(z)
-    if gamma == 0.0:
-        raise InvalidProblem("Cayley parameter must be nonzero")
+    if not 0.0 < gamma < np.inf:
+        raise InvalidProblem(f"Cayley parameter {gamma} must be finite and > 0")
     if abs(z + gamma) < np.finfo(np.float64).eps * (abs(z) + abs(gamma)):
         raise PoleHit(f"Cayley transform evaluated at its pole, z={z}")
     w = (z - gamma) / (z + gamma)

@@ -117,22 +117,3 @@ def smallest_singular_value(m):
     """sigma_min(m); 0.0 is a valid return for singular input."""
     sv = np.linalg.svd(np.asarray(m), compute_uv=False)
     return float(sv[-1]) if sv.size else 0.0
-
-
-# --- Matrix Market array-format IO ------------------------------------------
-
-def write_matrix_market(path, m):
-    """Write a dense matrix in Matrix Market array format."""
-    import scipy.io
-
-    scipy.io.mmwrite(str(path), np.asarray(m, dtype=np.float64))
-
-
-def read_matrix_market(path):
-    """Read a dense real matrix from a Matrix Market file."""
-    import scipy.io
-
-    m = scipy.io.mmread(str(path))
-    if hasattr(m, "toarray"):
-        m = m.toarray()
-    return as_matrix(np.asarray(m, dtype=np.float64), name=str(path))

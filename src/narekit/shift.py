@@ -224,17 +224,16 @@ def estimate_next_modulus(h, k, factor=None):
     return 1.0 / entry
 
 
-def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm=None) -> ShiftPlan:
+def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm) -> ShiftPlan:
     """Shift magnitude s = |xi_{k+1}| / |xi_1| - 1, clamped to [S_MIN, S_MAX].
 
     xi_next is |xi_{k+1}|, estimated (estimate_next_modulus) or exact.
-    DegenerateSpectrum when |xi_1| is zero or, given h_norm = ||H||_F,
-    below eps * h_norm.
+    DegenerateSpectrum when |xi_1| is zero or below eps * h_norm, with
+    h_norm = ||H||_F.
     """
     mods = np.sort(np.abs(cs.central_eigs))
     xi1, xik = float(mods[0]), float(mods[-1])
-    if xi1 == 0.0 or (h_norm is not None
-                      and xi1 < np.finfo(np.float64).eps * h_norm):
+    if xi1 == 0.0 or xi1 < np.finfo(np.float64).eps * h_norm:
         raise DegenerateSpectrum(
             f"smallest central eigenvalue {xi1:.3e} is numerically zero"
         )
@@ -283,21 +282,19 @@ def classical_shift(h, v, u, s):
     return h + (s / uv) * np.outer(v, u)
 
 
-def newton_polish(p: NareProblem, x, res=None, xi=None):
+def newton_polish(p: NareProblem, x, res, xi):
     """Newton defect correction on the original equation.
 
     Solves (A - X C) D + D (D_coef - C X) = R(X) for the correction D by
     Smith doubling and keeps the update, for up to POLISH_MAX_STEPS
-    corrections, while the relative residual improves.  A no-op when the
-    residual is already at the floor 100 * eps of x's dtype.  res,
-    x's relative residual when the caller has it, saves evaluating it
-    again.  xi, the smallest central eigenvalue modulus, gives the Cayley
-    parameter sqrt(xi * gamma*), the best single shift for a real spectrum
-    in [xi, gamma*]; without it the parameter is gamma*.
+    corrections, while the relative residual improves.  res is x's
+    relative residual; the polish is a no-op when it is already at the
+    floor 100 * eps of x's dtype.  xi, the smallest central eigenvalue
+    modulus, gives the Cayley parameter sqrt(xi * gamma*), the best single
+    shift for a real spectrum in [xi, gamma*]; xi = gamma* gives gamma*.
     """
     x = np.asarray(x)
     floor = 100.0 * float(np.finfo(x.dtype).eps)
-    res = relative_residual(p, x) if res is None else res
     for _ in range(POLISH_MAX_STEPS):
         if res <= floor:
             break
@@ -321,7 +318,7 @@ def _smith_correction(p: NareProblem, x, xi):
     M-matrices."""
     g_star = gamma_star(p)
     eps = float(np.finfo(x.dtype).eps)
-    g = g_star if xi is None else float(np.sqrt(max(xi, eps * g_star) * g_star))
+    g = float(np.sqrt(max(xi, eps * g_star) * g_star))
     pm, qm = p.A - x @ p.C, p.D - p.C @ x
     eye_m, eye_n = np.eye(p.m, dtype=x.dtype), np.eye(p.n, dtype=x.dtype)
     try:
@@ -381,14 +378,14 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
         plan = ShiftPlan(s=float(opts.s), k=k, rationale={"fixed": True})
     else:
         xi_next = estimate_next_modulus(work, k, factor=factor)
-        plan = choose_shift_s(cs, xi_next, h_norm=frobenius_norm(work))
+        plan = choose_shift_s(cs, xi_next, frobenius_norm(work))
     shifted = build_shifted_h(h, cs, plan.s)
     shifted_problem = shifted.to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
     outcome = sda_solve(shifted_problem, cfg, residual_problem=p)
-    x, res = newton_polish(p, outcome.X, res=outcome.residual,
-                           xi=float(np.min(np.abs(cs.central_eigs))))
+    x, res = newton_polish(p, outcome.X, outcome.residual,
+                           float(np.min(np.abs(cs.central_eigs))))
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
     plan = replace(plan, rationale=dict(plan.rationale,
                                         elapsed_s=time.perf_counter() - t0))

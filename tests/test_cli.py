@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import narekit as nk
@@ -24,6 +27,14 @@ class TestGen:
         p = nk.NareProblem.load(out)
         assert p.n == 8
         assert p.metadata["family"] == "transport"
+
+    def test_copies_a_problem_file(self, tmp_path, capsys):
+        src, dest = tmp_path / "p.json", tmp_path / "q.json"
+        p = nk.transport_problem(nk.TransportSpec.near_critical(4, 1e-3))
+        p.save(src)
+        code, _, _ = run(capsys, "gen", "--problem", str(src), "--out", str(dest))
+        assert code == 0
+        npt.assert_array_equal(nk.NareProblem.load(dest).B, p.B)
 
     def test_random_needs_alpha(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--family", "random", "--n", "8",
@@ -144,6 +155,26 @@ class TestSolve:
         assert records and records[0]["step"] == 1
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--nope"],
+        ["solve", "--family", "transport", "--n", "8", "--beta", "abc"],
+        ["sushi", "--family", "transport", "--n", "8", "--beta", "1e-3", "--gamma", "0"],
+        ["bench", "--skip-delta"],
+    ])
+    def test_usage_error_exits_5(self, capsys, argv):
+        # argparse's own code 2 is the one given to solver breakdown
+        code, _, err = run(capsys, *argv)
+        assert code == 5
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sushi", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
+
+
 class TestSushi:
     def test_transport_cell(self, capsys):
         code, out, _ = run(capsys, "sushi", "--family", "transport",
@@ -161,6 +192,17 @@ class TestSushi:
         assert code == 0
         report = json.loads(out)
         assert report["s"] == 50.0
+
+    def test_csv_cells_are_json(self, capsys):
+        code, out, _ = run(capsys, "sushi", "--family", "transport", "--n", "8",
+                           "--beta", "1e-3", "--format", "csv")
+        assert code == 0
+        header, values = csv.reader(io.StringIO(out))
+        row = dict(zip(header, values))
+        eigs = json.loads(row["central_eigs"])
+        assert len(eigs) == int(row["k"]) and len(eigs[0]) == 2
+        assert json.loads(row["timings"])["total_s"] > 0.0
+        assert "np.float64" not in out
 
     def test_non_mmatrix_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -216,6 +258,14 @@ class TestDiagnose:
         assert "gap" in lines[0]
 
 
+    def test_csv_has_no_none_cell(self, capsys):
+        code, out, _ = run(capsys, "diagnose", "--family", "transport",
+                           "--n", "8", "--beta", "1e-3", "--format", "csv")
+        assert code == 0
+        header, values = csv.reader(io.StringIO(out))
+        assert "None" not in values
+        assert dict(zip(header, values))["cond_uv"] == ""
+
     @pytest.mark.parametrize("gamma", ["0", "-1"])
     def test_bad_gamma_exits_5(self, capsys, gamma):
         code, out, err = run(capsys, "diagnose", "--family", "transport",
@@ -228,8 +278,7 @@ class TestDiagnose:
 class TestBench:
     def test_single_cell(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "transport",
-                           "--sizes", "16", "--params", "1e-3",
-                           "--skip-delta")
+                           "--sizes", "16", "--params", "1e-3")
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 1
@@ -238,7 +287,7 @@ class TestBench:
 
     def test_csv_deterministic(self, capsys):
         argv = ["bench", "--family", "transport", "--sizes", "16",
-                "--params", "1e-3,1e-6", "--skip-delta", "--format", "csv"]
+                "--params", "1e-3,1e-6", "--format", "csv"]
         code1, out1, _ = run(capsys, *argv)
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
@@ -249,7 +298,7 @@ class TestBench:
     def test_random_family_rows(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "random",
                            "--sizes", "20", "--params", "1e-2",
-                           "--seeds", "0,1", "--skip-delta")
+                           "--seeds", "0,1")
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 2
@@ -280,7 +329,7 @@ class TestBench:
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "transport",
                            "--sizes", "8,16", "--params", "1e-3",
-                           "--skip-delta", "--format", "table")
+                           "--format", "table")
         assert code == 0
         lines = out.splitlines()
         assert lines[0].split() == cli.BENCH_HEADER
@@ -295,7 +344,7 @@ class TestBench:
         dest = tmp_path / "bench.csv"
         code, out, _ = run(capsys, "bench", "--family", "transport",
                            "--sizes", "16", "--params", "1e-3",
-                           "--skip-delta", "--format", "csv",
+                           "--format", "csv",
                            "--output", str(dest))
         assert code == 0
         assert out == ""

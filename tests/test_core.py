@@ -42,13 +42,6 @@ class TestProblemModel:
         npt.assert_array_equal(back.D, p.D)
         assert back.metadata["family"] == "transport"
 
-    def test_matrix_market_roundtrip(self, tmp_path):
-        p = nk.transport_problem(nk.TransportSpec(n=4, alpha=0.1, c=0.9))
-        stem = str(tmp_path / "prob")
-        p.save_matrix_market(stem)
-        back = nk.NareProblem.load_matrix_market(stem)
-        npt.assert_allclose(back.D, p.D, atol=1e-15)
-
     def test_dual_swaps_blocks(self):
         p = scalar_problem(2.0, 3.0, 5.0, 7.0)
         q = p.dual()
@@ -235,6 +228,11 @@ class TestGammaAndCayley:
     def test_cayley_pole(self):
         with pytest.raises(PoleHit):
             nk.cayley(-2.0, 2.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+    def test_cayley_rejects_bad_parameter(self, gamma):
+        with pytest.raises(InvalidProblem):
+            nk.cayley(1.0, gamma)
 
 
 class TestInvariantPair:

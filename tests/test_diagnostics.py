@@ -46,6 +46,15 @@ class TestGap:
             scaled = nk.LinearizingMatrix(t * h.H, h.n, h.m)
             assert nk.cayley_gap(scaled, t * gamma) == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_cayley_parameter_raises(self, gamma):
+        # gamma = -1 used to give a "rate" of 607.9 here, gamma = nan a nan
+        h = nk.build_h(nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3)))
+        with pytest.raises(InvalidProblem):
+            nk.cayley_gap(h, gamma)
+        with pytest.raises(InvalidProblem):
+            nk.report_for(h, gamma)
+
 
 class TestSep:
     def test_scalar(self):

@@ -11,11 +11,9 @@ from narekit.kernel import (
     eigenvalues,
     frobenius_norm,
     lu_factor,
-    read_matrix_market,
     smallest_singular_value,
     spectral_norm,
     thin_qr,
-    write_matrix_market,
 )
 
 
@@ -127,13 +125,3 @@ class TestNorms:
         rank = np.linalg.matrix_rank(m)
         assert spec <= fro + 1e-12
         assert fro <= np.sqrt(rank) * spec + 1e-12
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    m = rng.standard_normal((5, 3))
-    path = tmp_path / "m.mtx"
-    write_matrix_market(path, m)
-    back = read_matrix_market(path)
-    npt.assert_allclose(back, m, atol=1e-15)
-    assert path.read_text().startswith("%%MatrixMarket matrix array real general")

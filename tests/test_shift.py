@@ -209,18 +209,20 @@ class TestShiftSelection:
                                 inv_iter_steps=1, rate_estimate_t=0.0, cond_uv=1.0)
 
     def test_rule_arithmetic(self):
-        plan = nk.choose_shift_s(self._pair([0.5, 0.6]), xi_next=2.5)
+        plan = nk.choose_shift_s(self._pair([0.5, 0.6]), xi_next=2.5, h_norm=1.0)
         assert plan.s == pytest.approx(4.0)
         assert plan.k == 2
 
     def test_clamp_when_no_separation(self):
-        plan = nk.choose_shift_s(self._pair([1.0, 1.0]), xi_next=1.0)
+        plan = nk.choose_shift_s(self._pair([1.0, 1.0]), xi_next=1.0, h_norm=1.0)
         assert plan.s == 0.1
         assert plan.rationale["clamped"]
 
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrum):
-            nk.choose_shift_s(self._pair([0.0, 1.0]), xi_next=2.0)
+            nk.choose_shift_s(self._pair([0.0, 1.0]), xi_next=2.0, h_norm=1.0)
+        with pytest.raises(DegenerateSpectrum):  # below eps * ||H||_F
+            nk.choose_shift_s(self._pair([1e-20, 1.0]), xi_next=2.0, h_norm=1.0)
 
     def test_next_modulus_estimate_diagonal(self, monkeypatch):
         h = np.diag([0.1, 0.2, 5.0, 7.0, 9.0])
@@ -403,11 +405,16 @@ class TestSushiSolve:
             assert cell["solution"].residual <= 10.0 * cell["plain"].residual
 
 
+def _polish(p, x):
+    """newton_polish from x's own residual, with Cayley parameter gamma*."""
+    return newton_polish(p, x, nk.relative_residual(p, x), nk.gamma_star(p))
+
+
 def test_newton_polish_improves_residual():
     p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
     out = nk.sda_solve(p, nk.SdaConfig())
     rough = out.X + 1e-8 * np.ones_like(out.X)
-    polished, res = newton_polish(p, rough)
+    polished, res = _polish(p, rough)
     assert res < nk.relative_residual(p, rough)
     assert res <= 1e-12
 
@@ -418,7 +425,7 @@ def test_newton_polish_reuses_given_residual(monkeypatch):
     calls = []
     monkeypatch.setattr("narekit.shift.relative_residual",
                         lambda *args: calls.append(args) or 0.0)
-    x, res = newton_polish(p, out.X, res=out.residual)
+    x, res = newton_polish(p, out.X, out.residual, nk.gamma_star(p))
     assert calls == []
     assert x is out.X and res == out.residual
 
@@ -453,7 +460,7 @@ def test_newton_polish_matches_bartels_stewart(n, m, log_margin, scale, seed):
     x_min = nk.sda_solve(p).X
     x = x_min + scale * frobenius_norm(x_min) * rng.uniform(0.0, 1.0, x_min.shape)
     want, want_res = _bartels_stewart_polish(p, x)
-    got, got_res = newton_polish(p, x)
+    got, got_res = _polish(p, x)
     assert got.shape == (m, n)
     assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
     assert got_res <= 10.0 * max(want_res, np.finfo(float).eps)
@@ -480,7 +487,7 @@ def test_newton_polish_keeps_x_when_doubling_diverges(monkeypatch, doublings):
     p = nk.NareProblem(A=[[1.0]], B=[[2.0]], C=[[3.0]], D=[[1.0]])
     x = np.array([[0.5]])
     with np.errstate(all="raise"):
-        got, res = newton_polish(p, x)
+        got, res = _polish(p, x)
     assert got is x
     assert res == nk.relative_residual(p, x)
 
@@ -494,6 +501,6 @@ def test_newton_polish_keeps_x_when_a_factor_is_singular(monkeypatch):
     x = nk.sda_solve(p).X + 1e-8
     res = nk.relative_residual(p, x)
     assert res > 100.0 * np.finfo(float).eps  # above the polish's floor
-    got, got_res = newton_polish(p, x)
+    got, got_res = _polish(p, x)
     assert got is x
     assert got_res == res
