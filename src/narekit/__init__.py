@@ -18,11 +18,9 @@ from .core import (
     build_h,
     build_m,
     cayley,
-    central_real_pair,
     classify_mmatrix,
     gamma_star,
     ordered_eigenvalues,
-    relative_error,
     relative_residual,
     residual,
     verify_invariant_pair,
@@ -38,7 +36,6 @@ from .diagnostics import (
     schur_basis,
     sep_f,
     stable_basis,
-    solution_distance_bound,
 )
 from .errors import NarekitError
 from .kernel import subspace_distance
@@ -84,7 +81,6 @@ __all__ = [
     "build_shifted_h",
     "cayley",
     "cayley_gap",
-    "central_real_pair",
     "choose_shift_s",
     "classical_shift",
     "classify_mmatrix",
@@ -97,7 +93,6 @@ __all__ = [
     "inverse_orthogonal_iteration",
     "ordered_eigenvalues",
     "random_mnare",
-    "relative_error",
     "relative_residual",
     "relsep_of_subspace",
     "report_for",
@@ -108,7 +103,6 @@ __all__ = [
     "sda_solve",
     "sda_step",
     "sep_f",
-    "solution_distance_bound",
     "stable_basis",
     "subspace_distance",
     "sushi_report",

@@ -19,18 +19,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    ClassificationAmbiguous,
     DegenerateDenominator,
     InvalidProblem,
     PoleHit,
     SingularMatrix,
-    ZeroReference,
 )
 from .kernel import as_matrix, eigenvalues, frobenius_norm, lu_factor
-
-#: largest imaginary part, relative to ||H||_F, of a boundary eigenvalue
-#: that central_real_pair still takes as real
-REAL_PAIR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -244,18 +238,6 @@ def relative_residual(p: NareProblem, x) -> float:
     return frobenius_norm(xcx - ax - xd + p.B) / den
 
 
-def relative_error(x_approx, x_ref) -> float:
-    """||X~ - X*||_F / ||X*||_F."""
-    x_approx = np.asarray(x_approx)
-    x_ref = np.asarray(x_ref)
-    if x_approx.shape != x_ref.shape:
-        raise InvalidProblem("shapes of the two solutions differ")
-    ref = frobenius_norm(x_ref)
-    if ref == 0.0:
-        raise ZeroReference("reference solution has zero norm")
-    return frobenius_norm(x_approx - x_ref) / ref
-
-
 def gamma_star(p: NareProblem) -> float:
     """Optimal doubling parameter: max over the diagonals of A and D."""
     return float(max(np.max(np.diag(p.A)), np.max(np.diag(p.D))))
@@ -293,15 +275,3 @@ def ordered_eigenvalues(h: LinearizingMatrix):
     order = np.lexsort((-ev.imag, -ev.real))
     return ev[order]
 
-
-def central_real_pair(h: LinearizingMatrix):
-    """(lambda_n, lambda_{n+1}) as reals; they are real for M-NARE problems."""
-    lam = ordered_eigenvalues(h)
-    scale = frobenius_norm(h.H)
-    pair = lam[h.n - 1], lam[h.n]
-    for v in pair:
-        if abs(v.imag) > REAL_PAIR_TOL * scale:
-            raise ClassificationAmbiguous(
-                f"boundary eigenvalue {v} is not real within tolerance"
-            )
-    return float(pair[0].real), float(pair[1].real)

@@ -155,24 +155,6 @@ def relsep_of_subspace(h, basis, defect_tol=1e-8) -> float:
     return sep_f(a11, a22) / scale
 
 
-def solution_distance_bound(x, xt, dist) -> float:
-    """sqrt(n + ||X||_F^2) * sqrt(n + ||X~||_F^2) * dist.
-
-    Frobenius form of the bound relating the solution difference to the
-    distance between the invariant subspaces spanned by [I; X] and [I; X~].
-    """
-    x = np.asarray(x)
-    xt = np.asarray(xt)
-    if x.shape != xt.shape:
-        raise InvalidProblem("shapes of the two solutions differ")
-    n = x.shape[1]
-    return float(
-        np.sqrt(n + frobenius_norm(x) ** 2)
-        * np.sqrt(n + frobenius_norm(xt) ** 2)
-        * dist
-    )
-
-
 def _delta(h, lam, central_eigs):
     scale = frobenius_norm(h.H)
     central = np.atleast_1d(np.asarray(central_eigs, dtype=complex))

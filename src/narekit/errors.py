@@ -30,10 +30,6 @@ class DegenerateDenominator(NarekitError):
     """The relative-residual denominator is numerically zero."""
 
 
-class ZeroReference(NarekitError):
-    """Relative error requested against a zero reference solution."""
-
-
 class PoleHit(NarekitError):
     """A Cayley transform was evaluated at (numerically) its pole."""
 

@@ -13,9 +13,20 @@ the n x m iterate G_k to the solution Y of the dual equation.  Convergence
 is quadratic with rate equal to the Cayley-transformed spectral gap of the
 linearizing matrix; close-to-critical problems push that rate toward 1,
 which is what the subspace shift in :mod:`narekit.shift` repairs.
+
+The iterates carry their own error (Guo, Lin and Xu, Numer. Math. 103,
+2006):
+
+    X - H_k = F_k X (I - G_k X)^-1 E_k,
+
+so err_est = ||E_k||_1 ||F_k||_1 ||(I - G_{k-1} H_{k-1})^-1||_1, the
+inverse norm read off the condition estimate of the factor step k already
+made, estimates the relative error ||X - H_k||_1 / ||X||_1 at O(n^2) extra
+cost per step.  The iteration stops when err_est <= max(tol, 10 eps); the
+primal and dual residuals are taken once, after the loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -23,10 +34,12 @@ import scipy.linalg
 
 from .core import NareProblem, gamma_star, relative_residual
 from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
-from .kernel import frobenius_norm, lu_factor
+from .kernel import lu_factor
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
+#: multiple of the dtype's eps below which the stopping tolerance is not taken
+TOL_FLOOR_EPS = 10.0
 
 
 @dataclass(frozen=True)
@@ -34,7 +47,7 @@ class SdaConfig:
     gamma: float = None  # default: gamma_star of the problem being initialized
     tol: float = 1e-15
     max_steps: int = 60
-    trace: object = None  # callable(dict) per step: step, delta_rel, residual, cond
+    trace: object = None  # callable(dict) per step: step, err_est, cond
 
 
 @dataclass
@@ -45,6 +58,7 @@ class SdaState:
     Hm: np.ndarray  # m x n, converges to the primal solution
     step: int = 0
     cond: float = np.nan  # max cond estimate of the step's two factors; nan before a step
+    err_est: float = np.nan  # estimate of ||X - Hm||_1 / ||X||_1; nan before a step
 
 
 @dataclass(frozen=True)
@@ -52,7 +66,6 @@ class SdaOutcome:
     X: np.ndarray  # m x n minimal nonnegative solution (limit of Hm)
     Y: np.ndarray  # n x m dual solution (limit of G)
     steps: int
-    residual_history: list = field(repr=False)
     converged: bool = True
     residual: float = 0.0
     dual_residual: float = 0.0
@@ -109,19 +122,21 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
 
 
 def _guarded_factor(mat, step):
-    """LU factor of I - G@H or I - H@G and its 1-norm condition estimate;
-    raises Breakdown(step, cond) when the estimate exceeds BREAKDOWN_COND,
-    and Breakdown(step, inf) on an exact zero pivot or non-finite entries."""
+    """LU factor of I - G@H or I - H@G, its 1-norm condition estimate and the
+    1-norm of its inverse (cond / ||mat||_1); raises Breakdown(step, cond)
+    when the estimate exceeds BREAKDOWN_COND, and Breakdown(step, inf) on an
+    exact zero pivot or non-finite entries."""
     try:
         factor = lu_factor(mat, pivot_tol=0.0)
     except SingularMatrix:
         raise Breakdown(step, np.inf) from None
     gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
-    rcond, _ = gecon(factor[0], np.linalg.norm(mat, 1))
+    anorm = np.linalg.norm(mat, 1)
+    rcond, _ = gecon(factor[0], anorm)
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > BREAKDOWN_COND:
         raise Breakdown(step, cond)
-    return factor, float(cond)
+    return factor, float(cond), float(cond / anorm)
 
 
 def sda_step(s: SdaState) -> SdaState:
@@ -130,70 +145,53 @@ def sda_step(s: SdaState) -> SdaState:
     The inverses enter only as left factors of E and F, so each factor is
     applied once, by a transposed solve: Z_g = E (I - G H)^-1 (n columns)
     and Z_h = F (I - H G)^-1 (m columns).  Then E' = Z_g E,
-    G' = G + Z_g (G F), F' = Z_h F and H' = H + Z_h (H E).
+    G' = G + Z_g (G F), F' = Z_h F and H' = H + Z_h (H E).  The new state's
+    err_est is ||E'||_1 ||F'||_1 ||(I - G H)^-1||_1.
     """
     n, m = s.G.shape
-    f_igh, cond_gh = _guarded_factor(np.eye(n, dtype=s.G.dtype) - s.G @ s.Hm, s.step)
-    f_ihg, cond_hg = _guarded_factor(np.eye(m, dtype=s.G.dtype) - s.Hm @ s.G, s.step)
+    eye_n, eye_m = np.eye(n, dtype=s.G.dtype), np.eye(m, dtype=s.G.dtype)
+    f_igh, cond_gh, inv_norm = _guarded_factor(eye_n - s.G @ s.Hm, s.step)
+    f_ihg, cond_hg, _ = _guarded_factor(eye_m - s.Hm @ s.G, s.step)
     z_g = scipy.linalg.lu_solve(f_igh, s.E.T, trans=1, check_finite=False).T
     z_h = scipy.linalg.lu_solve(f_ihg, s.F.T, trans=1, check_finite=False).T
-    return SdaState(E=z_g @ s.E, F=z_h @ s.F, G=s.G + z_g @ (s.G @ s.F),
+    e, f = z_g @ s.E, z_h @ s.F
+    err_est = float(np.linalg.norm(e, 1)) * float(np.linalg.norm(f, 1)) * inv_norm
+    return SdaState(E=e, F=f, G=s.G + z_g @ (s.G @ s.F),
                     Hm=s.Hm + z_h @ (s.Hm @ s.E), step=s.step + 1,
-                    cond=max(cond_gh, cond_hg))
+                    cond=max(cond_gh, cond_hg), err_est=err_est)
 
 
-def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig(),
-              residual_problem: NareProblem = None) -> SdaOutcome:
-    """Run the doubling iteration to convergence.
+def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
+    """Run the doubling iteration until err_est <= max(cfg.tol, 10 eps).
 
-    residual_problem, when given, is the equation the primal residual is
-    measured against; a shifted solve passes the original problem here,
-    since both share the minimal solution.  The dual residual is always
-    measured against p's dual: the shift keeps right invariant subspaces
-    only, so G converges to the dual solution of the equation iterated.
-
-    Stops when the relative change of the primal iterate drops below
-    cfg.tol, or earlier when the relative residual stagnates at its
-    attainable floor (stagnation detection only arms once the residual is
-    already below max(100*tol, 1e-10), so slow linear phases are not cut
-    short).
+    The primal and dual residuals are taken once, after the loop, against
+    p, the equation iterated.  NoConvergence when the step cap is reached
+    with a primal residual above 100 * cfg.tol; below that, the outcome is
+    returned with converged = False.
     """
     gamma = cfg.gamma if cfg.gamma is not None else gamma_star(p)
-    target = residual_problem if residual_problem is not None else p
+    tol = max(cfg.tol, TOL_FLOOR_EPS * float(np.finfo(p.dtype).eps))
     state = sda_init(p, gamma)
-    history = []
-    prev_res = np.inf
-    stagnation_floor = max(100.0 * cfg.tol, 1e-10)
     converged = False
     while state.step < cfg.max_steps:
-        new = sda_step(state)
-        dx = frobenius_norm(new.Hm - state.Hm) / max(frobenius_norm(new.Hm),
-                                                     np.finfo(np.float64).tiny)
-        state = new
-        res = relative_residual(target, state.Hm)
-        history.append(res)
+        state = sda_step(state)
         if cfg.trace is not None:
-            cfg.trace({"step": state.step, "delta_rel": float(dx),
-                       "residual": float(res), "cond": state.cond})
-        if dx <= cfg.tol:
+            cfg.trace({"step": state.step, "err_est": state.err_est,
+                       "cond": state.cond})
+        if state.err_est <= tol:
             converged = True
             break
-        if prev_res <= stagnation_floor and res > 0.9 * prev_res:
-            converged = True
-            break
-        prev_res = res
-    final_res = history[-1] if history else np.inf
-    if not converged and final_res > cfg.tol * 100:
+    res = relative_residual(p, state.Hm)
+    if not converged and res > cfg.tol * 100:
         raise NoConvergence(
             f"doubling did not converge in {cfg.max_steps} steps "
-            f"(relative residual {final_res:.3e})",
-            diagnostics={"residual_history": history},
+            f"(error estimate {state.err_est:.3e}, relative residual {res:.3e})",
+            diagnostics={"err_est": state.err_est, "residual": float(res)},
         )
     dual_res = relative_residual(p.dual(), state.G)
     return SdaOutcome(
-        X=state.Hm, Y=state.G, steps=state.step, residual_history=history,
-        converged=converged, residual=float(final_res),
-        dual_residual=float(dual_res), gamma=float(gamma),
+        X=state.Hm, Y=state.G, steps=state.step, converged=converged,
+        residual=float(res), dual_residual=float(dual_res), gamma=float(gamma),
     )
 
 

@@ -362,7 +362,9 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     problem's gamma, and polish the result with Newton defect correction
     on the original equation.
 
-    Returns (Solution, CentralSubspaces, ShiftPlan, SdaOutcome).
+    Returns (Solution, CentralSubspaces, ShiftPlan, SdaOutcome); the
+    outcome's residuals are those of the shifted equation, Solution's is
+    that of the original one after the polish.
     """
     t0 = time.perf_counter()
     if not opts.force:
@@ -383,8 +385,8 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     shifted_problem = shifted.to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
-    outcome = sda_solve(shifted_problem, cfg, residual_problem=p)
-    x, res = newton_polish(p, outcome.X, outcome.residual,
+    outcome = sda_solve(shifted_problem, cfg)
+    x, res = newton_polish(p, outcome.X, relative_residual(p, outcome.X),
                            float(np.min(np.abs(cs.central_eigs))))
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
     plan = replace(plan, rationale=dict(plan.rationale,

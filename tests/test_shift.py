@@ -24,6 +24,7 @@ from narekit.shift import (
     newton_polish,
 )
 from conftest import planted_matrix
+from oracles import relative_error
 
 
 class TestInverseIteration:
@@ -165,7 +166,7 @@ class TestSharedFactor:
         assert x.shape == (10, 6)
         assert solution.residual <= 1e-12
         assert x.min() >= -np.finfo(float).eps * frobenius_norm(x)
-        assert nk.relative_error(x, nk.sda_solve(p).X) <= 1e-12
+        assert relative_error(x, nk.sda_solve(p).X) <= 1e-12
 
 
 class TestDetectK:
@@ -348,7 +349,7 @@ class TestSushiSolve:
         p = nk.random_mnare(nk.RandomMnareSpec(n=12, alpha=0.5, seed=5))
         plain = nk.sda_solve(p, nk.SdaConfig())
         solution, cs, plan, outcome = nk.sushi_solve(p)
-        assert nk.relative_error(solution.X, plain.X) <= 1e-8
+        assert relative_error(solution.X, plain.X) <= 1e-8
         assert solution.residual <= 1e-13
         assert outcome.steps <= plain.steps
 
@@ -374,7 +375,7 @@ class TestSushiSolve:
         plain = nk.sda_solve(p, nk.SdaConfig())
         solution, _, plan, _ = nk.sushi_solve(p, nk.SushiOptions(s=-0.5))
         assert plan.s == -0.5
-        assert nk.relative_error(solution.X, plain.X) <= 1e-10
+        assert relative_error(solution.X, plain.X) <= 1e-10
         assert solution.residual <= 1e-13
 
     def test_plan_records_elapsed_time(self):
@@ -475,8 +476,25 @@ def test_sushi_solve_makes_no_schur_form(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.linalg, name, counting)
     solution, _, _, outcome = nk.sushi_solve(p)
-    assert solution.residual < outcome.residual  # the polish ran
+    assert solution.residual < nk.relative_residual(p, outcome.X)  # the polish ran
     assert calls == []
+
+
+def test_sushi_solve_residual_calls(monkeypatch):
+    # two in the doubling, one on the original equation, one per correction
+    calls = []
+    relative_residual = nk.relative_residual
+
+    def counting(p, x):
+        calls.append(x.shape)
+        return relative_residual(p, x)
+
+    monkeypatch.setattr("narekit.sda.relative_residual", counting)
+    monkeypatch.setattr("narekit.shift.relative_residual", counting)
+    p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
+    solution, *_ = nk.sushi_solve(p)
+    assert solution.residual <= 1e-12
+    assert len(calls) <= 3 + shift.POLISH_MAX_STEPS
 
 
 @pytest.mark.parametrize("doublings", [2, shift.POLISH_MAX_DOUBLINGS])
