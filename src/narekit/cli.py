@@ -12,7 +12,7 @@ Exit codes: 0 success (--help and --version included), 2 solver
 breakdown, 3 no convergence, 4 classification failure (not an M-matrix
 equation, or ambiguous spectrum), 5 usage or input/output error (an
 unknown flag, a malformed value, or a --k, --s or --gamma out of range
-included); 6 is unassigned.  In JSON mode errors past argument parsing
+included); 6 is unassigned.  In JSON mode errors, usage errors included,
 are reported as {"error": <code-name>, "message": ...} on standard
 output; a human-readable message always goes to standard error.  csv
 and table cells render lists and dicts as compact JSON and None as an
@@ -69,6 +69,12 @@ class _CliFailure(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 5: argparse's own 2 is the breakdown code
+        self.print_usage(sys.stderr)
+        raise _CliFailure(EXIT_IO, message)
+
+
 def _add_source_args(sub):
     sub.add_argument("--problem", help="path to a problem JSON file")
     sub.add_argument("--family", choices=["transport", "random"],
@@ -95,7 +101,7 @@ def _add_output_args(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="narekit",
         description="Minimal nonnegative solutions of nonsymmetric algebraic "
                     "Riccati equations by doubling, with subspace-shift "
@@ -395,11 +401,22 @@ def _error_exit(args, code, message):
     return code
 
 
+def _usage_format(argv):
+    """csv or table when argv's last --format asks for one, else json."""
+    words = [w for a in argv for w in a.split("=", 1)]
+    asked = [v for flag, v in zip(words, words[1:]) if flag == "--format"]
+    return asked[-1] if asked and asked[-1] in ("csv", "table") else "json"
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse's usage error is 2, our breakdown code
-        return EXIT_OK if exc.code in (0, None) else EXIT_IO
+    except SystemExit:  # --help and --version
+        return EXIT_OK
+    except _CliFailure as exc:  # a usage error
+        return _error_exit(argparse.Namespace(format=_usage_format(argv)),
+                           exc.code, str(exc))
     try:
         return _COMMANDS[args.command](args)
     except _CliFailure as exc:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import json
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateDenominator,
@@ -24,7 +23,7 @@ from .errors import (
     PoleHit,
     SingularMatrix,
 )
-from .kernel import as_matrix, eigenvalues, frobenius_norm, lu_factor
+from .kernel import as_matrix, eigenvalues, frobenius_norm, lu_factor, lu_solve
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def classify_mmatrix(m, zero_tol=1e-10) -> MMatrixClass:
             factor = lu_factor(m - shift * np.eye(m.shape[0]), pivot_tol=0.0)
         except SingularMatrix:
             continue
-        x = scipy.linalg.lu_solve(factor, np.ones(m.shape[0]), check_finite=False)
+        x = lu_solve(factor, np.ones(m.shape[0]))
         if np.all(np.isfinite(x)) and np.all(x > 0):
             return MMatrixClass(tag, shift + 1.0 / float(x.max()))
     return MMatrixClass("NotM", float("nan"))

@@ -5,6 +5,11 @@ guarded pivoted LU, thin QR with a fixed sign convention, the distance
 between subspaces, dense nonsymmetric eigenvalues and singular values.
 All functions are pure and accept/return plain ndarrays; float32 inputs
 are honored for the single-precision mode.
+
+lu_factor and lu_solve are the package's only LU entry points.  They call
+LAPACK getrf and getrs directly, without scipy's per-call wrapper cost, and
+look the routine up by scipy.linalg.get_lapack_funcs on every call, uncached,
+so a wrapper installed there (the benchmark's tracer) sees every call.
 """
 
 import numpy as np
@@ -33,32 +38,37 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def _eps(dtype):
-    return float(np.finfo(np.dtype(dtype)).eps)
-
-
-def lu_factor(m, pivot_tol=None, error=SingularMatrix):
-    """Guarded pivoted LU factors (lu, piv) of a square matrix.
+def lu_factor(m, pivot_tol=None, error=SingularMatrix, overwrite=False):
+    """Guarded pivoted LU factors (lu, piv) of a square matrix, by getrf.
 
     Raises `error` for non-finite entries and when the smallest pivot
     modulus is zero or below pivot_tol, which defaults to eps * ||m||_F * dim.
     pivot_tol=0.0 rejects only an exact zero pivot, for inverse iteration,
-    which wants a nearly singular matrix.
+    which wants a nearly singular matrix.  m is left unchanged unless
+    overwrite=True, which lets getrf factor a Fortran-ordered m in place.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidProblem("lu_factor needs a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InvalidProblem("lu_factor needs a nonempty square matrix")
     if not np.all(np.isfinite(m)):
         raise error("matrix has non-finite entries")
-    n = m.shape[0]
     if pivot_tol is None:
-        pivot_tol = _eps(m.dtype) * frobenius_norm(m) * n
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    small = np.abs(np.diag(lu)).min() if n else np.inf
+        pivot_tol = float(np.finfo(m.dtype).eps) * frobenius_norm(m) * m.shape[0]
+    getrf = scipy.linalg.get_lapack_funcs("getrf", (m,))
+    lu, piv, _ = getrf(m, overwrite_a=overwrite)
+    small = np.abs(np.diag(lu)).min()
     if small < pivot_tol or small == 0.0:
         raise error(f"matrix is numerically singular: smallest pivot {small:.3e}, "
                     f"threshold {pivot_tol:.3e}")
     return lu, piv
+
+
+def lu_solve(factor, b, trans=0):
+    """x with a x = b (a^T x = b for trans=1) from lu_factor's (lu, piv) of a,
+    by getrs in the precision scipy's lu_solve picks; b is not overwritten."""
+    lu, piv = factor
+    getrs = scipy.linalg.get_lapack_funcs("getrs", (lu, b))
+    return getrs(lu, piv, b, trans=trans)[0]
 
 
 def thin_qr(m):

@@ -34,7 +34,7 @@ import scipy.linalg
 
 from .core import NareProblem, gamma_star, relative_residual
 from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
-from .kernel import lu_factor
+from .kernel import lu_factor, lu_solve
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
@@ -106,7 +106,7 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
             factor = lu_factor(mat)
         except SingularMatrix as exc:
             raise InitSingular(which, f"{which} is singular: {exc}") from exc
-        return scipy.linalg.lu_solve(factor, rhs, check_finite=False)
+        return lu_solve(factor, rhs)
 
     dg_sol = solve(d_g, np.hstack([p.C, eye_n]), "D+gamma*I")
     dg_inv_c, dg_inv = dg_sol[:, :m], dg_sol[:, m:]
@@ -126,12 +126,12 @@ def _guarded_factor(mat, step):
     1-norm of its inverse (cond / ||mat||_1); raises Breakdown(step, cond)
     when the estimate exceeds BREAKDOWN_COND, and Breakdown(step, inf) on an
     exact zero pivot or non-finite entries."""
+    anorm = np.linalg.norm(mat, 1)  # first: mat, a temporary, may be overwritten
     try:
-        factor = lu_factor(mat, pivot_tol=0.0)
+        factor = lu_factor(mat, pivot_tol=0.0, overwrite=True)
     except SingularMatrix:
         raise Breakdown(step, np.inf) from None
     gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
-    anorm = np.linalg.norm(mat, 1)
     rcond, _ = gecon(factor[0], anorm)
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > BREAKDOWN_COND:
@@ -152,8 +152,8 @@ def sda_step(s: SdaState) -> SdaState:
     eye_n, eye_m = np.eye(n, dtype=s.G.dtype), np.eye(m, dtype=s.G.dtype)
     f_igh, cond_gh, inv_norm = _guarded_factor(eye_n - s.G @ s.Hm, s.step)
     f_ihg, cond_hg, _ = _guarded_factor(eye_m - s.Hm @ s.G, s.step)
-    z_g = scipy.linalg.lu_solve(f_igh, s.E.T, trans=1, check_finite=False).T
-    z_h = scipy.linalg.lu_solve(f_ihg, s.F.T, trans=1, check_finite=False).T
+    z_g = lu_solve(f_igh, s.E.T, trans=1).T
+    z_h = lu_solve(f_ihg, s.F.T, trans=1).T
     e, f = z_g @ s.E, z_h @ s.F
     err_est = float(np.linalg.norm(e, 1)) * float(np.linalg.norm(f, 1)) * inv_norm
     return SdaState(E=e, F=f, G=s.G + z_g @ (s.G @ s.F),

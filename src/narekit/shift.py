@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 import time
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     LinearizingMatrix,
@@ -55,7 +54,7 @@ from .errors import (
     UVSingular,
 )
 from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
-from .kernel import subspace_distance, thin_qr
+from .kernel import lu_solve, subspace_distance, thin_qr
 from .sda import SdaConfig, SdaOutcome, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
@@ -111,7 +110,7 @@ def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, factor=None,
     q, _ = thin_qr(rng.standard_normal((dim, k)).astype(h.dtype))
     dists, armed = [], False
     for _ in range(max_iters):
-        z = scipy.linalg.lu_solve(factor, q, trans=trans, check_finite=False)
+        z = lu_solve(factor, q, trans=trans)
         q_new, _ = thin_qr(z)
         dists.append(subspace_distance(q_new, q))
         q = q_new
@@ -217,7 +216,7 @@ def estimate_next_modulus(h, k, factor=None):
     rng = np.random.default_rng(DEFAULT_SEED)
     q, r = thin_qr(rng.standard_normal((h.shape[0], k + 1)).astype(h.dtype))
     for _ in range(NEXT_MODULUS_STEPS):
-        q, r = thin_qr(scipy.linalg.lu_solve(factor, q, check_finite=False))
+        q, r = thin_qr(lu_solve(factor, q))
     entry = abs(float(r[k, k]))
     if entry == 0.0:
         raise DegenerateSpectrum("probe iteration collapsed to a singular R")
@@ -325,10 +324,10 @@ def _smith_correction(p: NareProblem, x, xi):
         fp, fq = lu_factor(pm + g * eye_m), lu_factor(qm + g * eye_n)
     except SingularMatrix:
         return None
-    s = scipy.linalg.lu_solve(fp, pm - g * eye_m, check_finite=False)
-    t = scipy.linalg.lu_solve(fq, qm - g * eye_n, check_finite=False)
-    left = scipy.linalg.lu_solve(fp, 2.0 * g * residual(p, x), check_finite=False)
-    delta = scipy.linalg.lu_solve(fq, left.T, trans=1, check_finite=False).T
+    s = lu_solve(fp, pm - g * eye_m)
+    t = lu_solve(fq, qm - g * eye_n)
+    left = lu_solve(fp, 2.0 * g * residual(p, x))
+    delta = lu_solve(fq, left.T, trans=1).T
     stop = eps * frobenius_norm(x)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: divergence
         for _ in range(POLISH_MAX_DOUBLINGS):
@@ -405,6 +404,6 @@ def sushi_report(solution: Solution, cs: CentralSubspaces, plan: ShiftPlan,
         "cond_uv": cs.cond_uv,
         "sda_steps": outcome.steps,
         "residual": solution.residual,
-        "dual_residual": outcome.dual_residual,
+        "shifted_dual_residual": outcome.dual_residual,
         "timings": {"total_s": plan.rationale.get("elapsed_s")},
     }

@@ -164,9 +164,18 @@ class TestUsage:
     ])
     def test_usage_error_exits_5(self, capsys, argv):
         # argparse's own code 2 is the one given to solver breakdown
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 5
         assert "usage:" in err
+        report = json.loads(out)
+        assert report["error"] == "io" and report["message"] in err
+
+    @pytest.mark.parametrize("fmt", [["--format", "csv"], ["--format=table"]])
+    def test_usage_error_in_text_format_writes_no_json(self, capsys, fmt):
+        code, out, err = run(capsys, "solve", "--nope", *fmt)
+        assert code == 5
+        assert out == ""
+        assert "usage:" in err and "--nope" in err
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sushi", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):

@@ -1,7 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
+import narekit as nk
 from narekit.errors import (
     InvalidProblem,
     SingularH,
@@ -11,6 +13,7 @@ from narekit.kernel import (
     eigenvalues,
     frobenius_norm,
     lu_factor,
+    lu_solve,
     smallest_singular_value,
     spectral_norm,
     thin_qr,
@@ -25,6 +28,8 @@ class TestLuFactor:
     def test_non_square_raises(self):
         with pytest.raises(InvalidProblem):
             lu_factor(np.ones((2, 3)))
+        with pytest.raises(InvalidProblem):
+            lu_factor(np.ones((0, 0)))
 
     def test_non_finite_raises_given_error(self):
         with pytest.raises(SingularMatrix):
@@ -38,6 +43,66 @@ class TestLuFactor:
             lu_factor(m)
         lu, _ = lu_factor(m, pivot_tol=0.0)
         assert abs(lu[1, 1]) == 1e-17
+
+    def test_guards_raise_the_given_error(self):
+        with pytest.raises(SingularH, match="non-finite"):
+            lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]), error=SingularH)
+        exact = np.array([[1.0, 2.0], [2.0, 4.0]])  # second pivot exactly 0
+        with pytest.raises(SingularH, match="smallest pivot 0.000e"):
+            lu_factor(exact, pivot_tol=0.0, error=SingularH)
+        with pytest.raises(SingularH, match="smallest pivot 1.000e-03"):
+            lu_factor(np.diag([1.0, 1e-3]), pivot_tol=1e-2, error=SingularH)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged_unless_overwrite(self, order):
+        a = np.asarray(np.random.default_rng(8).standard_normal((5, 5)), order=order)
+        kept = a.copy()
+        lu, _ = lu_factor(a)
+        npt.assert_array_equal(a, kept)
+        assert not np.shares_memory(lu, a)
+        lu, _ = lu_factor(a, overwrite=True)
+        # getrf works in Fortran order: only such an input is factored in place
+        assert np.shares_memory(lu, a) == (order == "F")
+
+
+class TestLuSolve:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("shape", [(6,), (6, 3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_identical_to_scipy(self, dtype, trans, shape, order):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((6, 6)).astype(dtype)
+        b = np.asarray(rng.standard_normal(shape).astype(dtype), order=order)
+        kept = b.copy()
+        factor = lu_factor(a)
+        ref_factor = scipy.linalg.lu_factor(a)
+        for got, ref in zip(factor, ref_factor):
+            assert got.dtype == ref.dtype
+            npt.assert_array_equal(got, ref)
+        x = lu_solve(factor, b, trans=trans)
+        ref = scipy.linalg.lu_solve(ref_factor, b, trans=trans)
+        assert x.dtype == ref.dtype and x.shape == ref.shape
+        npt.assert_array_equal(x, ref)
+        npt.assert_array_equal(b, kept)
+
+    def test_precision_from_lu_and_b(self):
+        a = np.array([[4.0, 1.0], [1.0, 3.0]], dtype=np.float32)
+        b = np.array([1.0, 1.0 / 3.0])
+        factor = lu_factor(a)
+        x = lu_solve(factor, b)
+        assert x.dtype == np.float64
+        npt.assert_array_equal(x, scipy.linalg.lu_solve(factor, b))
+
+    def test_solvers_bypass_scipy_lu_wrappers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg LU wrapper called")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
+        assert nk.sda_solve(p).residual <= 1e-12
+        assert nk.sushi_solve(p)[0].residual <= 1e-12
 
 
 class TestThinQr:

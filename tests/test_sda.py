@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
 
 import narekit as nk
+from narekit import sda
 from narekit.errors import Breakdown, ClassificationAmbiguous, InitSingular
 from narekit.errors import InvalidProblem, NoConvergence
 from narekit.kernel import frobenius_norm
@@ -106,13 +106,13 @@ class TestStep:
                      G=_unit_spectral(rng, n, m, np.float64, 0.5),
                      Hm=_unit_spectral(rng, m, n, np.float64, 0.5))
         calls = []
-        lu_solve = scipy.linalg.lu_solve
+        lu_solve = sda.lu_solve
 
         def recording(factor, b, trans=0, **kwargs):
             calls.append((factor[0].shape[0], np.shape(b), trans))
             return lu_solve(factor, b, trans=trans, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_solve", recording)
+        monkeypatch.setattr(sda, "lu_solve", recording)
         nk.sda_step(s)
         assert calls == [(n, (n, n), 1), (m, (m, m), 1)]
 
@@ -169,13 +169,13 @@ class TestSolve:
     def test_four_lus_to_start_then_two_per_step(self, monkeypatch):
         p = nk.random_mnare(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3))
         calls = []
-        lu_factor = scipy.linalg.lu_factor
+        lu_factor = sda.lu_factor
 
         def counting(a, *args, **kwargs):
             calls.append(np.shape(a))
             return lu_factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        monkeypatch.setattr(sda, "lu_factor", counting)
         out = nk.sda_solve(p, nk.SdaConfig())
         assert len(calls) == 4 + 2 * out.steps
 

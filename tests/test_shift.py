@@ -116,17 +116,18 @@ class TestComputeCentralPair:
 
 class TestSharedFactor:
     def test_one_lu_of_h_per_solve(self, monkeypatch):
-        # the classification factors M -/+ tau*I, of H's size but not H
+        # every LU of the shift layer as it binds lu_factor; the polish
+        # factors m x m and n x n matrices, not H
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
         h = nk.build_h(p).H
         of_h = []
-        lu_factor = scipy.linalg.lu_factor
+        lu_factor = shift.lu_factor
 
         def counting(a, *args, **kwargs):
             of_h.append(np.array_equal(a, h))
             return lu_factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        monkeypatch.setattr(shift, "lu_factor", counting)
         nk.sushi_solve(p)
         assert sum(of_h) == 1
 
@@ -390,7 +391,8 @@ class TestSushiSolve:
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
         report = nk.sushi_report(*nk.sushi_solve(p))
         assert {"k", "s", "central_eigs", "inv_iter_steps", "cond_uv",
-                "sda_steps", "residual", "dual_residual", "timings"} <= set(report)
+                "sda_steps", "residual", "shifted_dual_residual",
+                "timings"} <= set(report)
         assert report["k"] == 2
         assert report["residual"] <= 1e-12
 
