@@ -64,15 +64,16 @@ _EXIT_NAMES = {
 
 
 class _CliFailure(Exception):
-    def __init__(self, code, message):
+    def __init__(self, code, message, parser=None):
         super().__init__(message)
         self.code = code
+        self.parser = parser  # the argparse parser of a usage error
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 5: argparse's own 2 is the breakdown code
         self.print_usage(sys.stderr)
-        raise _CliFailure(EXIT_IO, message)
+        raise _CliFailure(EXIT_IO, message, self)
 
 
 def _add_source_args(sub):
@@ -401,22 +402,27 @@ def _error_exit(args, code, message):
     return code
 
 
-def _usage_format(argv):
-    """csv or table when argv's last --format asks for one, else json."""
+def _usage_format(parser, argv):
+    """The format of a usage error in a subcommand's own parser: the last
+    --format in argv, abbreviated as argparse allows, if csv or table."""
+    opts, fmt = parser._option_string_actions, parser.get_default("format")
     words = [w for a in argv for w in a.split("=", 1)]
-    asked = [v for flag, v in zip(words, words[1:]) if flag == "--format"]
-    return asked[-1] if asked and asked[-1] in ("csv", "table") else "json"
+    asked = [v for w, v in zip(words, words[1:]) if w.startswith("--")
+             and [o for o in opts if o.startswith(w)] == ["--format"]]
+    return asked[-1] if asked and asked[-1] in ("csv", "table") else fmt
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser().parse_args(argv)
+    parser, args = build_parser(), argparse.Namespace()
+    try:  # args holds a subcommand's --format once its own parser is done
+        args = parser.parse_args(argv, args)
     except SystemExit:  # --help and --version
         return EXIT_OK
     except _CliFailure as exc:  # a usage error
-        return _error_exit(argparse.Namespace(format=_usage_format(argv)),
-                           exc.code, str(exc))
+        if exc.parser is not parser:
+            args = argparse.Namespace(format=_usage_format(exc.parser, argv))
+        return _error_exit(args, exc.code, str(exc))
     try:
         return _COMMANDS[args.command](args)
     except _CliFailure as exc:

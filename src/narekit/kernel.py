@@ -4,12 +4,9 @@ Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy): a
 guarded pivoted LU, thin QR with a fixed sign convention, the distance
 between subspaces, dense nonsymmetric eigenvalues and singular values.
 All functions are pure and accept/return plain ndarrays; float32 inputs
-are honored for the single-precision mode.
-
-lu_factor and lu_solve are the package's only LU entry points.  They call
-LAPACK getrf and getrs directly, without scipy's per-call wrapper cost, and
-look the routine up by scipy.linalg.get_lapack_funcs on every call, uncached,
-so a wrapper installed there (the benchmark's tracer) sees every call.
+are honored for the single-precision mode.  lu_factor and lu_solve, the
+only LU entry points, call getrf/getrs directly, looked up on each call by
+scipy.linalg.get_lapack_funcs, uncached, so the benchmark's tracer sees it.
 """
 
 import numpy as np
@@ -38,14 +35,13 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def lu_factor(m, pivot_tol=None, error=SingularMatrix, overwrite=False):
+def lu_factor(m, pivot_tol=None, error=SingularMatrix):
     """Guarded pivoted LU factors (lu, piv) of a square matrix, by getrf.
 
     Raises `error` for non-finite entries and when the smallest pivot
     modulus is zero or below pivot_tol, which defaults to eps * ||m||_F * dim.
     pivot_tol=0.0 rejects only an exact zero pivot, for inverse iteration,
-    which wants a nearly singular matrix.  m is left unchanged unless
-    overwrite=True, which lets getrf factor a Fortran-ordered m in place.
+    which wants a nearly singular matrix.  m is left unchanged.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
@@ -54,8 +50,7 @@ def lu_factor(m, pivot_tol=None, error=SingularMatrix, overwrite=False):
         raise error("matrix has non-finite entries")
     if pivot_tol is None:
         pivot_tol = float(np.finfo(m.dtype).eps) * frobenius_norm(m) * m.shape[0]
-    getrf = scipy.linalg.get_lapack_funcs("getrf", (m,))
-    lu, piv, _ = getrf(m, overwrite_a=overwrite)
+    lu, piv, _ = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)
     small = np.abs(np.diag(lu)).min()
     if small < pivot_tol or small == 0.0:
         raise error(f"matrix is numerically singular: smallest pivot {small:.3e}, "
@@ -67,8 +62,7 @@ def lu_solve(factor, b, trans=0):
     """x with a x = b (a^T x = b for trans=1) from lu_factor's (lu, piv) of a,
     by getrs in the precision scipy's lu_solve picks; b is not overwritten."""
     lu, piv = factor
-    getrs = scipy.linalg.get_lapack_funcs("getrs", (lu, b))
-    return getrs(lu, piv, b, trans=trans)[0]
+    return scipy.linalg.get_lapack_funcs("getrs", (lu, b))(lu, piv, b, trans=trans)[0]
 
 
 def thin_qr(m):

@@ -126,12 +126,12 @@ def _guarded_factor(mat, step):
     1-norm of its inverse (cond / ||mat||_1); raises Breakdown(step, cond)
     when the estimate exceeds BREAKDOWN_COND, and Breakdown(step, inf) on an
     exact zero pivot or non-finite entries."""
-    anorm = np.linalg.norm(mat, 1)  # first: mat, a temporary, may be overwritten
     try:
-        factor = lu_factor(mat, pivot_tol=0.0, overwrite=True)
+        factor = lu_factor(mat, pivot_tol=0.0)
     except SingularMatrix:
         raise Breakdown(step, np.inf) from None
     gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
+    anorm = np.linalg.norm(mat, 1)
     rcond, _ = gecon(factor[0], anorm)
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > BREAKDOWN_COND:

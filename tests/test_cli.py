@@ -161,6 +161,7 @@ class TestUsage:
         ["solve", "--family", "transport", "--n", "8", "--beta", "abc"],
         ["sushi", "--family", "transport", "--n", "8", "--beta", "1e-3", "--gamma", "0"],
         ["bench", "--skip-delta"],
+        ["solve", "--fo=csv"],  # ambiguous: --force or --format
     ])
     def test_usage_error_exits_5(self, capsys, argv):
         # argparse's own code 2 is the one given to solver breakdown
@@ -170,12 +171,27 @@ class TestUsage:
         report = json.loads(out)
         assert report["error"] == "io" and report["message"] in err
 
-    @pytest.mark.parametrize("fmt", [["--format", "csv"], ["--format=table"]])
-    def test_usage_error_in_text_format_writes_no_json(self, capsys, fmt):
-        code, out, err = run(capsys, "solve", "--nope", *fmt)
+    @pytest.mark.parametrize("fmt", [["--format", "csv"], ["--format=table"],
+                                     ["--form", "csv"], ["--forma=table"]])
+    @pytest.mark.parametrize("bad", [["--nope"], ["--n", "abc"]])
+    def test_usage_error_in_text_format_writes_no_json(self, capsys, fmt, bad):
+        # --format abbreviated as argparse accepts it
+        code, out, err = run(capsys, "solve", *fmt, *bad)
         assert code == 5
         assert out == ""
-        assert "usage:" in err and "--nope" in err
+        assert "usage:" in err and bad[-1] in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "transport", "--n", "8", "--beta", "1e-3"],
+        ["gen", "--nope", "--out", "x.json"],
+        ["gen", "--out", "x.json"],
+    ])
+    def test_gen_errors_write_no_json(self, capsys, tmp_path, monkeypatch, argv):
+        # gen has no --format: usage errors and later errors alike use stderr
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert out == "" and "narekit: " in err
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sushi", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):

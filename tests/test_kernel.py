@@ -54,15 +54,12 @@ class TestLuFactor:
             lu_factor(np.diag([1.0, 1e-3]), pivot_tol=1e-2, error=SingularH)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_input_unchanged_unless_overwrite(self, order):
+    def test_input_unchanged(self, order):
         a = np.asarray(np.random.default_rng(8).standard_normal((5, 5)), order=order)
         kept = a.copy()
         lu, _ = lu_factor(a)
         npt.assert_array_equal(a, kept)
         assert not np.shares_memory(lu, a)
-        lu, _ = lu_factor(a, overwrite=True)
-        # getrf works in Fortran order: only such an input is factored in place
-        assert np.shares_memory(lu, a) == (order == "F")
 
 
 class TestLuSolve:

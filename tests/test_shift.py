@@ -17,7 +17,7 @@ from narekit.errors import (
     UVSingular,
 )
 from narekit.kernel import frobenius_norm
-from narekit import shift
+from narekit import core, sda, shift
 from narekit.shift import (
     CentralSubspaces,
     estimate_next_modulus,
@@ -116,18 +116,17 @@ class TestComputeCentralPair:
 
 class TestSharedFactor:
     def test_one_lu_of_h_per_solve(self, monkeypatch):
-        # every LU of the shift layer as it binds lu_factor; the polish
-        # factors m x m and n x n matrices, not H
+        # every LU of the package, in each module that binds lu_factor; the
+        # classification factors M -/+ tau I and the polish m x m and n x n
+        # matrices, not H
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
         h = nk.build_h(p).H
         of_h = []
-        lu_factor = shift.lu_factor
-
-        def counting(a, *args, **kwargs):
-            of_h.append(np.array_equal(a, h))
-            return lu_factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(shift, "lu_factor", counting)
+        for mod in (core, sda, shift):
+            def counting(a, *args, _fn=mod.lu_factor, **kwargs):
+                of_h.append(np.array_equal(a, h))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(mod, "lu_factor", counting)
         nk.sushi_solve(p)
         assert sum(of_h) == 1
 
