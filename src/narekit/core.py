@@ -132,10 +132,6 @@ class LinearizingMatrix:
             raise InvalidProblem("H shape disagrees with n + m")
         object.__setattr__(self, "H", h)
 
-    @property
-    def dim(self):
-        return self.n + self.m
-
     def block_d(self):
         return self.H[: self.n, : self.n]
 
@@ -167,6 +163,7 @@ class Solution:
     X: np.ndarray
     residual: float
     iterations: int
+    converged: bool = True
 
 
 def build_h(p: NareProblem) -> LinearizingMatrix:
@@ -180,27 +177,31 @@ def build_m(p: NareProblem) -> np.ndarray:
     return np.block([[p.D, -p.C], [-p.B, p.A]])
 
 
+def _z_tau(m, zero_tol=1e-10):
+    """None unless m's off-diagonal entries are <= 0 up to roundoff, else the
+    certificate shift tau = zero_tol * max(|s|, 1), s = max diagonal."""
+    if (m - np.diag(np.diag(m))).max(initial=0.0) > 1e-14 * frobenius_norm(m):
+        return None
+    return zero_tol * max(abs(float(np.max(np.diag(m)))), 1.0)
+
+
 def classify_mmatrix(m, zero_tol=1e-10) -> MMatrixClass:
     """Classify a square matrix as nonsingular M-matrix, singular M-matrix, or neither.
 
-    Sign test first (off-diagonal entries must be <= 0 up to roundoff); the
-    Z-matrix m = s*I - N (s = max diagonal) is then certified by solves, not
-    eigenvalues.  With tau = zero_tol * max(|s|, 1), (m -+ tau*I) x = 1 has
-    a solution x > 0 exactly when s - rho(N) > +-tau: NonsingularM for
-    m - tau*I, else SingularM for m + tau*I, else NotM.  The evidence is
-    the lower bound on s - rho(N) the accepted x certifies: tau + 1/max(x),
-    1/max(x) - tau, or nan for NotM.
+    After _z_tau's sign test, the Z-matrix m = s*I - N is certified by
+    solves, not eigenvalues: (m -+ tau*I) x = 1 has a solution x > 0
+    exactly when s - rho(N) > +-tau: NonsingularM for m - tau*I, else
+    SingularM for m + tau*I, else NotM.  The evidence is the lower bound on
+    s - rho(N) the accepted x certifies: tau + 1/max(x), 1/max(x) - tau, or
+    nan for NotM.
     """
     m = as_matrix(m, name="M")
     if m.shape[0] != m.shape[1]:
         raise InvalidProblem("classify_mmatrix needs a square matrix")
-    scale = frobenius_norm(m)
-    off = m - np.diag(np.diag(m))
-    if off.size and off.max(initial=0.0) > 1e-14 * scale:
+    tau = _z_tau(m, zero_tol)
+    if tau is None:
         return MMatrixClass("NotM", float("nan"))
     m = m.astype(np.float64, copy=False)
-    s = float(np.max(np.diag(m)))
-    tau = zero_tol * max(abs(s), 1.0)
     for tag, shift in (("NonsingularM", tau), ("SingularM", -tau)):
         try:
             factor = lu_factor(m - shift * np.eye(m.shape[0]), pivot_tol=0.0)
@@ -212,9 +213,26 @@ def classify_mmatrix(m, zero_tol=1e-10) -> MMatrixClass:
     return MMatrixClass("NotM", float("nan"))
 
 
-def require_mmatrix(p: NareProblem) -> MMatrixClass:
-    """The solvers' guard: InvalidProblem unless build_m(p) is an M-matrix."""
-    cls = classify_mmatrix(build_m(p))
+def require_mmatrix(p: NareProblem, factor=None) -> MMatrixClass:
+    """The solvers' guard: InvalidProblem unless build_m(p) is an M-matrix.
+
+    With factor, H's LU, one solve of H x = J 1 (M = J H, J = diag(I, -I))
+    decides first: a Z-matrix M with x > 0 and M x > 0 (in float64, as a
+    float32 x needs) is a nonsingular M-matrix with s - rho(N) >=
+    min(M x / x), about 1/max(x) (Berman and Plemmons 1994, ch. 6).  That
+    bound is the evidence, tagged by the tau rule, so only is_mmatrix() is
+    sure to agree with classify_mmatrix, which can prove NonsingularM where
+    it says SingularM (transport n = 256, beta = 1e-6).  Near a singular M,
+    x is H's near-kernel direction.  Otherwise classify_mmatrix decides."""
+    m = build_m(p)
+    tau = _z_tau(m)
+    if factor is not None and tau is not None:
+        x = lu_solve(factor, np.repeat(np.array([1.0, -1.0], p.dtype), [p.n, p.m]))
+        if np.all(np.isfinite(x)) and np.all(x > 0):
+            bound = float(np.min(m.astype(np.float64) @ x / x))
+            if bound > 0.0:
+                return MMatrixClass("NonsingularM" if bound > tau else "SingularM", bound)
+    cls = classify_mmatrix(m)
     if not cls.is_mmatrix():
         raise InvalidProblem("problem is not M-matrix-structured (override with force)")
     return cls

@@ -167,7 +167,8 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
     The primal and dual residuals are taken once, after the loop, against
     p, the equation iterated.  NoConvergence when the step cap is reached
     with a primal residual above 100 * cfg.tol; below that, the outcome is
-    returned with converged = False.
+    returned with converged = False, as is any outcome whose residual exceeds
+    residual_bound(p, cfg.tol).
     """
     gamma = cfg.gamma if cfg.gamma is not None else gamma_star(p)
     tol = max(cfg.tol, TOL_FLOOR_EPS * float(np.finfo(p.dtype).eps))
@@ -190,9 +191,15 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
         )
     dual_res = relative_residual(p.dual(), state.G)
     return SdaOutcome(
-        X=state.Hm, Y=state.G, steps=state.step, converged=converged,
+        X=state.Hm, Y=state.G, steps=state.step,
+        converged=converged and res <= residual_bound(p, cfg.tol),
         residual=float(res), dual_residual=float(dual_res), gamma=float(gamma),
     )
+
+
+def residual_bound(p: NareProblem, tol):
+    """Largest relative residual a converged solve reports: 100 max(tol, (n+m) eps)."""
+    return 100.0 * max(tol, (p.n + p.m) * float(np.finfo(p.dtype).eps))
 
 
 def trace_writer(stream):

@@ -12,9 +12,9 @@ invariant subspace of H (and hence the minimal solution) unchanged.  The
 bases are computed by inverse orthogonal iteration, which also yields a
 convergence-rate estimate t ~ |xi_k| / |xi_{k+1}| used to pick k; s comes
 from a (k + 1)-column probe of |xi_{k+1}|.  H is LU-factored once per
-solve; every inverse iteration, the left one with H^T included, reuses
-that factor.  The pipeline's fixed settings (seed, step caps, k and s
-limits) are the module constants below.
+solve, its one (n + m)-square factorization: the M-matrix guard and every
+inverse iteration, the left one with H^T included, reuse it.  The fixed
+settings (seed, step caps, k and s limits) are the module constants below.
 
 `sushi_solve` chains the whole pipeline: detect k, compute the central
 pair, choose s, build the shifted equation, run the doubling solver on it
@@ -23,7 +23,7 @@ defect-correction step on the original equation (forming the shifted
 coefficients in floating point perturbs the solution at level
 eps * (1 + s), which the correction removes).  The step's Sylvester
 equation has M-matrix coefficients and is solved by Smith doubling on
-their Cayley transforms: two LUs and matrix products, no Schur form.
+their Cayley transforms: two LUs, one solve each, and products, no Schur form.
 """
 
 from dataclasses import dataclass, field, replace
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
 from .kernel import lu_solve, subspace_distance, thin_qr
-from .sda import SdaConfig, SdaOutcome, sda_solve
+from .sda import SdaConfig, SdaOutcome, residual_bound, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
 PAIR_MAX_ITERS = 100       #: inverse-iteration step cap of the central pair
@@ -248,8 +248,9 @@ def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm) -> ShiftPlan:
 
 def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
                     s: float) -> LinearizingMatrix:
-    """The rank-k update H (I + s V (U^T V)^-1 U^T) as a LinearizingMatrix;
-    UVSingular by diagnostics.cond_uv's rule, applied to cs.cond_uv.
+    """The rank-k update H (I + s V (U^T V)^-1 U^T) as a LinearizingMatrix,
+    formed as H + s (H V)((U^T V)^-1 U^T) in O(N^2 k); UVSingular by
+    diagnostics.cond_uv's rule, applied to cs.cond_uv.
 
     InvalidProblem unless 1 + s > 0: a factor 1 + s <= 0 moves the central
     eigenvalues onto or across the imaginary axis, so the doubling would
@@ -259,11 +260,10 @@ def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
         raise InvalidProblem(f"shift s={s} must satisfy 1 + s > 0")
     check_coupling(cs.cond_uv, cs.k)
     try:
-        correction = cs.V @ np.linalg.solve(cs.U.T @ cs.V, cs.U.T)
+        w = np.linalg.solve(cs.U.T @ cs.V, cs.U.T)
     except np.linalg.LinAlgError as exc:
         raise UVSingular(f"U^T V is singular: {exc}") from exc
-    shifted = h.H @ (np.eye(h.dim, dtype=h.H.dtype) + s * correction)
-    return LinearizingMatrix(shifted, h.n, h.m)
+    return LinearizingMatrix(h.H + (s * (h.H @ cs.V)) @ w, h.n, h.m)
 
 
 def classical_shift(h, v, u, s):
@@ -309,12 +309,12 @@ def newton_polish(p: NareProblem, x, res, xi):
 
 
 def _smith_correction(p: NareProblem, x, xi):
-    """Sum over j of S^j D0 T^j, with S = (P + gI)^-1 (P - gI), T = (Q + gI)^-1
-    (Q - gI), D0 = 2g (P + gI)^-1 R(X) (Q + gI)^-1, P = A - X C and
-    Q = D_coef - C X, by doubling until an increment no longer changes X (a
-    residual target would drop the slowly converging part); None when a
-    factor is singular or the sum diverges, as it can unless P and Q are
-    M-matrices."""
+    """Sum over j of S^j D0 T^j, with S = I - 2g P_g^-1, T = I - 2g Q_g^-1 and
+    D0 = P_g^-1 (2g R(X)) Q_g^-1, P_g = P + gI, Q_g = Q + gI, P = A - X C and
+    Q = D_coef - C X (one solve per LU, against I), by doubling until an
+    increment no longer changes X (a residual target would drop the slowly
+    converging part); None when a factor is singular or the sum diverges,
+    as it can unless P and Q are M-matrices."""
     g_star = gamma_star(p)
     eps = float(np.finfo(x.dtype).eps)
     g = float(np.sqrt(max(xi, eps * g_star) * g_star))
@@ -324,10 +324,9 @@ def _smith_correction(p: NareProblem, x, xi):
         fp, fq = lu_factor(pm + g * eye_m), lu_factor(qm + g * eye_n)
     except SingularMatrix:
         return None
-    s = lu_solve(fp, pm - g * eye_m)
-    t = lu_solve(fq, qm - g * eye_n)
-    left = lu_solve(fp, 2.0 * g * residual(p, x))
-    delta = lu_solve(fq, left.T, trans=1).T
+    p_inv, q_inv = lu_solve(fp, eye_m), lu_solve(fq, eye_n)
+    s, t = eye_m - 2.0 * g * p_inv, eye_n - 2.0 * g * q_inv
+    delta = p_inv @ (2.0 * g * residual(p, x)) @ q_inv
     stop = eps * frobenius_norm(x)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: divergence
         for _ in range(POLISH_MAX_DOUBLINGS):
@@ -356,21 +355,27 @@ class SushiOptions:
 def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     """Shifted solve of a close-to-critical problem.
 
-    Pipeline: classify, (detect k), compute central pair, choose s, build
-    the shifted equation, run the doubling solver on it with the original
-    problem's gamma, and polish the result with Newton defect correction
-    on the original equation.
+    Pipeline: factor H, classify on that factor, (detect k), compute
+    central pair, choose s, build the shifted equation, run the doubling
+    solver on it with the original problem's gamma, and polish the result
+    with Newton defect correction on the original equation.
 
     Returns (Solution, CentralSubspaces, ShiftPlan, SdaOutcome); the
     outcome's residuals are those of the shifted equation, Solution's is
-    that of the original one after the polish.
+    that of the original one after the polish; Solution.converged says if
+    that one meets sda.residual_bound (the outcome's flag is the shifted one's).
     """
     t0 = time.perf_counter()
-    if not opts.force:
-        require_mmatrix(p)
     h = build_h(p)
     work = h.H
-    factor = lu_factor(work, pivot_tol=0.0, error=SingularH)  # shared below
+    try:
+        factor = lu_factor(work, pivot_tol=0.0, error=SingularH)  # shared below
+    except SingularH:
+        if not opts.force:
+            require_mmatrix(p)  # a problem that is not M-structured says so first
+        raise
+    if not opts.force:
+        require_mmatrix(p, factor)
     iter_tol = max(opts.iter_tol, 100.0 * float(np.finfo(p.dtype).eps))
     k = opts.k if opts.k is not None else detect_k(work, tol=iter_tol,
                                                    factor=factor)
@@ -387,7 +392,8 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     outcome = sda_solve(shifted_problem, cfg)
     x, res = newton_polish(p, outcome.X, relative_residual(p, outcome.X),
                            float(np.min(np.abs(cs.central_eigs))))
-    solution = Solution(X=x, residual=float(res), iterations=outcome.steps)
+    solution = Solution(X=x, residual=float(res), iterations=outcome.steps,
+                        converged=res <= residual_bound(p, opts.tol))
     plan = replace(plan, rationale=dict(plan.rationale,
                                         elapsed_s=time.perf_counter() - t0))
     return solution, cs, plan, outcome
@@ -404,6 +410,7 @@ def sushi_report(solution: Solution, cs: CentralSubspaces, plan: ShiftPlan,
         "cond_uv": cs.cond_uv,
         "sda_steps": outcome.steps,
         "residual": solution.residual,
+        "converged": solution.converged,
         "shifted_dual_residual": outcome.dual_residual,
         "timings": {"total_s": plan.rationale.get("elapsed_s")},
     }

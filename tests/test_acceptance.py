@@ -100,6 +100,15 @@ def test_transport_iteration_counts(transport_bench):
         assert cell["solution"].residual <= 1e-12, key
 
 
+def test_table2_solves_report_converged(transport_bench):
+    runs, _ = transport_bench
+    for key, cell in runs.items():
+        assert cell["plain"].converged, key
+        assert cell["outcome"].converged, key
+        assert nk.sushi_report(cell["solution"], cell["cs"], cell["plan"],
+                               cell["outcome"])["converged"], key
+
+
 # --- criterion 3: random family, qualitative ----------------------------------
 
 def test_random_family_shift_beats_plain():

@@ -9,8 +9,9 @@ from narekit.errors import (
     DegenerateDenominator,
     InvalidProblem,
     PoleHit,
+    SingularMatrix,
 )
-from narekit.kernel import frobenius_norm
+from narekit.kernel import frobenius_norm, lu_factor
 from oracles import central_real_pair, relative_error
 
 
@@ -154,6 +155,73 @@ def test_certificate_matches_eig_oracle(size, kind, where, dtype, seed):
         # a certified lower bound of s - rho(N), on the right side of +-tau
         assert evidence > (tau if tag == "NonsingularM" else -tau)
         assert evidence <= margin + 1e-3 * tau
+
+
+def _guard_accepts(p, factor=None):
+    try:
+        return require_mmatrix(p, factor).is_mmatrix()
+    except InvalidProblem:
+        return False
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(["random", "transport", "critical"]),
+       sizes=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       log_param=st.floats(-12.0, 0.0),
+       perturb=st.sampled_from([None, "positive_offdiag", "s_below_rho"]),
+       log_gap=st.floats(-6.0, -1.0),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2**32 - 1))
+def test_guard_on_shared_factor_agrees_with_classifier(family, sizes, log_param,
+                                                       perturb, log_gap, dtype, seed):
+    # require_mmatrix with H's LU accepts exactly the problems it accepts
+    # without one: random M-NAREs with m != n and alpha in [1e-12, 1],
+    # transport with beta in [1e-12, 0.5] and at the critical point, their
+    # float32 casts, and M-structure broken by a positive off-diagonal
+    # entry or by s below rho(N)
+    rng = np.random.default_rng(seed)
+    n, m = sizes
+    if family == "random":
+        m = m if m != n else n + 1
+        big = rng.uniform(0.0, 1.0, (n + m, n + m))
+        rho = float(np.max(np.abs(np.linalg.eigvals(big))))
+        mm = (rho + 10.0 ** log_param) * np.eye(n + m) - big
+    else:
+        spec = (nk.TransportSpec.near_critical(n, min(10.0 ** log_param, 0.5))
+                if family == "transport" else nk.TransportSpec(n=n, alpha=0.0, c=1.0))
+        mm = nk.build_m(nk.transport_problem(spec))
+    dim = mm.shape[0]
+    if perturb == "positive_offdiag":
+        i, j = rng.choice(dim, 2, replace=False)
+        mm[i, j] = 10.0 ** log_gap * np.abs(mm).max()
+    elif perturb == "s_below_rho":
+        margin = float(np.min(np.linalg.eigvals(mm).real))  # s - rho(N)
+        mm = mm - (margin + 10.0 ** log_gap * np.max(np.diag(mm))) * np.eye(dim)
+    p = nk.NareProblem(A=mm[n:, n:], B=-mm[n:, :n], C=-mm[:n, n:],
+                       D=mm[:n, :n]).astype(dtype)
+    try:
+        factor = lu_factor(nk.build_h(p).H, pivot_tol=0.0)
+    except SingularMatrix:
+        factor = None
+    accepted = _guard_accepts(p, factor)
+    assert accepted == _guard_accepts(p)
+    if perturb is not None:
+        assert not accepted
+
+
+def test_guard_shortcut_evidence_and_tag():
+    # the shortcut certifies min(M x / x), about 1/max(x), for H x = J 1 and
+    # tags it by tau; the classifier's tau-shifted solve proves NonsingularM
+    # where that bound cannot
+    p = nk.transport_problem(nk.TransportSpec.near_critical(256, 1e-6))
+    h = nk.build_h(p).H
+    factor = lu_factor(h, pivot_tol=0.0)
+    shortcut = require_mmatrix(p, factor)
+    x = np.linalg.solve(h, np.repeat([1.0, -1.0], [p.n, p.m]))
+    assert x.min() > 0.0
+    assert shortcut.spectral_abscissa_evidence == pytest.approx(1.0 / x.max(), rel=1e-6)
+    assert shortcut.tag == "SingularM"
+    assert require_mmatrix(p).tag == "NonsingularM"
 
 
 class TestResiduals:

@@ -212,6 +212,14 @@ class TestSolve:
         assert set(diagnostics) == {"err_est", "residual"}
         assert all(np.isfinite(v) for v in diagnostics.values())
 
+    def test_residual_check_flags_a_false_stop(self):
+        # gamma = 1e9 (gamma* = 27.6) stops on its error estimate at the
+        # Cayley start's cancellation level, a residual of 2.7e-8
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        out = nk.sda_solve(p, nk.SdaConfig(gamma=1e9))
+        assert out.residual > sda.residual_bound(p, 1e-15)
+        assert not out.converged
+
     def test_gamma_default_is_gamma_star(self):
         p = nk.random_mnare(nk.RandomMnareSpec(n=6, alpha=1.0, seed=0))
         out = nk.sda_solve(p, nk.SdaConfig())

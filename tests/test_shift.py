@@ -16,7 +16,7 @@ from narekit.errors import (
     SingularMatrix,
     UVSingular,
 )
-from narekit.kernel import frobenius_norm
+from narekit.kernel import coupling_cond, frobenius_norm
 from narekit import core, sda, shift
 from narekit.shift import (
     CentralSubspaces,
@@ -129,6 +129,20 @@ class TestSharedFactor:
             monkeypatch.setattr(mod, "lu_factor", counting)
         nk.sushi_solve(p)
         assert sum(of_h) == 1
+
+    @pytest.mark.parametrize("beta", [1e-12, 1e-6])
+    def test_one_big_lu_per_solve(self, monkeypatch, beta):
+        # the guard certifies on H's LU instead of factoring M -/+ tau I, so
+        # the whole solve factors one (n + m)-square matrix
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, beta))
+        shapes = []
+        for mod in (core, sda, shift):
+            def counting(a, *args, _fn=mod.lu_factor, **kwargs):
+                shapes.append(np.shape(a))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(mod, "lu_factor", counting)
+        nk.sushi_solve(p)
+        assert shapes.count((p.n + p.m, p.n + p.m)) == 1
 
     def test_no_eig_larger_than_k(self, monkeypatch):
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
@@ -299,6 +313,53 @@ class TestBuildShiftedH:
         assert defect <= 1e-8 * frobenius_norm(shifted.H)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(3, 16), k=st.integers(1, 3),
+       log_s=st.floats(-1.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_rank_k_update_matches_product_form(dim, k, log_s, seed):
+    # H + s (H V)((U^T V)^-1 U^T) is H (I + s V (U^T V)^-1 U^T) up to the
+    # rounding of the products, which s and cond(U^T V) amplify
+    rng = np.random.default_rng(seed)
+    k = min(k, dim - 1)
+    eigs = np.concatenate([rng.uniform(0.01, 0.1, k) * rng.choice([-1, 1], k),
+                           rng.uniform(1.0, 2.0, dim - k) * rng.choice([-1, 1], dim - k)])
+    h, t = planted_matrix(rng, eigs)
+    v, _ = np.linalg.qr(t[:, :k])
+    u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :k])
+    cond_uv = coupling_cond(u, v)
+    cs = CentralSubspaces(V=v, U=u, k=k, central_eigs=eigs[:k], inv_iter_steps=0,
+                          rate_estimate_t=0.0, cond_uv=cond_uv)
+    s = 10.0 ** log_s
+    got = nk.build_shifted_h(nk.LinearizingMatrix(h, dim // 2, dim - dim // 2), cs, s).H
+    want = h @ (np.eye(dim) + s * v @ np.linalg.solve(u.T @ v, u.T))
+    bound = 4.0 * dim * np.finfo(float).eps * (1.0 + s) * cond_uv * frobenius_norm(h)
+    assert frobenius_norm(got - want) <= bound
+
+
+def test_build_shifted_h_makes_no_cubic_product():
+    # every product has a dimension of at most k: no N x N x N product
+    h = nk.LinearizingMatrix(np.diag([0.01, -0.02, 1.0, -1.0, 2.0, -2.0]), 3, 3)
+    v = np.eye(6)[:, :2]
+    shapes = []
+
+    class Tracked(np.ndarray):
+        """Records the operand shapes of every product it takes part in."""
+
+        def __matmul__(self, other):
+            shapes.append((np.shape(self), np.shape(other)))
+            return (np.asarray(self) @ np.asarray(other)).view(Tracked)
+
+        def __rmatmul__(self, other):
+            shapes.append((np.shape(other), np.shape(self)))
+            return (np.asarray(other) @ np.asarray(self)).view(Tracked)
+
+    cs = CentralSubspaces(V=v.view(Tracked), U=v.view(Tracked), k=2,
+                          central_eigs=np.array([0.01, -0.02]), inv_iter_steps=0,
+                          rate_estimate_t=0.0, cond_uv=1.0)
+    nk.build_shifted_h(h, cs, 9.0)
+    assert shapes and all(min(a[0], a[1], b[1]) <= 2 for a, b in shapes)
+
+
 class TestClassicalShift:
     def test_triangular_example(self):
         t = np.array([[0.0, 1.0], [0.0, 2.0]])
@@ -342,6 +403,15 @@ class TestSushiSolve:
     def test_classification_guard(self):
         p = nk.NareProblem(A=[[1.0]], B=[[2.0]], C=[[3.0]], D=[[1.0]])
         assert not nk.classify_mmatrix(nk.build_m(p)).is_mmatrix()
+        with pytest.raises(InvalidProblem):
+            nk.sushi_solve(p)
+
+    def test_guard_before_singular_h(self):
+        # M = [[1, 1], [1, 1]] has a positive off-diagonal entry and
+        # H = [[1, 1], [-1, -1]] an exact zero pivot: the guard speaks first
+        p = nk.NareProblem(A=[[1.0]], B=[[-1.0]], C=[[-1.0]], D=[[1.0]])
+        with pytest.raises(SingularH):
+            nk.sushi_solve(p, nk.SushiOptions(force=True))
         with pytest.raises(InvalidProblem):
             nk.sushi_solve(p)
 
@@ -390,10 +460,11 @@ class TestSushiSolve:
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
         report = nk.sushi_report(*nk.sushi_solve(p))
         assert {"k", "s", "central_eigs", "inv_iter_steps", "cond_uv",
-                "sda_steps", "residual", "shifted_dual_residual",
+                "sda_steps", "residual", "converged", "shifted_dual_residual",
                 "timings"} <= set(report)
         assert report["k"] == 2
         assert report["residual"] <= 1e-12
+        assert report["converged"] is True
 
     def test_dual_residual_of_iterated_equation(self):
         # G converges to the dual solution of the shifted equation
