@@ -55,8 +55,6 @@ from .shift import (
     choose_shift_s,
     classical_shift,
     compute_central_pair,
-    detect_k,
-    inverse_orthogonal_iteration,
     sushi_report,
     sushi_solve,
 )
@@ -87,10 +85,8 @@ __all__ = [
     "compute_central_pair",
     "cond_uv",
     "delta_central",
-    "detect_k",
     "gamma_star",
     "gap_of",
-    "inverse_orthogonal_iteration",
     "ordered_eigenvalues",
     "random_mnare",
     "relative_residual",

@@ -11,12 +11,12 @@ Subcommands::
 Exit codes: 0 success (--help and --version included), 2 solver
 breakdown, 3 no convergence, 4 classification failure (not an M-matrix
 equation, or ambiguous spectrum), 5 usage or input/output error (an
-unknown flag, a malformed value, or a --k, --s or --gamma out of range
-included); 6 is unassigned.  In JSON mode errors, usage errors included,
-are reported as {"error": <code-name>, "message": ...} on standard
-output; a human-readable message always goes to standard error.  csv
-and table cells render lists and dicts as compact JSON and None as an
-empty cell.
+unknown flag, a malformed value, or a --k, --s, --gamma, --tol or
+--max-steps out of range included); 6 is unassigned.  In JSON mode
+errors, usage errors included, are reported as {"error": <code-name>,
+"message": ...} on standard output; a human-readable message always goes
+to standard error.  csv and table cells render lists and dicts as
+compact JSON and None as an empty cell.
 """
 
 import argparse
@@ -278,8 +278,8 @@ def cmd_solve(args):
 
 def cmd_sushi(args):
     p = _load_problem(args)
-    if args.k is not None and not 1 <= args.k <= p.n + p.m:
-        raise _CliFailure(EXIT_IO, f"--k {args.k} is outside 1..{p.n + p.m}")
+    if args.k is not None and not 1 <= args.k < p.n + p.m:
+        raise _CliFailure(EXIT_IO, f"--k {args.k} is outside 1..{p.n + p.m - 1}")
     if args.s is not None and not 1.0 + args.s > 0.0:
         raise _CliFailure(EXIT_IO, f"--s {args.s} must satisfy 1 + s > 0")
     with _trace(args) as trace:
@@ -423,7 +423,11 @@ def main(argv=None):
         if exc.parser is not parser:
             args = argparse.Namespace(format=_usage_format(exc.parser, argv))
         return _error_exit(args, exc.code, str(exc))
-    try:
+    try:  # solve, sushi and bench: a NaN --tol would disable the stop
+        if not (0.0 <= getattr(args, "tol", 0.0) < np.inf
+                and getattr(args, "max_steps", 1) >= 1):
+            raise _CliFailure(EXIT_IO, "--tol must be finite and >= 0, "
+                                       "--max-steps at least 1")
         return _COMMANDS[args.command](args)
     except _CliFailure as exc:
         return _error_exit(args, exc.code, str(exc))

@@ -25,6 +25,8 @@ from .errors import (
 )
 from .kernel import as_matrix, eigenvalues, frobenius_norm, lu_factor, lu_solve
 
+ZERO_TOL = 1e-10  #: relative size of classify_mmatrix's certificate shift tau
+
 
 @dataclass(frozen=True)
 class NareProblem:
@@ -177,15 +179,15 @@ def build_m(p: NareProblem) -> np.ndarray:
     return np.block([[p.D, -p.C], [-p.B, p.A]])
 
 
-def _z_tau(m, zero_tol=1e-10):
+def _z_tau(m):
     """None unless m's off-diagonal entries are <= 0 up to roundoff, else the
-    certificate shift tau = zero_tol * max(|s|, 1), s = max diagonal."""
+    certificate shift tau = ZERO_TOL * max(|s|, 1), s = max diagonal."""
     if (m - np.diag(np.diag(m))).max(initial=0.0) > 1e-14 * frobenius_norm(m):
         return None
-    return zero_tol * max(abs(float(np.max(np.diag(m)))), 1.0)
+    return ZERO_TOL * max(abs(float(np.max(np.diag(m)))), 1.0)
 
 
-def classify_mmatrix(m, zero_tol=1e-10) -> MMatrixClass:
+def classify_mmatrix(m) -> MMatrixClass:
     """Classify a square matrix as nonsingular M-matrix, singular M-matrix, or neither.
 
     After _z_tau's sign test, the Z-matrix m = s*I - N is certified by
@@ -198,7 +200,7 @@ def classify_mmatrix(m, zero_tol=1e-10) -> MMatrixClass:
     m = as_matrix(m, name="M")
     if m.shape[0] != m.shape[1]:
         raise InvalidProblem("classify_mmatrix needs a square matrix")
-    tau = _z_tau(m, zero_tol)
+    tau = _z_tau(m)
     if tau is None:
         return MMatrixClass("NotM", float("nan"))
     m = m.astype(np.float64, copy=False)
@@ -244,15 +246,21 @@ def residual(p: NareProblem, x) -> np.ndarray:
     return x @ p.C @ x - p.A @ x - x @ p.D + p.B
 
 
-def relative_residual(p: NareProblem, x) -> float:
-    """||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F), each product formed
-    once; the numerator sums in `residual`'s order, so it is bit-identical."""
+def _residual_with_size(p: NareProblem, x):
+    """(R(X), ||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F)), each product
+    formed once; R sums in `residual`'s order, so it is bit-identical."""
     x = np.asarray(x)
     xcx, ax, xd = x @ p.C @ x, p.A @ x, x @ p.D
     den = frobenius_norm(xcx + p.B) + frobenius_norm(ax + xd)
     if den < np.finfo(np.float64).eps:
         raise DegenerateDenominator("relative residual denominator is zero")
-    return frobenius_norm(xcx - ax - xd + p.B) / den
+    r = xcx - ax - xd + p.B
+    return r, frobenius_norm(r) / den
+
+
+def relative_residual(p: NareProblem, x) -> float:
+    """||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F), the relative residual."""
+    return _residual_with_size(p, x)[1]
 
 
 def gamma_star(p: NareProblem) -> float:

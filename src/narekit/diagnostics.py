@@ -36,6 +36,8 @@ SEP_RTOL = 1e-14
 #: largest distance, relative to max(||H||_F, 1), from a claimed central
 #: eigenvalue to the spectrum point it is matched to
 MATCH_TOL = 1e-6
+#: largest relative invariance defect that relsep_of_subspace accepts
+DEFECT_TOL = 1e-8
 
 
 def _gap(h, lam):
@@ -134,12 +136,12 @@ def _complete_basis(basis):
     return np.hstack([basis, q[:, k:]])
 
 
-def relsep_of_subspace(h, basis, defect_tol=1e-8) -> float:
+def relsep_of_subspace(h, basis) -> float:
     """sep(A11, A22) / ||H||_F for the unitary reduction of h along basis.
 
     basis must have orthonormal columns spanning an invariant subspace of
     h; the invariance defect ||h V - V (V^T h V)||_F / ||h||_F is checked
-    against defect_tol.
+    against DEFECT_TOL.
     """
     h = np.asarray(h)
     basis = np.asarray(basis)
@@ -147,8 +149,8 @@ def relsep_of_subspace(h, basis, defect_tol=1e-8) -> float:
     scale = frobenius_norm(h)
     compressed = basis.T @ h @ basis
     defect = frobenius_norm(h @ basis - basis @ compressed) / scale
-    if defect > defect_tol:
-        raise NotInvariant(defect, defect_tol)
+    if defect > DEFECT_TOL:
+        raise NotInvariant(defect, DEFECT_TOL)
     q = _complete_basis(basis)
     t = q.T @ h @ q
     a11, a22 = t[:k, :k], t[k:, k:]

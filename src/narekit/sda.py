@@ -168,8 +168,10 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
     p, the equation iterated.  NoConvergence when the step cap is reached
     with a primal residual above 100 * cfg.tol; below that, the outcome is
     returned with converged = False, as is any outcome whose residual exceeds
-    residual_bound(p, cfg.tol).
+    residual_bound(p, cfg.tol).  InvalidProblem unless cfg.tol is finite.
     """
+    if not np.isfinite(cfg.tol):  # a NaN tol would disable the stop
+        raise InvalidProblem(f"stopping tolerance {cfg.tol} must be finite")
     gamma = cfg.gamma if cfg.gamma is not None else gamma_star(p)
     tol = max(cfg.tol, TOL_FLOOR_EPS * float(np.finfo(p.dtype).eps))
     state = sda_init(p, gamma)

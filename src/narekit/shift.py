@@ -12,18 +12,20 @@ invariant subspace of H (and hence the minimal solution) unchanged.  The
 bases are computed by inverse orthogonal iteration, which also yields a
 convergence-rate estimate t ~ |xi_k| / |xi_{k+1}| used to pick k; s comes
 from a (k + 1)-column probe of |xi_{k+1}|.  H is LU-factored once per
-solve, its one (n + m)-square factorization: the M-matrix guard and every
-inverse iteration, the left one with H^T included, reuse it.  The fixed
-settings (seed, step caps, k and s limits) are the module constants below.
+solve, and the iteration stages take that LU, not H: the M-matrix guard
+and every inverse iteration, the left one with H^T included, solve with
+it.  A central subspace has 1 <= k < n + m.  The fixed settings (seed,
+step caps, k and s limits) are the module constants below.
 
 `sushi_solve` chains the whole pipeline: detect k, compute the central
 pair, choose s, build the shifted equation, run the doubling solver on it
 with the original problem's gamma, and polish the result with a Newton
 defect-correction step on the original equation (forming the shifted
 coefficients in floating point perturbs the solution at level
-eps * (1 + s), which the correction removes).  The step's Sylvester
-equation has M-matrix coefficients and is solved by Smith doubling on
-their Cayley transforms: two LUs, one solve each, and products, no Schur form.
+eps * (1 + s), which the correction removes), forming R(X) once per
+iterate.  The step's Sylvester equation has M-matrix coefficients and is
+solved by Smith doubling on their Cayley transforms: two LUs, one solve
+each, and products, no Schur form.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,11 +37,10 @@ from .core import (
     LinearizingMatrix,
     NareProblem,
     Solution,
+    _residual_with_size,
     build_h,
     gamma_star,
-    relative_residual,
     require_mmatrix,
-    residual,
 )
 from .diagnostics import check_coupling
 from .errors import (
@@ -83,31 +84,26 @@ class CentralSubspaces:
 @dataclass(frozen=True)
 class ShiftPlan:
     s: float
-    k: int
     rationale: dict = field(default_factory=dict)
 
 
-def inverse_orthogonal_iteration(h, k, tol=1e-12, max_iters=100, factor=None,
-                                 trans=0):
+def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     """Orthonormal basis of the invariant subspace of the k smallest-modulus
-    eigenvalues of h (of h^T when trans=1), by repeated solve + thin QR.
+    eigenvalues of H (of H^T when trans=1), by repeated solve + thin QR on
+    factor, H's LU from kernel.lu_factor; 1 <= k < N, N the order of H.
 
-    factor is h's LU factor from kernel.lu_factor; without one, h is
-    factored here.  Stops when the subspace distance between successive
-    bases drops below tol, or when it stagnates at its roundoff floor (once
-    past the initial transient, a step that recovers less than a factor 0.9
-    means the basis only jitters).  Returns (Q, steps, t_estimate) where
-    t_estimate is the geometric-mean contraction per step over the
-    genuinely converging window, an estimate of |xi_k| / |xi_{k+1}|.
+    Stops when the subspace distance between successive bases drops below
+    tol, or when it stagnates at its roundoff floor (once past the initial
+    transient, a step that recovers less than a factor 0.9 means the basis
+    only jitters).  Returns (Q, steps, t_estimate) where t_estimate is the
+    geometric-mean contraction per step over the genuinely converging
+    window, an estimate of |xi_k| / |xi_{k+1}|.
     """
-    h = np.asarray(h)
-    dim = h.shape[0]
-    if k < 1 or k > dim:
-        raise InvalidProblem(f"subspace dimension k={k} out of range")
-    if factor is None:
-        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
+    dim = factor[0].shape[0]
+    if not 1 <= k < dim:
+        raise InvalidProblem(f"central dimension k={k} is outside 1..{dim - 1}")
     rng = np.random.default_rng(DEFAULT_SEED)
-    q, _ = thin_qr(rng.standard_normal((dim, k)).astype(h.dtype))
+    q, _ = thin_qr(rng.standard_normal((dim, k)).astype(factor[0].dtype))
     dists, armed = [], False
     for _ in range(max_iters):
         z = lu_solve(factor, q, trans=trans)
@@ -158,10 +154,8 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
     h = np.asarray(h)
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
-    v, steps_v, t = inverse_orthogonal_iteration(h, k, tol, PAIR_MAX_ITERS,
-                                                 factor=factor)
-    u, _, _ = inverse_orthogonal_iteration(h, k, tol, PAIR_MAX_ITERS,
-                                           factor=factor, trans=1)
+    v, steps_v, t = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS)
+    u, _, _ = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS, trans=1)
     cond_uv = coupling_cond(u, v)
     if cond_uv > COND_CAP:
         raise CentralPairIllConditioned(cond_uv)
@@ -172,23 +166,20 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
     )
 
 
-def detect_k(h, tol=1e-12, factor=None):
-    """Smallest k >= 2 whose inverse iteration contracts fast enough.
+def detect_k(factor, tol):
+    """Smallest k >= 2 whose inverse iteration on factor contracts fast enough.
 
-    Runs PROBE_ITERS probe iterations per candidate k, all on one LU factor
-    of h (factor, or a fresh one), and accepts the first one with rate
-    estimate <= SLOW_RATE (a zero estimate means convergence was immediate
-    and counts as fast, as does a probe that ran out of steps within
-    sqrt(tol) of settling).  Raises KMaxReached when no k up to K_MAX
-    separates the central cluster from the rest of the spectrum.
+    Runs PROBE_ITERS probe iterations per candidate k and accepts the first
+    one with rate estimate <= SLOW_RATE (a zero estimate means convergence
+    was immediate and counts as fast, as does a probe that ran out of steps
+    within sqrt(tol) of settling).  Raises KMaxReached when no k up to
+    K_MAX, and below the order of H, separates the central cluster from the
+    rest of the spectrum.
     """
-    if factor is None:
-        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
-    last_t = 1.0
-    for k in range(2, K_MAX + 1):
+    k_max, last_t = min(K_MAX, factor[0].shape[0] - 1), 1.0
+    for k in range(2, k_max + 1):
         try:
-            _, _, t = inverse_orthogonal_iteration(h, k, tol, PROBE_ITERS,
-                                                   factor=factor)
+            _, _, t = inverse_orthogonal_iteration(factor, k, tol, PROBE_ITERS)
         except NoConvergence as exc:
             t = exc.diagnostics["t_estimate"]
             if t == 0.0 and exc.diagnostics["distance"] > np.sqrt(tol):
@@ -198,23 +189,20 @@ def detect_k(h, tol=1e-12, factor=None):
         last_t = t
         if t <= SLOW_RATE:
             return k
-    raise KMaxReached(K_MAX, last_t)
+    raise KMaxReached(k_max, last_t)
 
 
-def estimate_next_modulus(h, k, factor=None):
-    """Estimate of |xi_{k+1}| from a (k + 1)-column probe iteration on an
-    LU factor of h (factor, or a fresh one).
+def estimate_next_modulus(factor, k):
+    """Estimate of |xi_{k+1}| from a (k + 1)-column probe iteration on factor.
 
     Once the leading k columns have settled, the last diagonal entry of R
     in the iteration's thin QR converges to 1 / |xi_{k+1}|; a handful of
     steps gives the one correct digit the shift selection needs, even when
     |xi_{k+1}| is not separated from the eigenvalues above it.
     """
-    h = np.asarray(h)
-    if factor is None:
-        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
+    lu = factor[0]
     rng = np.random.default_rng(DEFAULT_SEED)
-    q, r = thin_qr(rng.standard_normal((h.shape[0], k + 1)).astype(h.dtype))
+    q, r = thin_qr(rng.standard_normal((lu.shape[0], k + 1)).astype(lu.dtype))
     for _ in range(NEXT_MODULUS_STEPS):
         q, r = thin_qr(lu_solve(factor, q))
     entry = abs(float(r[k, k]))
@@ -240,7 +228,7 @@ def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm) -> ShiftPlan:
     s = target / xi1 - 1.0
     clamped = not (S_MIN <= s <= S_MAX)
     s = float(min(max(s, S_MIN), S_MAX))
-    return ShiftPlan(s=s, k=cs.k, rationale={
+    return ShiftPlan(s=s, rationale={
         "xi_1": xi1, "xi_k": xik, "xi_next_estimate": target,
         "t_estimate": cs.rate_estimate_t, "clamped": clamped,
     })
@@ -281,40 +269,41 @@ def classical_shift(h, v, u, s):
     return h + (s / uv) * np.outer(v, u)
 
 
-def newton_polish(p: NareProblem, x, res, xi):
+def newton_polish(p: NareProblem, x, r, res, xi):
     """Newton defect correction on the original equation.
 
     Solves (A - X C) D + D (D_coef - C X) = R(X) for the correction D by
     Smith doubling and keeps the update, for up to POLISH_MAX_STEPS
-    corrections, while the relative residual improves.  res is x's
-    relative residual; the polish is a no-op when it is already at the
-    floor 100 * eps of x's dtype.  xi, the smallest central eigenvalue
-    modulus, gives the Cayley parameter sqrt(xi * gamma*), the best single
-    shift for a real spectrum in [xi, gamma*]; xi = gamma* gives gamma*.
+    corrections, while the relative residual improves.  r and res are R(x)
+    and its relative size (a candidate's come from one evaluation); the
+    polish is a no-op when res is at the floor 100 * eps of x's dtype.  xi,
+    the smallest central eigenvalue modulus, gives the Cayley parameter
+    sqrt(xi * gamma*), the best single shift for a real spectrum in
+    [xi, gamma*]; xi = gamma* gives gamma*.
     """
     x = np.asarray(x)
     floor = 100.0 * float(np.finfo(x.dtype).eps)
     for _ in range(POLISH_MAX_STEPS):
         if res <= floor:
             break
-        delta = _smith_correction(p, x, xi)
+        delta = _smith_correction(p, x, r, xi)
         if delta is None:
             break
         candidate = x + delta
-        new_res = relative_residual(p, candidate)
+        new_r, new_res = _residual_with_size(p, candidate)
         if not new_res < res:
             break
-        x, res = candidate, new_res
+        x, r, res = candidate, new_r, new_res
     return x, float(res)
 
 
-def _smith_correction(p: NareProblem, x, xi):
+def _smith_correction(p: NareProblem, x, r, xi):
     """Sum over j of S^j D0 T^j, with S = I - 2g P_g^-1, T = I - 2g Q_g^-1 and
-    D0 = P_g^-1 (2g R(X)) Q_g^-1, P_g = P + gI, Q_g = Q + gI, P = A - X C and
-    Q = D_coef - C X (one solve per LU, against I), by doubling until an
-    increment no longer changes X (a residual target would drop the slowly
-    converging part); None when a factor is singular or the sum diverges,
-    as it can unless P and Q are M-matrices."""
+    D0 = P_g^-1 (2g r) Q_g^-1, r = R(X), P_g = P + gI, Q_g = Q + gI, P = A - X C
+    and Q = D_coef - C X (one solve per LU, against I), by doubling until
+    an increment no longer changes X (a residual target would drop the
+    slowly converging part); None when a factor is singular or the sum
+    diverges, as it can unless P and Q are M-matrices."""
     g_star = gamma_star(p)
     eps = float(np.finfo(x.dtype).eps)
     g = float(np.sqrt(max(xi, eps * g_star) * g_star))
@@ -326,7 +315,7 @@ def _smith_correction(p: NareProblem, x, xi):
         return None
     p_inv, q_inv = lu_solve(fp, eye_m), lu_solve(fq, eye_n)
     s, t = eye_m - 2.0 * g * p_inv, eye_n - 2.0 * g * q_inv
-    delta = p_inv @ (2.0 * g * residual(p, x)) @ q_inv
+    delta = p_inv @ (2.0 * g * r) @ q_inv
     stop = eps * frobenius_norm(x)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: divergence
         for _ in range(POLISH_MAX_DOUBLINGS):
@@ -367,9 +356,8 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     """
     t0 = time.perf_counter()
     h = build_h(p)
-    work = h.H
     try:
-        factor = lu_factor(work, pivot_tol=0.0, error=SingularH)  # shared below
+        factor = lu_factor(h.H, pivot_tol=0.0, error=SingularH)  # shared below
     except SingularH:
         if not opts.force:
             require_mmatrix(p)  # a problem that is not M-structured says so first
@@ -377,20 +365,19 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     if not opts.force:
         require_mmatrix(p, factor)
     iter_tol = max(opts.iter_tol, 100.0 * float(np.finfo(p.dtype).eps))
-    k = opts.k if opts.k is not None else detect_k(work, tol=iter_tol,
-                                                   factor=factor)
-    cs = compute_central_pair(work, k, iter_tol, factor=factor)
+    k = opts.k if opts.k is not None else detect_k(factor, iter_tol)
+    cs = compute_central_pair(h.H, k, iter_tol, factor=factor)
     if opts.s is not None:
-        plan = ShiftPlan(s=float(opts.s), k=k, rationale={"fixed": True})
+        plan = ShiftPlan(s=float(opts.s), rationale={"fixed": True})
     else:
-        xi_next = estimate_next_modulus(work, k, factor=factor)
-        plan = choose_shift_s(cs, xi_next, frobenius_norm(work))
+        xi_next = estimate_next_modulus(factor, k)
+        plan = choose_shift_s(cs, xi_next, frobenius_norm(h.H))
     shifted = build_shifted_h(h, cs, plan.s)
     shifted_problem = shifted.to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
     outcome = sda_solve(shifted_problem, cfg)
-    x, res = newton_polish(p, outcome.X, relative_residual(p, outcome.X),
+    x, res = newton_polish(p, outcome.X, *_residual_with_size(p, outcome.X),
                            float(np.min(np.abs(cs.central_eigs))))
     solution = Solution(X=x, residual=float(res), iterations=outcome.steps,
                         converged=res <= residual_bound(p, opts.tol))

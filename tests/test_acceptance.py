@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import narekit as nk
+from narekit import diagnostics
 from narekit.core import ordered_eigenvalues
 from narekit.diagnostics import _complete_basis, schur_basis, stable_basis
 from narekit.kernel import frobenius_norm, spectral_norm
@@ -37,7 +38,7 @@ TABLE1 = {
 }
 
 
-def test_separation_table_transport_n4():
+def test_separation_table_transport_n4(monkeypatch):
     t0 = time.perf_counter()
     for beta, want in TABLE1.items():
         p = nk.transport_problem(nk.TransportSpec.near_critical(4, beta))
@@ -71,8 +72,10 @@ def test_separation_table_transport_n4():
         assert nk.cayley_gap(shifted, gamma) == pytest.approx(
             want["cayley_shifted"], rel=0.05)
         ws = stable_basis(shifted.H)
-        assert nk.relsep_of_subspace(shifted.H, ws, defect_tol=1e-6) == (
-            pytest.approx(want["rsep_w_shifted"], rel=0.08))
+        with monkeypatch.context() as patched:
+            patched.setattr(diagnostics, "DEFECT_TOL", 1e-6)
+            assert nk.relsep_of_subspace(shifted.H, ws) == (
+                pytest.approx(want["rsep_w_shifted"], rel=0.08))
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -193,6 +193,19 @@ class TestUsage:
         assert code == 5
         assert out == "" and "narekit: " in err
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--family", "transport", "--n", "8", "--beta", "1e-3"],
+        ["sushi", "--family", "transport", "--n", "8", "--beta", "1e-3"],
+        ["bench", "--sizes", "8", "--params", "1e-3"],
+    ], ids=["solve", "sushi", "bench"])
+    @pytest.mark.parametrize("bad", [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"],
+                                     ["--max-steps", "0"], ["--max-steps", "-1"]])
+    def test_step_arguments_out_of_range_exit_5(self, capsys, command, bad):
+        # a NaN tol ran every step and exited 0 unconverged; -1 steps exited 3
+        code, out, err = run(capsys, *command, *bad)
+        assert code == 5
+        assert json.loads(out)["error"] == "io" and bad[0] in err
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sushi", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
@@ -235,10 +248,11 @@ class TestSushi:
         code, _, _ = run(capsys, "sushi", "--problem", str(path))
         assert code == 4
 
-    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "17"),
-                                             ("--s", "-2"), ("--s", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "16"),
+                                             ("--k", "17"), ("--s", "-2"),
+                                             ("--s", "-1")])
     def test_out_of_range_override_exits_5(self, capsys, flag, value):
-        # n = m = 8 allows 1 <= k <= 16; a shift needs 1 + s > 0
+        # n = m = 8 allows 1 <= k <= 15; a shift needs 1 + s > 0
         code, out, err = run(capsys, "sushi", "--family", "transport",
                              "--n", "8", "--beta", "1e-3", flag, value)
         assert code == 5
@@ -249,6 +263,13 @@ class TestSushi:
         # exactly critical: no central dimension up to K_MAX separates
         code, out, _ = run(capsys, "sushi", "--family", "transport", "--n", "8",
                            "--alpha", "0", "--c", "1")
+        assert code == 3
+        assert json.loads(out)["error"] == "no-convergence"
+
+    def test_order_two_exits_3(self, capsys):
+        # n = m = 1: no central dimension k >= 2 below n + m = 2
+        code, out, _ = run(capsys, "sushi", "--family", "transport", "--n", "1",
+                           "--beta", "1e-3")
         assert code == 3
         assert json.loads(out)["error"] == "no-convergence"
 

@@ -4,6 +4,7 @@ import numpy.testing as npt
 import pytest
 
 import narekit as nk
+from narekit import core
 from narekit.core import ordered_eigenvalues, require_mmatrix
 from narekit.errors import (
     DegenerateDenominator,
@@ -89,11 +90,12 @@ class TestClassifyMmatrix:
     def test_positive_offdiagonal(self):
         assert nk.classify_mmatrix([[1.0, 0.5], [0.0, 1.0]]).tag == "NotM"
 
-    def test_transport_family(self):
+    def test_transport_family(self, monkeypatch):
         p = nk.transport_problem(nk.TransportSpec(n=8, alpha=1e-3, c=1 - 1e-3))
         assert nk.classify_mmatrix(nk.build_m(p)).tag == "NonsingularM"
         critical = nk.transport_problem(nk.TransportSpec(n=8, alpha=0.0, c=1.0))
-        assert nk.classify_mmatrix(nk.build_m(critical), zero_tol=1e-8).tag == "SingularM"
+        monkeypatch.setattr(core, "ZERO_TOL", 1e-8)
+        assert nk.classify_mmatrix(nk.build_m(critical)).tag == "SingularM"
 
     def test_beyond_former_eigensolver_cap(self):
         # 2n = 1040 was refused with DimensionCap by the dense eig this
@@ -146,7 +148,9 @@ def test_certificate_matches_eig_oracle(size, kind, where, dtype, seed):
     tau = zero_tol * max(rho - np.min(np.diag(nmat)), 1.0)
     m = ((rho + where * tau) * np.eye(size) - nmat).astype(dtype)
     tag, margin, tau = _eig_oracle(m, zero_tol)
-    got = nk.classify_mmatrix(m, zero_tol=zero_tol)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(core, "ZERO_TOL", zero_tol)
+        got = nk.classify_mmatrix(m)
     assert got.tag == tag
     evidence = got.spectral_abscissa_evidence
     if tag == "NotM":

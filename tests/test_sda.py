@@ -220,6 +220,13 @@ class TestSolve:
         assert out.residual > sda.residual_bound(p, 1e-15)
         assert not out.converged
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN tol never stops the iteration, and says nothing about it
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        with pytest.raises(InvalidProblem):
+            nk.sda_solve(p, nk.SdaConfig(tol=tol))
+
     def test_gamma_default_is_gamma_star(self):
         p = nk.random_mnare(nk.RandomMnareSpec(n=6, alpha=1.0, seed=0))
         out = nk.sda_solve(p, nk.SdaConfig())

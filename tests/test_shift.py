@@ -16,21 +16,28 @@ from narekit.errors import (
     SingularMatrix,
     UVSingular,
 )
-from narekit.kernel import coupling_cond, frobenius_norm
+from narekit.kernel import coupling_cond, frobenius_norm, lu_factor
 from narekit import core, sda, shift
 from narekit.shift import (
     CentralSubspaces,
+    detect_k,
     estimate_next_modulus,
+    inverse_orthogonal_iteration,
     newton_polish,
 )
 from conftest import planted_matrix
 from oracles import relative_error
 
 
+def _lu(h):
+    """H's LU as sushi_solve factors it: what the iteration stages take."""
+    return lu_factor(np.asarray(h), pivot_tol=0.0, error=SingularH)
+
+
 class TestInverseIteration:
     def test_diagonal_well_separated(self):
         h = np.diag([0.1, 0.2, 5.0, 7.0])
-        q, steps, t = nk.inverse_orthogonal_iteration(h, 2)
+        q, steps, t = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 100)
         target = np.zeros((4, 2))
         target[0, 0] = target[1, 1] = 1.0
         assert nk.subspace_distance(q, target) <= 1e-12
@@ -40,7 +47,7 @@ class TestInverseIteration:
         rng = np.random.default_rng(20)
         eigs = np.concatenate([[0.01, 0.02], rng.uniform(1.0, 2.0, 10)])
         h, _ = planted_matrix(rng, eigs)
-        _, _, t = nk.inverse_orthogonal_iteration(h, 2)
+        _, _, t = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 100)
         true_ratio = 0.02 / np.min(np.abs(eigs[2:]))
         assert true_ratio / 3.0 <= t <= true_ratio * 3.0
 
@@ -49,17 +56,19 @@ class TestInverseIteration:
         eigs = np.concatenate([[0.5, 0.55], rng.uniform(0.6, 0.9, 8)])
         h, _ = planted_matrix(rng, eigs)
         with pytest.raises(NoConvergence) as err:
-            nk.inverse_orthogonal_iteration(h, 2, max_iters=4)
+            inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 4)
         assert err.value.diagnostics["basis"].shape == (10, 2)
         assert err.value.diagnostics["steps"] == 4
 
     def test_singular_h_rejected(self):
         with pytest.raises(SingularH):
-            nk.inverse_orthogonal_iteration(np.zeros((3, 3)), 1)
+            nk.compute_central_pair(np.zeros((3, 3)), 1)
 
     def test_bad_k_rejected(self):
-        with pytest.raises(InvalidProblem):
-            nk.inverse_orthogonal_iteration(np.eye(3), 5)
+        # a central subspace leaves at least one eigenvalue outside
+        for k in (0, 3, 5):
+            with pytest.raises(InvalidProblem):
+                inverse_orthogonal_iteration(_lu(np.eye(3)), k, 1e-12, 100)
 
 
 class TestComputeCentralPair:
@@ -165,7 +174,7 @@ class TestSharedFactor:
         eigs = np.concatenate([[0.05, -0.06], rng.uniform(1.0, 2.0, 8)])
         h, _ = planted_matrix(rng, eigs)
         cs = nk.compute_central_pair(h, 2)
-        u, _, _ = nk.inverse_orthogonal_iteration(h.T, 2)
+        u, _, _ = inverse_orthogonal_iteration(_lu(h.T), 2, 1e-12, 100)
         assert nk.subspace_distance(cs.U, u) <= 1e-10
 
     def test_rectangular_blocks(self):
@@ -189,18 +198,18 @@ class TestDetectK:
         eigs = np.concatenate([[0.010, 0.011, 0.012, 0.013],
                                rng.uniform(1.0, 2.0, 8)])
         h, _ = planted_matrix(rng, eigs)
-        assert nk.detect_k(h) == 4
+        assert detect_k(_lu(h), 1e-12) == 4
 
     def test_transport_uses_two(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
-        assert nk.detect_k(nk.build_h(p).H) == 2
+        assert detect_k(_lu(nk.build_h(p).H), 1e-12) == 2
 
     @pytest.mark.parametrize("beta", [1e-2, 3e-3, 1e-3])
     def test_settled_probe_counts_as_fast(self, beta):
         # the k = 2 probe ends its steps just above tol with no measurable
         # contraction window; it has settled, so k = 2 is accepted
         p = nk.transport_problem(nk.TransportSpec.near_critical(8, beta))
-        assert nk.detect_k(nk.build_h(p).H) == 2
+        assert detect_k(_lu(nk.build_h(p).H), 1e-12) == 2
         solution, cs, _, _ = nk.sushi_solve(p)
         assert cs.k == 2 and solution.residual <= 1e-12
 
@@ -212,7 +221,28 @@ class TestDetectK:
         h = scipy.linalg.block_diag(*blocks)
         monkeypatch.setattr(shift, "K_MAX", 4)
         with pytest.raises(KMaxReached):
-            nk.detect_k(h)
+            detect_k(_lu(h), 1e-12)
+
+    @pytest.mark.parametrize("problem", [
+        lambda: nk.transport_problem(nk.TransportSpec.near_critical(1, 1e-3)),
+        lambda: nk.transport_problem(nk.TransportSpec.near_critical(1, 1e-12)),
+        lambda: nk.random_mnare(nk.RandomMnareSpec(n=1, alpha=1e-3, seed=0)),
+        lambda: _mnare(1, 4, 1e-6),
+        lambda: _mnare(4, 1, 1e-6),
+    ], ids=["transport-1-1e-3", "transport-1-1e-12", "random-1", "n1-m4", "n4-m1"])
+    def test_no_central_subspace_of_full_order(self, problem):
+        # k = n + m leaves no xi_{k+1}: detect_k stops below the order of H
+        p = problem()
+        with pytest.raises(KMaxReached) as err:
+            nk.sushi_solve(p)
+        assert err.value.k_max == min(shift.K_MAX, p.n + p.m - 1)
+
+
+def _mnare(n, m, alpha, seed=0):
+    """M-NARE with an m x n solution, carved from (rho(N) + alpha) I - N."""
+    big = np.random.default_rng(seed).uniform(0.0, 1.0, (n + m, n + m))
+    mm = (np.max(np.abs(np.linalg.eigvals(big))) + alpha) * np.eye(n + m) - big
+    return nk.NareProblem(A=mm[n:, n:], B=-mm[n:, :n], C=-mm[:n, n:], D=mm[:n, :n])
 
 
 class TestShiftSelection:
@@ -226,7 +256,6 @@ class TestShiftSelection:
     def test_rule_arithmetic(self):
         plan = nk.choose_shift_s(self._pair([0.5, 0.6]), xi_next=2.5, h_norm=1.0)
         assert plan.s == pytest.approx(4.0)
-        assert plan.k == 2
 
     def test_clamp_when_no_separation(self):
         plan = nk.choose_shift_s(self._pair([1.0, 1.0]), xi_next=1.0, h_norm=1.0)
@@ -243,11 +272,11 @@ class TestShiftSelection:
         h = np.diag([0.1, 0.2, 5.0, 7.0, 9.0])
         # the default step count only buys the leading digit; it must land
         # between |xi_3| and the largest modulus
-        est = estimate_next_modulus(h, 2)
+        est = estimate_next_modulus(_lu(h), 2)
         assert 5.0 <= est <= 9.0
         # with enough steps the probe converges to |xi_3| exactly
         monkeypatch.setattr(shift, "NEXT_MODULUS_STEPS", 40)
-        assert estimate_next_modulus(h, 2) == pytest.approx(5.0, rel=1e-6)
+        assert estimate_next_modulus(_lu(h), 2) == pytest.approx(5.0, rel=1e-6)
 
 
 class TestBuildShiftedH:
@@ -480,7 +509,8 @@ class TestSushiSolve:
 
 def _polish(p, x):
     """newton_polish from x's own residual, with Cayley parameter gamma*."""
-    return newton_polish(p, x, nk.relative_residual(p, x), nk.gamma_star(p))
+    return newton_polish(p, x, nk.residual(p, x), nk.relative_residual(p, x),
+                         nk.gamma_star(p))
 
 
 def test_newton_polish_improves_residual():
@@ -495,10 +525,11 @@ def test_newton_polish_improves_residual():
 def test_newton_polish_reuses_given_residual(monkeypatch):
     p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
     out = nk.sda_solve(p, nk.SdaConfig())
-    calls = []
-    monkeypatch.setattr("narekit.shift.relative_residual",
-                        lambda *args: calls.append(args) or 0.0)
-    x, res = newton_polish(p, out.X, out.residual, nk.gamma_star(p))
+    r, calls = nk.residual(p, out.X), []
+    for mod, name in ((core, "_residual_with_size"), (shift, "_residual_with_size"),
+                      (core, "residual"), (shift, "_smith_correction")):
+        monkeypatch.setattr(mod, name, lambda *args: calls.append(args))
+    x, res = newton_polish(p, out.X, r, out.residual, nk.gamma_star(p))
     assert calls == []
     assert x is out.X and res == out.residual
 
@@ -553,20 +584,27 @@ def test_sushi_solve_makes_no_schur_form(monkeypatch):
 
 
 def test_sushi_solve_residual_calls(monkeypatch):
-    # two in the doubling, one on the original equation, one per correction
-    calls = []
-    relative_residual = nk.relative_residual
+    # X C X is formed twice in the doubling (primal and dual), once for its
+    # X on the original equation and once per polish correction
+    formed, corrections = [], []
+    for mod, name in ((core, "_residual_with_size"), (shift, "_residual_with_size"),
+                      (core, "residual")):
+        def counting(p, x, _fn=getattr(mod, name)):
+            formed.append(x.shape)
+            return _fn(p, x)
+        monkeypatch.setattr(mod, name, counting)
 
-    def counting(p, x):
-        calls.append(x.shape)
-        return relative_residual(p, x)
+    def correcting(*args, _fn=shift._smith_correction):
+        delta = _fn(*args)
+        corrections.append(delta is not None)
+        return delta
 
-    monkeypatch.setattr("narekit.sda.relative_residual", counting)
-    monkeypatch.setattr("narekit.shift.relative_residual", counting)
+    monkeypatch.setattr(shift, "_smith_correction", correcting)
     p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
     solution, *_ = nk.sushi_solve(p)
     assert solution.residual <= 1e-12
-    assert len(calls) <= 3 + shift.POLISH_MAX_STEPS
+    assert sum(corrections) >= 1  # the polish ran
+    assert len(formed) == 3 + sum(corrections)
 
 
 @pytest.mark.parametrize("doublings", [2, shift.POLISH_MAX_DOUBLINGS])
