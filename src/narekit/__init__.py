@@ -5,7 +5,9 @@ Solvers: the structured doubling iteration (`sda_solve`), the classical
 rank-one shift (`classical_shift`), and the rank-k subspace-shifted
 pipeline (`sushi_solve`) for close-to-critical problems.  Diagnostics
 cover the spectral gap, Cayley gap, Sylvester separation, and the
-conditioning of the central eigenvalue cluster.
+conditioning of the central eigenvalue cluster.  Every failure is a
+`NarekitError` (see narekit.errors) with a message and a `diagnostics`
+dict or None.
 """
 
 __version__ = "0.1.0"

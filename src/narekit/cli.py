@@ -9,10 +9,13 @@ Subcommands::
     bench     grid of (plain vs shifted) runs, one row per cell
 
 Exit codes: 0 success (--help and --version included), 2 solver
-breakdown, 3 no convergence, 4 classification failure (not an M-matrix
-equation, or ambiguous spectrum), 5 usage or input/output error (an
-unknown flag, a malformed value, or a --k, --s, --gamma, --tol or
---max-steps out of range included); 6 is unassigned.  In JSON mode
+breakdown (SingularMatrix, InitSingular and Breakdown included), 3 any
+other NarekitError (no convergence, no central subspace, an
+ill-conditioned central pair), 4 InvalidProblem (not an M-matrix
+equation, a spectrum that does not split), 5 usage or input/output error
+(an unknown flag, a malformed value, a --k, --s, --gamma, --tol or
+--max-steps out of range, and a problem file or generator that raises
+InvalidProblem included); 6 is unassigned.  In JSON mode
 errors, usage errors included, are reported as {"error": <code-name>,
 "message": ...} on standard output; a human-readable message always goes
 to standard error.  csv and table cells render lists and dicts as
@@ -32,14 +35,7 @@ from . import __version__
 from .core import NareProblem, build_h, build_m, classify_mmatrix, gamma_star
 from .core import ordered_eigenvalues, require_mmatrix
 from .diagnostics import _delta, _gap, report_for
-from .errors import (
-    Breakdown,
-    ClassificationAmbiguous,
-    InitSingular,
-    InvalidProblem,
-    NarekitError,
-    SingularMatrix,
-)
+from .errors import InvalidProblem, NarekitError, SingularMatrix
 from .sda import SdaConfig, sda_solve, trace_writer
 from .shift import SushiOptions, sushi_report, sushi_solve
 from .problems import (
@@ -159,7 +155,7 @@ def _load_problem(args) -> NareProblem:
     if has_file:
         try:
             return NareProblem.load(args.problem)
-        except (OSError, json.JSONDecodeError, KeyError, InvalidProblem) as exc:
+        except (OSError, InvalidProblem) as exc:
             raise _CliFailure(EXIT_IO, f"cannot load {args.problem}: {exc}")
     return _generate(args.family, args.n, beta=args.beta, alpha=args.alpha,
                      c=args.c, seed=args.seed)
@@ -431,12 +427,11 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except _CliFailure as exc:
         return _error_exit(args, exc.code, str(exc))
-    except (Breakdown, InitSingular, SingularMatrix) as exc:
+    except SingularMatrix as exc:  # InitSingular and Breakdown included
         return _error_exit(args, EXIT_BREAKDOWN, str(exc))
-    except (ClassificationAmbiguous, InvalidProblem) as exc:
+    except InvalidProblem as exc:
         return _error_exit(args, EXIT_CLASSIFICATION, str(exc))
     except NarekitError as exc:
-        # remaining library failures are iteration/pipeline breakdowns
         return _error_exit(args, EXIT_NO_CONVERGENCE, str(exc))
 
 

@@ -98,15 +98,18 @@ class NareProblem:
 
     @classmethod
     def from_json(cls, text):
-        payload = json.loads(text)
-        prob = cls(
-            np.array(payload["A"], dtype=float),
-            np.array(payload["B"], dtype=float),
-            np.array(payload["C"], dtype=float),
-            np.array(payload["D"], dtype=float),
-            metadata=payload.get("metadata", {}),
-        )
-        if prob.m != payload["m"] or prob.n != payload["n"]:
+        """The problem of a to_json payload; InvalidProblem for any malformed
+        one (bad JSON or encoding, nesting too deep to parse, a missing key,
+        a ragged, non-numeric or overflowing block, a payload that is not an
+        object)."""
+        try:
+            payload = json.loads(text)
+            blocks = [np.array(payload[k], dtype=float) for k in "ABCD"]
+            prob = cls(*blocks, metadata=payload.get("metadata", {}))
+            declared = (payload["m"], payload["n"])
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+            raise InvalidProblem(str(exc)) from exc
+        if (prob.m, prob.n) != declared:
             raise InvalidProblem("declared m, n disagree with block shapes")
         return prob
 
@@ -116,7 +119,7 @@ class NareProblem:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # json.loads detects the encoding
             return cls.from_json(fh.read())
 
 

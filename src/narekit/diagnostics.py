@@ -25,8 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import LinearizingMatrix, cayley, ordered_eigenvalues
-from .errors import ClassificationAmbiguous, InvalidProblem, MatchFailure
-from .errors import NoConvergence, NotInvariant, UVSingular
+from .errors import CentralPairIllConditioned, InvalidProblem, MatchFailure
+from .errors import NoConvergence, NotInvariant
 from .kernel import coupling_cond, frobenius_norm
 
 #: step cap of the Lanczos iteration in sep_f
@@ -65,13 +65,13 @@ def cayley_gap(h: LinearizingMatrix, gamma: float) -> float:
     quadratic convergence rate of doubling on H.
 
     The general form: valid for shifted matrices, where the extremal
-    eigenvalues need not be the two central ones.  ClassificationAmbiguous
+    eigenvalues need not be the two central ones.  InvalidProblem
     unless the spectrum splits into n antistable and m stable eigenvalues.
     """
     lam = ordered_eigenvalues(h)
     scale = frobenius_norm(h.H)
     if lam[h.n - 1].real < -1e-8 * scale or lam[h.n].real > 1e-8 * scale:
-        raise ClassificationAmbiguous("spectrum does not split n antistable / m stable")
+        raise InvalidProblem("spectrum does not split n antistable / m stable")
     return _cayley_gap(h, lam, gamma)
 
 
@@ -150,7 +150,8 @@ def relsep_of_subspace(h, basis) -> float:
     compressed = basis.T @ h @ basis
     defect = frobenius_norm(h @ basis - basis @ compressed) / scale
     if defect > DEFECT_TOL:
-        raise NotInvariant(defect, DEFECT_TOL)
+        raise NotInvariant(f"invariance defect {defect:.3e} exceeds tolerance "
+                           f"{DEFECT_TOL:.1e}", {"defect": defect})
     q = _complete_basis(basis)
     t = q.T @ h @ q
     a11, a22 = t[:k, :k], t[k:, k:]
@@ -188,15 +189,17 @@ def delta_central(h: LinearizingMatrix, central_eigs) -> float:
 
 def check_coupling(cond, k) -> float:
     """cond = ||(U^T V)^-1||_2 of k-column bases, passed through; raises
-    UVSingular when sigma_min(U^T V) = 1 / cond is at most eps * k."""
+    CentralPairIllConditioned when sigma_min(U^T V) = 1 / cond is at most
+    eps * k."""
     if cond * np.finfo(np.float64).eps * max(k, 1) >= 1.0:
-        raise UVSingular("U^T V is numerically singular")
+        raise CentralPairIllConditioned("U^T V is numerically singular",
+                                        {"cond_uv": cond})
     return cond
 
 
 def cond_uv(u, v) -> float:
     """Spectral norm of (U^T V)^-1, i.e. 1 / sigma_min(U^T V); raises
-    UVSingular when sigma_min is at roundoff level."""
+    CentralPairIllConditioned when sigma_min is at roundoff level."""
     return check_coupling(coupling_cond(u, v), np.shape(u)[1])
 
 

@@ -35,10 +35,10 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def lu_factor(m, pivot_tol=None, error=SingularMatrix):
+def lu_factor(m, pivot_tol=None):
     """Guarded pivoted LU factors (lu, piv) of a square matrix, by getrf.
 
-    Raises `error` for non-finite entries and when the smallest pivot
+    Raises SingularMatrix for non-finite entries and when the smallest pivot
     modulus is zero or below pivot_tol, which defaults to eps * ||m||_F * dim.
     pivot_tol=0.0 rejects only an exact zero pivot, for inverse iteration,
     which wants a nearly singular matrix.  m is left unchanged.
@@ -47,14 +47,14 @@ def lu_factor(m, pivot_tol=None, error=SingularMatrix):
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise InvalidProblem("lu_factor needs a nonempty square matrix")
     if not np.all(np.isfinite(m)):
-        raise error("matrix has non-finite entries")
+        raise SingularMatrix("matrix has non-finite entries")
     if pivot_tol is None:
         pivot_tol = float(np.finfo(m.dtype).eps) * frobenius_norm(m) * m.shape[0]
     lu, piv, _ = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)
     small = np.abs(np.diag(lu)).min()
     if small < pivot_tol or small == 0.0:
-        raise error(f"matrix is numerically singular: smallest pivot {small:.3e}, "
-                    f"threshold {pivot_tol:.3e}")
+        raise SingularMatrix(f"matrix is numerically singular: smallest pivot "
+                             f"{small:.3e}, threshold {pivot_tol:.3e}")
     return lu, piv
 
 

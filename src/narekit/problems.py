@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NareProblem
-from .errors import InvalidProblem, QuadratureFailure
+from .errors import InvalidProblem
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ def gauss_legendre_nodes(n):
             nodes = 0.5 * (x + 1.0)
             weights = 0.5 * w
     except np.linalg.LinAlgError as exc:
-        raise QuadratureFailure(str(exc)) from exc
+        raise InvalidProblem(str(exc)) from exc
     if not (np.all(nodes > 0.0) and np.all(nodes < 1.0) and np.all(weights > 0.0)):
-        raise QuadratureFailure("quadrature nodes left the open interval (0, 1)")
+        raise InvalidProblem("quadrature nodes left the open interval (0, 1)")
     return nodes, weights
 
 

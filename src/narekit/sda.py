@@ -105,7 +105,7 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
         try:
             factor = lu_factor(mat)
         except SingularMatrix as exc:
-            raise InitSingular(which, f"{which} is singular: {exc}") from exc
+            raise InitSingular(f"{which} is singular: {exc}", {"which": which}) from exc
         return lu_solve(factor, rhs)
 
     dg_sol = solve(d_g, np.hstack([p.C, eye_n]), "D+gamma*I")
@@ -123,19 +123,22 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
 
 def _guarded_factor(mat, step):
     """LU factor of I - G@H or I - H@G, its 1-norm condition estimate and the
-    1-norm of its inverse (cond / ||mat||_1); raises Breakdown(step, cond)
-    when the estimate exceeds BREAKDOWN_COND, and Breakdown(step, inf) on an
-    exact zero pivot or non-finite entries."""
+    1-norm of its inverse (cond / ||mat||_1); raises Breakdown when the
+    estimate exceeds BREAKDOWN_COND, with cond_estimate inf on an exact zero
+    pivot or non-finite entries."""
     try:
         factor = lu_factor(mat, pivot_tol=0.0)
     except SingularMatrix:
-        raise Breakdown(step, np.inf) from None
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
-    anorm = np.linalg.norm(mat, 1)
-    rcond, _ = gecon(factor[0], anorm)
-    cond = 1.0 / rcond if rcond > 0 else np.inf
+        cond = np.inf
+    else:
+        gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
+        anorm = np.linalg.norm(mat, 1)
+        rcond, _ = gecon(factor[0], anorm)
+        cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > BREAKDOWN_COND:
-        raise Breakdown(step, cond)
+        raise Breakdown(f"doubling breakdown at step {step}: "
+                        f"cond(I - G@H) estimate {cond:.3e}",
+                        {"step": step, "cond_estimate": cond})
     return factor, float(cond), float(cond / anorm)
 
 

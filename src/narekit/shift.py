@@ -49,10 +49,7 @@ from .errors import (
     InvalidProblem,
     KMaxReached,
     NoConvergence,
-    OrthogonalPair,
-    SingularH,
     SingularMatrix,
-    UVSingular,
 )
 from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
 from .kernel import lu_solve, subspace_distance, thin_qr
@@ -153,12 +150,14 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
     """
     h = np.asarray(h)
     if factor is None:
-        factor = lu_factor(h, pivot_tol=0.0, error=SingularH)
+        factor = lu_factor(h, pivot_tol=0.0)
     v, steps_v, t = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS)
     u, _, _ = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS, trans=1)
     cond_uv = coupling_cond(u, v)
     if cond_uv > COND_CAP:
-        raise CentralPairIllConditioned(cond_uv)
+        raise CentralPairIllConditioned(
+            f"cond(U^T V) = {cond_uv:.3e} exceeds the acceptance cap",
+            {"cond_uv": cond_uv})
     central = eigenvalues(v.T @ h @ v)
     return CentralSubspaces(
         V=v, U=u, k=k, central_eigs=central,
@@ -189,7 +188,9 @@ def detect_k(factor, tol):
         last_t = t
         if t <= SLOW_RATE:
             return k
-    raise KMaxReached(k_max, last_t)
+    raise KMaxReached(f"no well-separated central subspace up to k={k_max} "
+                      f"(rate estimate {last_t:.3g})",
+                      {"k_max": k_max, "t_estimate": last_t})
 
 
 def estimate_next_modulus(factor, k):
@@ -237,8 +238,9 @@ def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm) -> ShiftPlan:
 def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
                     s: float) -> LinearizingMatrix:
     """The rank-k update H (I + s V (U^T V)^-1 U^T) as a LinearizingMatrix,
-    formed as H + s (H V)((U^T V)^-1 U^T) in O(N^2 k); UVSingular by
-    diagnostics.cond_uv's rule, applied to cs.cond_uv.
+    formed as H + s (H V)((U^T V)^-1 U^T) in O(N^2 k);
+    CentralPairIllConditioned by diagnostics.cond_uv's rule, applied to
+    cs.cond_uv, or when the k x k solve finds U^T V exactly singular.
 
     InvalidProblem unless 1 + s > 0: a factor 1 + s <= 0 moves the central
     eigenvalues onto or across the imaginary axis, so the doubling would
@@ -250,22 +252,23 @@ def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
     try:
         w = np.linalg.solve(cs.U.T @ cs.V, cs.U.T)
     except np.linalg.LinAlgError as exc:
-        raise UVSingular(f"U^T V is singular: {exc}") from exc
+        raise CentralPairIllConditioned(f"U^T V is singular: {exc}",
+                                        {"cond_uv": cs.cond_uv}) from exc
     return LinearizingMatrix(h.H + (s * (h.H @ cs.V)) @ w, h.n, h.m)
 
 
 def classical_shift(h, v, u, s):
     """Rank-one update h + s * v u^T / (u^T v), moving one eigenvalue by s.
 
-    v must be an eigenvector of h; u any vector not orthogonal to v.  All
-    other eigenvalues are unchanged.
+    v must be an eigenvector of h; u any vector not orthogonal to v
+    (InvalidProblem otherwise).  All other eigenvalues are unchanged.
     """
     h = np.asarray(h)
     v = np.asarray(v, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
     uv = float(u @ v)
     if abs(uv) < 1e-12 * np.linalg.norm(u) * np.linalg.norm(v):
-        raise OrthogonalPair("u and v are numerically orthogonal")
+        raise InvalidProblem("u and v are numerically orthogonal")
     return h + (s / uv) * np.outer(v, u)
 
 
@@ -357,8 +360,8 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     t0 = time.perf_counter()
     h = build_h(p)
     try:
-        factor = lu_factor(h.H, pivot_tol=0.0, error=SingularH)  # shared below
-    except SingularH:
+        factor = lu_factor(h.H, pivot_tol=0.0)  # shared below
+    except SingularMatrix:
         if not opts.force:
             require_mmatrix(p)  # a problem that is not M-structured says so first
         raise

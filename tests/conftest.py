@@ -53,3 +53,20 @@ def planted_matrix(rng, eigs, coupling=0.3):
     t = np.eye(dim) + coupling * rng.standard_normal((dim, dim))
     h = t @ np.diag(eigs) @ np.linalg.inv(t)
     return h, t
+
+
+def _node_at_zero(n):
+    """A rule on [-1, 1] whose first node maps to 0.0 on (0, 1)."""
+    return np.linspace(-1.0, 0.5, n), np.full(n, 2.0 / n)
+
+
+def _linalg_error(n):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+@pytest.fixture(params=[_node_at_zero, _linalg_error],
+                ids=["node-at-zero", "linalg-error"])
+def broken_leggauss(request, monkeypatch):
+    """numpy's Gauss-Legendre rule replaced by one the quadrature guard of
+    problems.gauss_legendre_nodes must reject."""
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", request.param)

@@ -42,6 +42,13 @@ class TestGen:
         assert code == 5
         assert "alpha" in err
 
+    def test_quadrature_failure_exits_5(self, tmp_path, capsys, broken_leggauss):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", "--family", "transport", "--n", "5",
+                           "--beta", "1e-3", "--out", str(out))
+        assert code == 5
+        assert "narekit: " in err and not out.exists()
+
 
 class TestSolve:
     def test_transport_table_cell(self, capsys):
@@ -135,6 +142,22 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--problem", str(path))
         assert code == 5
         assert json.loads(out)["error"] == "io"
+
+    @pytest.mark.parametrize("payload", [
+        b'{"m": 1, "n": 1, "A": [[1, 2], [3]], "B": [[1]], "C": [[1]], "D": [[1]]}',
+        b'{"m": 1, "n": 1, "A": [["x"]], "B": [[1]], "C": [[1]], "D": [[1]]}',
+        b'[[1]]',
+        b'{"m": 1, "n": 1, "A": [[1]]\xff}',
+        b'{"A": ' + b'[' * 100000 + b']' * 100000 + b'}',
+    ], ids=["ragged", "non-numeric", "top-level-list", "not-utf8", "too-deep"])
+    def test_malformed_file_exits_5(self, tmp_path, capsys, payload):
+        # each used to escape from the loader as a traceback (exit 1)
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert code == 5
+        assert json.loads(out)["error"] == "io"
+        assert f"cannot load {path}" in err
 
     def test_no_size_cap(self):
         # sep_f no longer assembles the Kronecker operator, the last dense
@@ -247,6 +270,18 @@ class TestSushi:
         nk.NareProblem(A=[[1.0]], B=[[2.0]], C=[[3.0]], D=[[1.0]]).save(path)
         code, _, _ = run(capsys, "sushi", "--problem", str(path))
         assert code == 4
+
+    def test_singular_h_exits_2(self, tmp_path, capsys):
+        # H = [[1, 1], [-1, -1]] has an exact zero pivot, and M = [[1, 1],
+        # [1, 1]] a positive off-diagonal entry, which the guard reports first
+        path = tmp_path / "singular_h.json"
+        nk.NareProblem(A=[[1.0]], B=[[-1.0]], C=[[-1.0]], D=[[1.0]]).save(path)
+        code, out, _ = run(capsys, "sushi", "--problem", str(path), "--force")
+        assert code == 2
+        assert json.loads(out)["error"] == "breakdown"
+        code, out, _ = run(capsys, "sushi", "--problem", str(path))
+        assert code == 4
+        assert json.loads(out)["error"] == "classification"
 
     @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "16"),
                                              ("--k", "17"), ("--s", "-2"),

@@ -10,11 +10,11 @@ import narekit as nk
 from narekit import diagnostics
 from narekit.diagnostics import _complete_basis, stable_basis
 from narekit.errors import (
+    CentralPairIllConditioned,
     InvalidProblem,
     MatchFailure,
     NoConvergence,
     NotInvariant,
-    UVSingular,
 )
 from narekit.kernel import frobenius_norm
 from oracles import solution_distance_bound
@@ -335,7 +335,7 @@ class TestCondUv:
         assert nk.cond_uv(u, v) == pytest.approx(1.0 / np.cos(theta), rel=1e-12)
 
     def test_orthogonal_bases_rejected(self):
-        with pytest.raises(UVSingular):
+        with pytest.raises(CentralPairIllConditioned):
             nk.cond_uv(np.eye(4)[:, :2], np.eye(4)[:, 2:])
 
 

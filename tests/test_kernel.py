@@ -6,7 +6,6 @@ import scipy.linalg
 import narekit as nk
 from narekit.errors import (
     InvalidProblem,
-    SingularH,
     SingularMatrix,
 )
 from narekit.kernel import (
@@ -34,8 +33,8 @@ class TestLuFactor:
     def test_non_finite_raises_given_error(self):
         with pytest.raises(SingularMatrix):
             lu_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
-        with pytest.raises(SingularH):
-            lu_factor(np.array([[np.nan]]), error=SingularH)
+        with pytest.raises(SingularMatrix):
+            lu_factor(np.array([[np.nan]]))
 
     def test_zero_pivot_tol_accepts_nearly_singular(self):
         m = np.diag([1.0, 1e-17])
@@ -45,13 +44,13 @@ class TestLuFactor:
         assert abs(lu[1, 1]) == 1e-17
 
     def test_guards_raise_the_given_error(self):
-        with pytest.raises(SingularH, match="non-finite"):
-            lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]), error=SingularH)
+        with pytest.raises(SingularMatrix, match="non-finite"):
+            lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]))
         exact = np.array([[1.0, 2.0], [2.0, 4.0]])  # second pivot exactly 0
-        with pytest.raises(SingularH, match="smallest pivot 0.000e"):
-            lu_factor(exact, pivot_tol=0.0, error=SingularH)
-        with pytest.raises(SingularH, match="smallest pivot 1.000e-03"):
-            lu_factor(np.diag([1.0, 1e-3]), pivot_tol=1e-2, error=SingularH)
+        with pytest.raises(SingularMatrix, match="smallest pivot 0.000e"):
+            lu_factor(exact, pivot_tol=0.0)
+        with pytest.raises(SingularMatrix, match="smallest pivot 1.000e-03"):
+            lu_factor(np.diag([1.0, 1e-3]), pivot_tol=1e-2)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_input_unchanged(self, order):

@@ -1,7 +1,9 @@
-"""Distribution metadata in pyproject.toml agrees with the package."""
+"""Distribution metadata in pyproject.toml agrees with the package, and
+every error class is raised and documented with its CLI exit code."""
 
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -9,14 +11,21 @@ from pathlib import Path
 import pytest
 
 import narekit as nk
+from narekit import cli, errors
 
-tomllib = pytest.importorskip("tomllib")
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
+README = TESTS.parent / "README.md"
+SRC = TESTS.parent / "src" / "narekit"
+
+
+def _project():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    return tomllib.loads(PYPROJECT.read_text())["project"]
 
 
 def test_pyproject_names_the_package():
-    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    project = _project()
     assert project["name"] == "narekit"
     assert project["version"] == nk.__version__
     module, attr = project["scripts"]["narekit"].split(":")
@@ -24,7 +33,7 @@ def test_pyproject_names_the_package():
 
 
 def test_test_extra_declares_every_test_import():
-    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    project = _project()
     extra = project["optional-dependencies"]["test"]
     declared = {re.split(r"[^A-Za-z0-9_.-]", req, maxsplit=1)[0].lower()
                 for req in project["dependencies"] + extra}
@@ -39,3 +48,46 @@ def test_test_extra_declares_every_test_import():
                 imported.add(node.module.split(".")[0])
     third_party = imported - local - set(sys.stdlib_module_names)
     assert third_party <= declared, third_party - declared
+
+
+ERROR_CLASSES = sorted(
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.NarekitError)
+    and cls.__module__ == errors.__name__ and cls is not errors.NarekitError)
+
+
+def _readme_exit_codes():
+    """{class name: exit code} from README's error table, whose rows read
+    | `Class` ... | diagnostics keys | exit code ... |."""
+    rows = re.findall(r"^\| `(\w+)`[^|\n]*\|[^|\n]*\| (\d)", README.read_text(), re.M)
+    return {name: int(code) for name, code in rows}
+
+
+def test_every_error_class_is_raised():
+    # a class no raise names is dead: fold it away instead of keeping it
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert set(ERROR_CLASSES) <= raised, set(ERROR_CLASSES) - raised
+
+
+def test_readme_table_lists_every_error_class():
+    assert set(_readme_exit_codes()) == set(ERROR_CLASSES)
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_exit_code_matches_readme(name, capsys, monkeypatch):
+    # main dispatches through cli._COMMANDS; its solve entry is cmd_solve
+    def cmd_solve(args):
+        raise getattr(errors, name)("raised in place of a solve", {"key": 1})
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", cmd_solve)
+    code = cli.main(["solve", "--family", "transport", "--n", "4", "--beta", "1e-3"])
+    out, err = capsys.readouterr()
+    assert code == _readme_exit_codes()[name]
+    assert json.loads(out) == {"error": cli._EXIT_NAMES[code],
+                               "message": "raised in place of a solve"}
+    assert err == "narekit: raised in place of a solve\n"

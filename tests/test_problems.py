@@ -46,6 +46,12 @@ class TestQuadrature:
         assert nodes.max() < 1.0 - 1e-3
         assert np.sum(weights * nodes ** 4) == pytest.approx(0.2)
 
+    def test_guard_rejects_a_broken_rule(self, broken_leggauss):
+        # a node on the boundary of (0, 1) would divide by zero in the
+        # transport coefficients
+        with pytest.raises(InvalidProblem):
+            nk.transport_problem(nk.TransportSpec.near_critical(5, 1e-3))
+
 
 class TestTransportProblem:
     def test_table_gap(self):

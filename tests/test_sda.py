@@ -8,8 +8,7 @@ import pytest
 
 import narekit as nk
 from narekit import sda
-from narekit.errors import Breakdown, ClassificationAmbiguous, InitSingular
-from narekit.errors import InvalidProblem, NoConvergence
+from narekit.errors import Breakdown, InitSingular, InvalidProblem, NoConvergence
 from narekit.kernel import frobenius_norm
 from narekit.sda import BREAKDOWN_COND, SdaState, trace_writer
 
@@ -44,7 +43,7 @@ class TestInit:
         p = scalar_problem(-1.0, 0.0, 0.0, 2.0)  # A + gamma*I = 0 at gamma = 1
         with pytest.raises(InitSingular) as err:
             nk.sda_init(p, gamma=1.0)
-        assert "A+gamma*I" in err.value.which
+        assert "A+gamma*I" in err.value.diagnostics["which"]
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     def test_gamma_must_be_finite_and_positive(self, gamma):
@@ -83,7 +82,7 @@ class TestStep:
                      Hm=np.array([[1.0]]))
         with pytest.raises(Breakdown) as err:
             nk.sda_step(s)
-        assert err.value.step == 0
+        assert err.value.diagnostics["step"] == 0
 
     def test_breakdown_on_condition_estimate(self):
         # I - G@H = diag(1, 1e-15): a nonzero pivot, but a condition
@@ -92,9 +91,9 @@ class TestStep:
                      Hm=np.diag([0.0, 1.0 - 1e-15]), step=5)
         with pytest.raises(Breakdown) as err:
             nk.sda_step(s)
-        assert err.value.step == 5
-        assert BREAKDOWN_COND < err.value.cond_estimate < np.inf
-        assert err.value.cond_estimate == pytest.approx(1.0e15, rel=0.2)
+        assert err.value.diagnostics["step"] == 5
+        assert BREAKDOWN_COND < err.value.diagnostics["cond_estimate"] < np.inf
+        assert err.value.diagnostics["cond_estimate"] == pytest.approx(1.0e15, rel=0.2)
 
     def test_one_transposed_solve_per_factor(self, monkeypatch):
         # each factor is applied once, by a transposed solve on E^T (n
@@ -305,7 +304,7 @@ class TestPredictedRate:
     def test_no_split_is_ambiguous(self):
         # both eigenvalues antistable: no rate, although the formula gives 0.4
         h = nk.LinearizingMatrix(np.diag([2.0, 1.0]), 1, 1)
-        with pytest.raises(ClassificationAmbiguous):
+        with pytest.raises(InvalidProblem):
             nk.cayley_gap(h, 3.0)
 
 
