@@ -63,8 +63,9 @@ class CentralPairIllConditioned(NarekitError):
 
 
 class KMaxReached(NarekitError):
-    """Adaptive enlargement of the central dimension hit its cap;
-    diagnostics: k_max, t_estimate."""
+    """No central dimension k <= k_max has a probed modulus gap
+    |xi_k| / |xi_{k+1}| <= shift.SLOW_RATE; diagnostics: k_max, t_estimate
+    (that ratio at k = k_max)."""
 
 
 class DegenerateSpectrum(NarekitError):

@@ -168,10 +168,11 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
     """Run the doubling iteration until err_est <= max(cfg.tol, 10 eps).
 
     The primal and dual residuals are taken once, after the loop, against
-    p, the equation iterated.  NoConvergence when the step cap is reached
-    with a primal residual above 100 * cfg.tol; below that, the outcome is
-    returned with converged = False, as is any outcome whose residual exceeds
-    residual_bound(p, cfg.tol).  InvalidProblem unless cfg.tol is finite.
+    p, the equation iterated.  One threshold, bound = residual_bound(p,
+    cfg.tol), decides: NoConvergence when the step cap is reached with a
+    primal residual above bound; otherwise the outcome is returned, with
+    converged = True only if the stop rule fired and the residual is at
+    most bound.  InvalidProblem unless cfg.tol is finite.
     """
     if not np.isfinite(cfg.tol):  # a NaN tol would disable the stop
         raise InvalidProblem(f"stopping tolerance {cfg.tol} must be finite")
@@ -187,8 +188,8 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
         if state.err_est <= tol:
             converged = True
             break
-    res = relative_residual(p, state.Hm)
-    if not converged and res > cfg.tol * 100:
+    res, bound = relative_residual(p, state.Hm), residual_bound(p, cfg.tol)
+    if not converged and res > bound:
         raise NoConvergence(
             f"doubling did not converge in {cfg.max_steps} steps "
             f"(error estimate {state.err_est:.3e}, relative residual {res:.3e})",
@@ -197,7 +198,7 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
     dual_res = relative_residual(p.dual(), state.G)
     return SdaOutcome(
         X=state.Hm, Y=state.G, steps=state.step,
-        converged=converged and res <= residual_bound(p, cfg.tol),
+        converged=converged and res <= bound,
         residual=float(res), dual_residual=float(dual_res), gamma=float(gamma),
     )
 

@@ -8,23 +8,24 @@ invariant subspaces of that cluster, the rank-k update
     H_shifted = H (I + s V (U^T V)^-1 U^T)
 
 multiplies the k central eigenvalues by (1 + s) while leaving every right
-invariant subspace of H (and hence the minimal solution) unchanged.  The
-bases are computed by inverse orthogonal iteration, which also yields a
-convergence-rate estimate t ~ |xi_k| / |xi_{k+1}| used to pick k; s comes
-from a (k + 1)-column probe of |xi_{k+1}|.  H is LU-factored once per
-solve, and the iteration stages take that LU, not H: the M-matrix guard
-and every inverse iteration, the left one with H^T included, solve with
-it.  A central subspace has 1 <= k < n + m.  The fixed settings (seed,
-step caps, k and s limits) are the module constants below.
+invariant subspace of H (and hence the minimal solution) unchanged.  One
+short orthogonal iteration probes the smallest eigenvalue moduli
+|xi_1| <= |xi_2| <= ... of H; k is the first k >= 2 with |xi_k| / |xi_{k+1}|
+<= SLOW_RATE, and s = |xi_{k+1}| / |xi_1| - 1.  The bases come from inverse
+orthogonal iteration.  H is LU-factored once per solve, and the stages take
+that LU, not H: the M-matrix guard, the probe and every inverse iteration,
+the left one with H^T included, solve with it.  A central subspace has
+1 <= k < n + m.  The fixed settings (seed, step caps, k and s limits) are
+the module constants below.
 
-`sushi_solve` chains the whole pipeline: detect k, compute the central
-pair, choose s, build the shifted equation, run the doubling solver on it
-with the original problem's gamma, and polish the result with a Newton
-defect-correction step on the original equation (forming the shifted
-coefficients in floating point perturbs the solution at level
-eps * (1 + s), which the correction removes), forming R(X) once per
-iterate.  The step's Sylvester equation has M-matrix coefficients and is
-solved by Smith doubling on their Cayley transforms: two LUs, one solve
+`sushi_solve` chains the whole pipeline: probe the moduli, detect k,
+compute the central pair, choose s, build the shifted equation, run the
+doubling solver on it with the original problem's gamma, and polish the
+result with a Newton defect-correction step on the original equation
+(forming the shifted coefficients in floating point perturbs the solution
+at level eps * (1 + s), which the correction removes), forming R(X) once
+per iterate.  The step's Sylvester equation has M-matrix coefficients and
+is solved by Smith doubling on their Cayley transforms: two LUs, one solve
 each, and products, no Schur form.
 """
 
@@ -59,9 +60,8 @@ DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reprodu
 PAIR_MAX_ITERS = 100       #: inverse-iteration step cap of the central pair
 COND_CAP = 1e8             #: largest ||(U^T V)^-1||_2 of an accepted central pair
 K_MAX = 8                  #: largest central dimension detect_k tries, from k = 2
-SLOW_RATE = 0.5            #: contraction rate up to which a probed k is accepted
-PROBE_ITERS = 12           #: inverse-iteration steps of each detect_k probe
-NEXT_MODULUS_STEPS = 8     #: steps of the (k + 1)-column probe of |xi_{k+1}|
+SLOW_RATE = 0.5            #: largest |xi_k| / |xi_{k+1}| that separates a central k
+PROBE_ITERS = 8            #: orthogonal-iteration steps of the moduli probe
 S_MIN, S_MAX = 0.1, 1e6    #: clamp of the shift magnitude s
 POLISH_MAX_STEPS = 2       #: Newton corrections the polish tries
 POLISH_MAX_DOUBLINGS = 50  #: doubling cap of the polish's Sylvester solve (2^50 terms)
@@ -74,7 +74,6 @@ class CentralSubspaces:
     k: int
     central_eigs: np.ndarray  # eigenvalues of V^T H V
     inv_iter_steps: int
-    rate_estimate_t: float
     cond_uv: float  # ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V)
 
 
@@ -92,9 +91,8 @@ def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     Stops when the subspace distance between successive bases drops below
     tol, or when it stagnates at its roundoff floor (once past the initial
     transient, a step that recovers less than a factor 0.9 means the basis
-    only jitters).  Returns (Q, steps, t_estimate) where t_estimate is the
-    geometric-mean contraction per step over the genuinely converging
-    window, an estimate of |xi_k| / |xi_{k+1}|.
+    only jitters).  Returns (Q, steps); NoConvergence after max_iters steps,
+    with diagnostics basis, steps and distance (the last step's).
     """
     dim = factor[0].shape[0]
     if not 1 <= k < dim:
@@ -103,41 +101,20 @@ def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     q, _ = thin_qr(rng.standard_normal((dim, k)).astype(factor[0].dtype))
     dists, armed = [], False
     for _ in range(max_iters):
-        z = lu_solve(factor, q, trans=trans)
-        q_new, _ = thin_qr(z)
+        q_new, _ = thin_qr(lu_solve(factor, q, trans=trans))
         dists.append(subspace_distance(q_new, q))
         q = q_new
         if dists[-1] <= tol or (armed and dists[-1] >= 0.9 * dists[-2]):
             break
         armed = armed or dists[-1] < 1e-2
     else:
-        t = _contraction_estimate(dists)
+        distance = dists[-1] if dists else np.inf
         raise NoConvergence(
             f"inverse iteration did not settle in {max_iters} steps "
-            f"(rate estimate {t:.3g})",
-            diagnostics={"basis": q, "steps": len(dists), "t_estimate": t,
-                         "distance": dists[-1] if dists else np.inf},
+            f"(distance {distance:.3g})",
+            diagnostics={"basis": q, "steps": len(dists), "distance": distance},
         )
-    return q, len(dists), _contraction_estimate(dists)
-
-
-def _contraction_estimate(dists):
-    """Geometric-mean step ratio over the genuinely converging window.
-
-    The window starts at the first distance below 0.5 (end of the initial
-    transient) and ends at the first stagnating step (less than a factor
-    0.9 of progress, i.e. the roundoff floor).  Returns 0.0 when no such
-    window exists, meaning convergence was too fast to measure.
-    """
-    a = np.asarray(dists)
-    j0 = next((i for i, v in enumerate(a) if v < 0.5), None)
-    if j0 is None:
-        return 0.0
-    j1 = next((i for i in range(j0, a.size - 1) if a[i + 1] >= 0.9 * a[i]),
-              a.size - 1)
-    if j1 <= j0:
-        return 0.0
-    return float((a[j1] / a[j0]) ** (1.0 / (j1 - j0)))
+    return q, len(dists)
 
 
 def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
@@ -151,87 +128,72 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
     h = np.asarray(h)
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0)
-    v, steps_v, t = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS)
-    u, _, _ = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS, trans=1)
+    v, steps_v = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS)
+    u, _ = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS, trans=1)
     cond_uv = coupling_cond(u, v)
     if cond_uv > COND_CAP:
         raise CentralPairIllConditioned(
             f"cond(U^T V) = {cond_uv:.3e} exceeds the acceptance cap",
             {"cond_uv": cond_uv})
     central = eigenvalues(v.T @ h @ v)
-    return CentralSubspaces(
-        V=v, U=u, k=k, central_eigs=central,
-        inv_iter_steps=steps_v, rate_estimate_t=t, cond_uv=cond_uv,
-    )
+    return CentralSubspaces(V=v, U=u, k=k, central_eigs=central,
+                            inv_iter_steps=steps_v, cond_uv=cond_uv)
 
 
-def detect_k(factor, tol):
-    """Smallest k >= 2 whose inverse iteration on factor contracts fast enough.
-
-    Runs PROBE_ITERS probe iterations per candidate k and accepts the first
-    one with rate estimate <= SLOW_RATE (a zero estimate means convergence
-    was immediate and counts as fast, as does a probe that ran out of steps
-    within sqrt(tol) of settling).  Raises KMaxReached when no k up to
-    K_MAX, and below the order of H, separates the central cluster from the
-    rest of the spectrum.
-    """
-    k_max, last_t = min(K_MAX, factor[0].shape[0] - 1), 1.0
-    for k in range(2, k_max + 1):
-        try:
-            _, _, t = inverse_orthogonal_iteration(factor, k, tol, PROBE_ITERS)
-        except NoConvergence as exc:
-            t = exc.diagnostics["t_estimate"]
-            if t == 0.0 and exc.diagnostics["distance"] > np.sqrt(tol):
-                # the probe neither settled nor yielded a measurable
-                # contraction window: treat as too slow
-                t = 1.0
-        last_t = t
-        if t <= SLOW_RATE:
-            return k
-    raise KMaxReached(f"no well-separated central subspace up to k={k_max} "
-                      f"(rate estimate {last_t:.3g})",
-                      {"k_max": k_max, "t_estimate": last_t})
-
-
-def estimate_next_modulus(factor, k):
-    """Estimate of |xi_{k+1}| from a (k + 1)-column probe iteration on factor.
-
-    Once the leading k columns have settled, the last diagonal entry of R
-    in the iteration's thin QR converges to 1 / |xi_{k+1}|; a handful of
-    steps gives the one correct digit the shift selection needs, even when
-    |xi_{k+1}| is not separated from the eigenvalues above it.
-    """
+def smallest_moduli(factor, count):
+    """Estimates of the count <= N smallest eigenvalue moduli |xi_1|, ... of H:
+    1 / diag(R) after PROBE_ITERS steps of a seeded count-column orthogonal
+    iteration on factor, H's LU.  A few steps give the one digit that k and
+    s need, even for a modulus not separated from the next one up;
+    DegenerateSpectrum when R is exactly singular."""
     lu = factor[0]
     rng = np.random.default_rng(DEFAULT_SEED)
-    q, r = thin_qr(rng.standard_normal((lu.shape[0], k + 1)).astype(lu.dtype))
-    for _ in range(NEXT_MODULUS_STEPS):
+    q, r = thin_qr(rng.standard_normal((lu.shape[0], count)).astype(lu.dtype))
+    for _ in range(PROBE_ITERS):
         q, r = thin_qr(lu_solve(factor, q))
-    entry = abs(float(r[k, k]))
-    if entry == 0.0:
+    diag = np.diag(r).astype(np.float64)  # thin_qr's R has diag(R) >= 0
+    if not np.all(diag > 0.0):
         raise DegenerateSpectrum("probe iteration collapsed to a singular R")
-    return 1.0 / entry
+    return 1.0 / diag
+
+
+def detect_k(moduli):
+    """First k >= 2 whose central cluster is separated from the rest:
+    moduli[k - 1] / moduli[k] = |xi_k| / |xi_{k+1}| <= SLOW_RATE, for moduli
+    from smallest_moduli (len(moduli) >= 2).  KMaxReached when no k up to
+    k_max = len(moduli) - 1 qualifies; its t_estimate is the ratio at k_max.
+    """
+    k_max = len(moduli) - 1
+    ratios = np.asarray(moduli[:-1]) / np.asarray(moduli[1:])
+    for k in range(2, k_max + 1):
+        if ratios[k - 1] <= SLOW_RATE:
+            return k
+    t = float(ratios[k_max - 1])
+    raise KMaxReached(f"no well-separated central subspace up to k={k_max} "
+                      f"(|xi_k| / |xi_k+1| = {t:.3g})",
+                      {"k_max": k_max, "t_estimate": t})
 
 
 def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm) -> ShiftPlan:
     """Shift magnitude s = |xi_{k+1}| / |xi_1| - 1, clamped to [S_MIN, S_MAX].
 
-    xi_next is |xi_{k+1}|, estimated (estimate_next_modulus) or exact.
-    DegenerateSpectrum when |xi_1| is zero or below eps * h_norm, with
-    h_norm = ||H||_F.
+    xi_next is |xi_{k+1}|, estimated (smallest_moduli) or exact; the
+    rationale records t_estimate = |xi_k| / |xi_{k+1}| from it and the
+    central eigenvalues.  DegenerateSpectrum when |xi_1| is zero or below
+    eps * h_norm, with h_norm = ||H||_F.
     """
     mods = np.sort(np.abs(cs.central_eigs))
     xi1, xik = float(mods[0]), float(mods[-1])
     if xi1 == 0.0 or xi1 < np.finfo(np.float64).eps * h_norm:
         raise DegenerateSpectrum(
-            f"smallest central eigenvalue {xi1:.3e} is numerically zero"
-        )
+            f"smallest central eigenvalue {xi1:.3e} is numerically zero")
     target = float(xi_next)
     s = target / xi1 - 1.0
     clamped = not (S_MIN <= s <= S_MAX)
     s = float(min(max(s, S_MIN), S_MAX))
     return ShiftPlan(s=s, rationale={
         "xi_1": xi1, "xi_k": xik, "xi_next_estimate": target,
-        "t_estimate": cs.rate_estimate_t, "clamped": clamped,
+        "t_estimate": xik / target, "clamped": clamped,
     })
 
 
@@ -347,7 +309,9 @@ class SushiOptions:
 def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     """Shifted solve of a close-to-critical problem.
 
-    Pipeline: factor H, classify on that factor, (detect k), compute
+    Pipeline: factor H, classify on that factor, probe the smallest
+    eigenvalue moduli once (min(K_MAX, N - 1) + 1 of them, k + 1 under a
+    fixed k, none when k and s are both fixed), (detect k), compute the
     central pair, choose s, build the shifted equation, run the doubling
     solver on it with the original problem's gamma, and polish the result
     with Newton defect correction on the original equation.
@@ -368,13 +332,17 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     if not opts.force:
         require_mmatrix(p, factor)
     iter_tol = max(opts.iter_tol, 100.0 * float(np.finfo(p.dtype).eps))
-    k = opts.k if opts.k is not None else detect_k(factor, iter_tol)
+    k = opts.k
+    if k is None:
+        moduli = smallest_moduli(factor, min(K_MAX, h.H.shape[0] - 1) + 1)
+        k = detect_k(moduli)
     cs = compute_central_pair(h.H, k, iter_tol, factor=factor)
     if opts.s is not None:
         plan = ShiftPlan(s=float(opts.s), rationale={"fixed": True})
     else:
-        xi_next = estimate_next_modulus(factor, k)
-        plan = choose_shift_s(cs, xi_next, frobenius_norm(h.H))
+        if opts.k is not None:
+            moduli = smallest_moduli(factor, k + 1)
+        plan = choose_shift_s(cs, moduli[k], frobenius_norm(h.H))
     shifted = build_shifted_h(h, cs, plan.s)
     shifted_problem = shifted.to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,

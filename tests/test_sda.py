@@ -211,6 +211,15 @@ class TestSolve:
         assert set(diagnostics) == {"err_est", "residual"}
         assert all(np.isfinite(v) for v in diagnostics.values())
 
+    def test_step_cap_below_residual_bound_returns_unconverged(self):
+        # at the step cap the residual 6.9e-13 is above 100 tol = 1e-13 but
+        # within residual_bound = 100 (n + m) eps = 1.4e-12: one threshold
+        # decides, so the outcome returns, flagged not converged
+        p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
+        out = nk.sda_solve(p, nk.SdaConfig(max_steps=18))
+        assert out.steps == 18 and not out.converged
+        assert 100 * 1e-15 < out.residual <= sda.residual_bound(p, 1e-15)
+
     def test_residual_check_flags_a_false_stop(self):
         # gamma = 1e9 (gamma* = 27.6) stops on its error estimate at the
         # Cayley start's cancellation level, a residual of 2.7e-8

@@ -18,9 +18,9 @@ from narekit import core, sda, shift
 from narekit.shift import (
     CentralSubspaces,
     detect_k,
-    estimate_next_modulus,
     inverse_orthogonal_iteration,
     newton_polish,
+    smallest_moduli,
 )
 from conftest import planted_matrix
 from oracles import relative_error
@@ -34,7 +34,7 @@ def _lu(h):
 class TestInverseIteration:
     def test_diagonal_well_separated(self):
         h = np.diag([0.1, 0.2, 5.0, 7.0])
-        q, steps, t = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 100)
+        q, steps = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 100)
         target = np.zeros((4, 2))
         target[0, 0] = target[1, 1] = 1.0
         assert nk.subspace_distance(q, target) <= 1e-12
@@ -44,7 +44,8 @@ class TestInverseIteration:
         rng = np.random.default_rng(20)
         eigs = np.concatenate([[0.01, 0.02], rng.uniform(1.0, 2.0, 10)])
         h, _ = planted_matrix(rng, eigs)
-        _, _, t = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 100)
+        moduli = smallest_moduli(_lu(h), 3)
+        t = moduli[1] / moduli[2]
         true_ratio = 0.02 / np.min(np.abs(eigs[2:]))
         assert true_ratio / 3.0 <= t <= true_ratio * 3.0
 
@@ -171,7 +172,7 @@ class TestSharedFactor:
         eigs = np.concatenate([[0.05, -0.06], rng.uniform(1.0, 2.0, 8)])
         h, _ = planted_matrix(rng, eigs)
         cs = nk.compute_central_pair(h, 2)
-        u, _, _ = inverse_orthogonal_iteration(_lu(h.T), 2, 1e-12, 100)
+        u, _ = inverse_orthogonal_iteration(_lu(h.T), 2, 1e-12, 100)
         assert nk.subspace_distance(cs.U, u) <= 1e-10
 
     def test_rectangular_blocks(self):
@@ -195,18 +196,18 @@ class TestDetectK:
         eigs = np.concatenate([[0.010, 0.011, 0.012, 0.013],
                                rng.uniform(1.0, 2.0, 8)])
         h, _ = planted_matrix(rng, eigs)
-        assert detect_k(_lu(h), 1e-12) == 4
+        assert detect_k(smallest_moduli(_lu(h), 9)) == 4
 
     def test_transport_uses_two(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
-        assert detect_k(_lu(nk.build_h(p).H), 1e-12) == 2
+        assert detect_k(smallest_moduli(_lu(nk.build_h(p).H), 9)) == 2
 
     @pytest.mark.parametrize("beta", [1e-2, 3e-3, 1e-3])
     def test_settled_probe_counts_as_fast(self, beta):
-        # the k = 2 probe ends its steps just above tol with no measurable
-        # contraction window; it has settled, so k = 2 is accepted
+        # the central pair settles within the probe's few steps; the probe's
+        # moduli still show the gap after |xi_2|, so k = 2 is accepted
         p = nk.transport_problem(nk.TransportSpec.near_critical(8, beta))
-        assert detect_k(_lu(nk.build_h(p).H), 1e-12) == 2
+        assert detect_k(smallest_moduli(_lu(nk.build_h(p).H), 9)) == 2
         solution, cs, _, _ = nk.sushi_solve(p)
         assert cs.k == 2 and solution.residual <= 1e-12
 
@@ -218,7 +219,43 @@ class TestDetectK:
         h = scipy.linalg.block_diag(*blocks)
         monkeypatch.setattr(shift, "K_MAX", 4)
         with pytest.raises(KMaxReached):
-            detect_k(_lu(h), 1e-12)
+            detect_k(smallest_moduli(_lu(h), 5))
+
+    @pytest.mark.parametrize("moduli, k", [
+        ([0.01, 0.02, 1.0, 1.1, 1.2], 2),
+        # |xi_1| / |xi_2| never counts: a central subspace has k >= 2
+        ([0.001, 0.010, 0.011, 0.012, 1.0, 1.1], 4),
+    ], ids=["gap-after-two", "cluster-of-four"])
+    def test_first_gap_in_moduli(self, moduli, k):
+        assert detect_k(np.array(moduli)) == k
+
+    def test_no_gap_in_moduli_raises(self):
+        moduli = np.geomspace(1.0, 1.5, 6)
+        with pytest.raises(KMaxReached) as err:
+            detect_k(moduli)
+        assert err.value.diagnostics["k_max"] == 5
+        assert err.value.diagnostics["t_estimate"] == pytest.approx(moduli[4] / moduli[5])
+
+    @pytest.mark.parametrize("n, beta", [(8, 2e-9), (16, 1e-8), (32, 1.8e-9), (64, 1e-8)])
+    def test_near_critical_transport_takes_two(self, n, beta):
+        # |xi_2| / |xi_3| is far below SLOW_RATE at each of these betas
+        p = nk.transport_problem(nk.TransportSpec.near_critical(n, beta))
+        solution, cs, _, _ = nk.sushi_solve(p)
+        assert cs.k == 2 and solution.converged
+
+    def test_transport_n4_takes_two(self):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(4, 1e-9))
+        _, cs, _, outcome = nk.sushi_solve(p)
+        assert cs.k == 2 and outcome.steps <= 8
+
+    @pytest.mark.parametrize("beta", np.geomspace(1e-6, 1e-4, 16))
+    def test_float32_transport_near_critical(self, beta):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(32, float(beta)))
+        reference = nk.sda_solve(p).X
+        solution, _, _, _ = nk.sushi_solve(p.astype(np.float32),
+                                           nk.SushiOptions(tol=1e-7, iter_tol=1e-6))
+        assert solution.X.dtype == np.float32
+        assert relative_error(solution.X.astype(np.float64), reference) <= 1e-4
 
     @pytest.mark.parametrize("problem", [
         lambda: nk.transport_problem(nk.TransportSpec.near_critical(1, 1e-3)),
@@ -248,7 +285,7 @@ class TestShiftSelection:
         k = central_eigs.size
         v = np.eye(4)[:, :k]
         return CentralSubspaces(V=v, U=v, k=k, central_eigs=central_eigs,
-                                inv_iter_steps=1, rate_estimate_t=0.0, cond_uv=1.0)
+                                inv_iter_steps=1, cond_uv=1.0)
 
     def test_rule_arithmetic(self):
         plan = nk.choose_shift_s(self._pair([0.5, 0.6]), xi_next=2.5, h_norm=1.0)
@@ -269,11 +306,11 @@ class TestShiftSelection:
         h = np.diag([0.1, 0.2, 5.0, 7.0, 9.0])
         # the default step count only buys the leading digit; it must land
         # between |xi_3| and the largest modulus
-        est = estimate_next_modulus(_lu(h), 2)
+        est = smallest_moduli(_lu(h), 3)[2]
         assert 5.0 <= est <= 9.0
         # with enough steps the probe converges to |xi_3| exactly
-        monkeypatch.setattr(shift, "NEXT_MODULUS_STEPS", 40)
-        assert estimate_next_modulus(_lu(h), 2) == pytest.approx(5.0, rel=1e-6)
+        monkeypatch.setattr(shift, "PROBE_ITERS", 40)
+        assert smallest_moduli(_lu(h), 3)[2] == pytest.approx(5.0, rel=1e-6)
 
 
 class TestBuildShiftedH:
@@ -289,7 +326,7 @@ class TestBuildShiftedH:
         v = np.eye(4)[:, :2]
         cs = CentralSubspaces(V=v, U=v, k=2,
                               central_eigs=np.array([0.01, -0.02]),
-                              inv_iter_steps=0, rate_estimate_t=0.0, cond_uv=1.0)
+                              inv_iter_steps=0, cond_uv=1.0)
         shifted = nk.build_shifted_h(h, cs, 9.0)
         got = np.sort(np.linalg.eigvals(shifted.H).real)
         npt.assert_allclose(got, [-1.0, -0.2, 0.1, 1.0], atol=1e-12)
@@ -306,7 +343,7 @@ class TestBuildShiftedH:
         v = np.eye(4)[:, :2]
         for u, cond in ((v, 1e17), (np.eye(4)[:, 2:], 1.0)):
             cs = CentralSubspaces(V=v, U=u, k=2, central_eigs=np.array([0.01, -0.02]),
-                                  inv_iter_steps=0, rate_estimate_t=0.0, cond_uv=cond)
+                                  inv_iter_steps=0, cond_uv=cond)
             with pytest.raises(CentralPairIllConditioned):
                 nk.build_shifted_h(h, cs, 9.0)
 
@@ -318,8 +355,7 @@ class TestBuildShiftedH:
             v, _ = np.linalg.qr(t[:, :2])
             u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :2])
             cs = CentralSubspaces(V=v, U=u, k=2, central_eigs=eigs[:2],
-                                  inv_iter_steps=0, rate_estimate_t=0.0,
-                                  cond_uv=1.0)
+                                  inv_iter_steps=0, cond_uv=1.0)
             shifted = nk.build_shifted_h(nk.LinearizingMatrix(h, 5, 5), cs, s)
             got = np.sort(np.linalg.eigvals(shifted.H).real)
             want = np.sort(np.concatenate([(1 + s) * eigs[:2], eigs[2:]]))
@@ -354,7 +390,7 @@ def test_rank_k_update_matches_product_form(dim, k, log_s, seed):
     u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :k])
     cond_uv = coupling_cond(u, v)
     cs = CentralSubspaces(V=v, U=u, k=k, central_eigs=eigs[:k], inv_iter_steps=0,
-                          rate_estimate_t=0.0, cond_uv=cond_uv)
+                          cond_uv=cond_uv)
     s = 10.0 ** log_s
     got = nk.build_shifted_h(nk.LinearizingMatrix(h, dim // 2, dim - dim // 2), cs, s).H
     want = h @ (np.eye(dim) + s * v @ np.linalg.solve(u.T @ v, u.T))
@@ -381,7 +417,7 @@ def test_build_shifted_h_makes_no_cubic_product():
 
     cs = CentralSubspaces(V=v.view(Tracked), U=v.view(Tracked), k=2,
                           central_eigs=np.array([0.01, -0.02]), inv_iter_steps=0,
-                          rate_estimate_t=0.0, cond_uv=1.0)
+                          cond_uv=1.0)
     nk.build_shifted_h(h, cs, 9.0)
     assert shapes and all(min(a[0], a[1], b[1]) <= 2 for a, b in shapes)
 
