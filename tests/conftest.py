@@ -5,6 +5,13 @@ import pytest
 
 import narekit as nk
 
+def carved_mnare(n, m, alpha, seed=0):
+    """M-NARE with an m x n solution, carved from (rho(N) + alpha) I - N."""
+    big = np.random.default_rng(seed).uniform(0.0, 1.0, (n + m, n + m))
+    mm = (np.max(np.abs(np.linalg.eigvals(big))) + alpha) * np.eye(n + m) - big
+    return nk.NareProblem(A=mm[n:, n:], B=-mm[n:, :n], C=-mm[:n, n:], D=mm[:n, :n])
+
+
 TRANSPORT_GRID = [
     (32, 1e-3), (32, 1e-6), (32, 1e-12),
     (128, 1e-3), (128, 1e-6), (128, 1e-12),

@@ -118,8 +118,8 @@ class TestSolve:
                            "--beta", "1e-3", "--format", "csv")
         assert code == 0
         header, values = out.splitlines()
-        assert header == "converged,dual_residual,gamma,residual,schema,steps"
-        assert values.startswith("True,") and values.endswith(",13")
+        assert header == "converged,dual_residual,gamma,residual,schema,steps,tail_from"
+        assert values.startswith("True,") and values.endswith(",13,")  # n = 8: no tail
 
     @pytest.mark.parametrize("command", ["solve", "sushi"])
     def test_table_format(self, capsys, command):

@@ -12,6 +12,8 @@ from narekit.errors import Breakdown, InitSingular, InvalidProblem, NoConvergenc
 from narekit.kernel import frobenius_norm
 from narekit.sda import BREAKDOWN_COND, SdaState, trace_writer
 
+from conftest import carved_mnare
+
 
 def scalar_problem(a, b, c, d):
     return nk.NareProblem(A=[[a]], B=[[b]], C=[[c]], D=[[d]])
@@ -114,6 +116,34 @@ class TestStep:
         monkeypatch.setattr(sda, "lu_solve", recording)
         nk.sda_step(s)
         assert calls == [(n, (n, n), 1), (m, (m, m), 1)]
+
+    @pytest.mark.parametrize("n, m", [(7, 4), (3, 9)])
+    def test_factored_step_matches_dense_step(self, monkeypatch, n, m):
+        # a thin state E = el @ er, F = fl @ fr steps like its dense product,
+        # solving for r columns and keeping the left factors
+        rng = np.random.default_rng(13)
+        r = 2
+        el, er = rng.standard_normal((n, r)), rng.standard_normal((r, n)) / (2 * n)
+        fl, fr = rng.standard_normal((m, r)), rng.standard_normal((r, m)) / (2 * m)
+        g = _unit_spectral(rng, n, m, np.float64, 0.5)
+        h = _unit_spectral(rng, m, n, np.float64, 0.5)
+        dense = nk.sda_step(SdaState(E=el @ er, F=fl @ fr, G=g, Hm=h, step=2))
+        calls = []
+        lu_solve = sda.lu_solve
+
+        def recording(factor, b, trans=0):
+            calls.append((factor[0].shape[0], np.shape(b), trans))
+            return lu_solve(factor, b, trans=trans)
+
+        monkeypatch.setattr(sda, "lu_solve", recording)
+        out = nk.sda_step(SdaState(E=(el, er), F=(fl, fr), G=g, Hm=h, step=2))
+        assert calls == [(n, (n, r), 1), (m, (m, r), 1)]
+        assert out.E[0] is el and out.F[0] is fl and out.step == 3
+        for got, ref in [(out.E[0] @ out.E[1], dense.E), (out.F[0] @ out.F[1], dense.F),
+                         (out.G, dense.G), (out.Hm, dense.Hm)]:
+            assert frobenius_norm(got - ref) <= 1e-13 * max(frobenius_norm(ref), 1.0)
+        assert out.cond == dense.cond
+        assert out.err_est == pytest.approx(dense.err_est, rel=1e-12)
 
     def test_doubling_consistency_decoupled(self):
         # with B = C = 0 the coupling never activates, so after k steps
@@ -228,6 +258,17 @@ class TestSolve:
         assert out.residual > sda.residual_bound(p, 1e-15)
         assert not out.converged
 
+    @pytest.mark.parametrize("max_steps", [0, -3, 2.5])
+    @pytest.mark.parametrize("solver", ["sda", "sushi"])
+    def test_step_cap_must_be_a_positive_integer(self, solver, max_steps):
+        # a usage error, not "doubling did not converge in 0 steps"
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        with pytest.raises(InvalidProblem):
+            if solver == "sda":
+                nk.sda_solve(p, nk.SdaConfig(max_steps=max_steps))
+            else:
+                nk.sushi_solve(p, nk.SushiOptions(max_steps=max_steps))
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tol_rejected(self, tol):
         # a NaN tol never stops the iteration, and says nothing about it
@@ -257,6 +298,78 @@ class TestSolve:
         out = nk.sda_solve(p, nk.SdaConfig())
         assert out.converged
         assert calls == [(p.m, p.n), (p.n, p.m)]
+
+
+def _dense_loop(p, tol=1e-15):
+    """sda_solve's loop on dense states only (no tail): the final state and
+    the converged flag as sda_solve defines it."""
+    stop = max(tol, sda.TOL_FLOOR_EPS * float(np.finfo(p.dtype).eps))
+    state = nk.sda_init(p, nk.gamma_star(p))
+    while state.step < nk.SdaConfig().max_steps:
+        state = nk.sda_step(state)
+        if state.err_est <= stop:
+            return state, nk.relative_residual(p, state.Hm) <= sda.residual_bound(p, tol)
+    return state, False
+
+
+class TestTail:
+    """sda_solve's factored tail against the dense loop it replaces."""
+
+    # trailing comments: the step after which the tail began, as measured
+    @pytest.mark.parametrize("problem, tol", [
+        *[(lambda seed=seed: nk.random_mnare(nk.RandomMnareSpec(n=128, alpha=1e-3, seed=seed)),
+           1e-15) for seed in range(3)],  # 4
+        (lambda: nk.transport_problem(nk.TransportSpec.near_critical(128, 1e-12)), 1e-15),  # 14
+        (lambda: carved_mnare(64, 96, 1e-6), 1e-15),  # 4
+        (lambda: carved_mnare(100, 70, 1e-9), 1e-15),  # 4
+        (lambda: nk.transport_problem(nk.TransportSpec.near_critical(128, 1e-4))
+         .astype(np.float32), 1e-7),  # 12
+    ], ids=["random-0", "random-1", "random-2", "transport-128", "m64-n96",
+            "m100-n70", "transport-128-f32"])
+    def test_tail_matches_dense_loop(self, problem, tol):
+        p = problem()
+        out = nk.sda_solve(p, nk.SdaConfig(tol=tol))
+        state, converged = _dense_loop(p, tol)
+        assert out.tail_from is not None and out.tail_from < out.steps
+        assert (out.steps, out.converged) == (state.step, converged)
+        eps = float(np.finfo(p.dtype).eps)
+        x, ref = out.X.astype(np.float64), state.Hm.astype(np.float64)
+        rel = 1e-12 if p.dtype == np.float64 else 1e-6
+        assert frobenius_norm(x - ref) <= rel * frobenius_norm(ref)
+        assert x.min() >= -eps * frobenius_norm(x)
+
+    def test_switch_rule_tolerance(self):
+        # rank 1 plus noise at 1 eps of its norm is thin, at 100 eps it is
+        # not, and a full-rank matrix is not
+        rng = np.random.default_rng(14)
+        n = 64
+        a = rng.standard_normal((n, 1)) @ rng.standard_normal((1, n))
+        noise = rng.standard_normal((n, n))
+        noise *= np.finfo(np.float64).eps * frobenius_norm(a) / frobenius_norm(noise)
+        sketch = rng.standard_normal((n, sda.TAIL_RANK + 1))
+        left, right = sda._thin(a + noise, sketch)
+        assert left.shape == (n, sda.TAIL_RANK) and right.shape == (sda.TAIL_RANK, n)
+        assert sda._thin(a + 100 * noise, sketch) is None
+        assert sda._thin(rng.standard_normal((n, n)), sketch) is None
+
+    def test_below_floor_is_the_dense_loop(self):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-12))
+        out = nk.sda_solve(p, nk.SdaConfig())
+        state, converged = _dense_loop(p)
+        assert out.tail_from is None
+        assert (out.steps, out.converged) == (state.step, converged)
+        npt.assert_array_equal(out.X, state.Hm)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_critical_parity(self, n):
+        # parity only: at n = 128 both paths still run to the 60-step cap
+        p = nk.transport_problem(nk.TransportSpec(n=n, alpha=0.0, c=1.0))
+        out = nk.sda_solve(p, nk.SdaConfig())
+        state, converged = _dense_loop(p)
+        assert out.tail_from is not None
+        assert (out.steps, out.converged) == (state.step, converged)
+        assert out.residual <= sda.residual_bound(p, 1e-15)
+        assert frobenius_norm(out.X - state.Hm) <= 1e-6 * frobenius_norm(state.Hm)
 
 
 ESTIMATE_PROBLEMS = (

@@ -22,7 +22,7 @@ from narekit.shift import (
     newton_polish,
     smallest_moduli,
 )
-from conftest import planted_matrix
+from conftest import carved_mnare, planted_matrix
 from oracles import relative_error
 
 
@@ -261,8 +261,8 @@ class TestDetectK:
         lambda: nk.transport_problem(nk.TransportSpec.near_critical(1, 1e-3)),
         lambda: nk.transport_problem(nk.TransportSpec.near_critical(1, 1e-12)),
         lambda: nk.random_mnare(nk.RandomMnareSpec(n=1, alpha=1e-3, seed=0)),
-        lambda: _mnare(1, 4, 1e-6),
-        lambda: _mnare(4, 1, 1e-6),
+        lambda: carved_mnare(1, 4, 1e-6),
+        lambda: carved_mnare(4, 1, 1e-6),
     ], ids=["transport-1-1e-3", "transport-1-1e-12", "random-1", "n1-m4", "n4-m1"])
     def test_no_central_subspace_of_full_order(self, problem):
         # k = n + m leaves no xi_{k+1}: detect_k stops below the order of H
@@ -270,13 +270,6 @@ class TestDetectK:
         with pytest.raises(KMaxReached) as err:
             nk.sushi_solve(p)
         assert err.value.diagnostics["k_max"] == min(shift.K_MAX, p.n + p.m - 1)
-
-
-def _mnare(n, m, alpha, seed=0):
-    """M-NARE with an m x n solution, carved from (rho(N) + alpha) I - N."""
-    big = np.random.default_rng(seed).uniform(0.0, 1.0, (n + m, n + m))
-    mm = (np.max(np.abs(np.linalg.eigvals(big))) + alpha) * np.eye(n + m) - big
-    return nk.NareProblem(A=mm[n:, n:], B=-mm[n:, :n], C=-mm[:n, n:], D=mm[:n, :n])
 
 
 class TestShiftSelection:
