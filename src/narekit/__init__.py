@@ -1,9 +1,9 @@
 """narekit: minimal nonnegative solutions of nonsymmetric algebraic
 Riccati equations X C X - A X - X D + B = 0 with M-matrix structure.
 
-Solvers: the structured doubling iteration (`sda_solve`), the classical
-rank-one shift (`classical_shift`), and the rank-k subspace-shifted
-pipeline (`sushi_solve`) for close-to-critical problems.  Diagnostics
+Solvers: the structured doubling iteration (`sda_solve`) and the rank-k
+subspace-shifted pipeline (`sushi_solve`) for close-to-critical problems,
+both answering with an `SdaOutcome`.  Diagnostics
 cover the spectral gap, Cayley gap, Sylvester separation, and the
 conditioning of the central eigenvalue cluster.  Every failure is a
 `NarekitError` (see narekit.errors) with a message and a `diagnostics`
@@ -16,7 +16,6 @@ from .core import (
     LinearizingMatrix,
     MMatrixClass,
     NareProblem,
-    Solution,
     build_h,
     build_m,
     cayley,
@@ -57,7 +56,6 @@ from .shift import (
     choose_shift_s,
     classical_shift,
     compute_central_pair,
-    sushi_report,
     sushi_solve,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "SdaOutcome",
     "SdaState",
     "ShiftPlan",
-    "Solution",
     "SushiOptions",
     "TransportSpec",
     "build_h",
@@ -103,7 +100,6 @@ __all__ = [
     "sep_f",
     "stable_basis",
     "subspace_distance",
-    "sushi_report",
     "sushi_solve",
     "transport_problem",
     "verify_invariant_pair",

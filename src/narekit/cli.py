@@ -37,7 +37,7 @@ from .core import ordered_eigenvalues, require_mmatrix
 from .diagnostics import _delta, _gap, report_for
 from .errors import InvalidProblem, NarekitError, SingularMatrix
 from .sda import SdaConfig, sda_solve, trace_writer
-from .shift import SushiOptions, sushi_report, sushi_solve
+from .shift import SushiOptions, sushi_solve
 from .problems import (
     RandomMnareSpec,
     TransportSpec,
@@ -281,8 +281,12 @@ def cmd_sushi(args):
     with _trace(args) as trace:
         opts = SushiOptions(k=args.k, s=args.s, tol=args.tol, max_steps=args.max_steps,
                             force=args.force, trace=trace)
-        solution, cs, plan, outcome = sushi_solve(p, opts)
-    return _finish(args, "sushi", sushi_report(solution, cs, plan, outcome), solution.X)
+        result, cs, plan, _ = sushi_solve(p, opts)
+    report = dict(result.report(), k=cs.k, s=plan.s,
+                  central_eigs=[[z.real, z.imag] for z in np.atleast_1d(cs.central_eigs)],
+                  inv_iter_steps=cs.inv_iter_steps, cond_uv=cs.cond_uv,
+                  timings={"total_s": plan.rationale["elapsed_s"]})
+    return _finish(args, "sushi", report, result.X)
 
 
 def _finish(args, command, report, x):
@@ -339,11 +343,10 @@ def _bench_cell(family, n, param, seed, tol, max_steps):
     except NarekitError as exc:
         row["sda_its"] = row["sda_res"] = f"error:{type(exc).__name__}"
     try:
-        solution, cs, _, outcome = sushi_solve(
-            p, SushiOptions(tol=tol, max_steps=max_steps))
-        row["sushi_its"] = outcome.steps
+        result, cs, _, _ = sushi_solve(p, SushiOptions(tol=tol, max_steps=max_steps))
+        row["sushi_its"] = result.steps
         row["orth_its"] = cs.inv_iter_steps
-        row["sushi_res"] = solution.residual
+        row["sushi_res"] = result.residual
         if lam is None:  # the spectrum failed; gap holds its error tag
             row["delta"] = row["gap"]
         else:

@@ -163,14 +163,6 @@ class MMatrixClass:
         return self.tag in ("NonsingularM", "SingularM")
 
 
-@dataclass(frozen=True)
-class Solution:
-    X: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool = True
-
-
 def build_h(p: NareProblem) -> LinearizingMatrix:
     """Assemble the linearizing matrix [[D, -C], [B, -A]]."""
     h = np.block([[p.D, -p.C], [p.B, -p.A]])

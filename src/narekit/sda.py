@@ -168,7 +168,8 @@ def _guarded_factor(mat, step):
 
 
 def sda_step(s: SdaState) -> SdaState:
-    """One doubling step; raises Breakdown when I - G@H is numerically singular.
+    """One doubling step; raises Breakdown when I - G@H is numerically singular
+    or the new E or F overflows (a non-finite err_est).
 
     The inverses enter only as left factors of E and F, so each factor is
     applied once, by a transposed solve: Z_g = E (I - G H)^-1 (n columns)
@@ -181,23 +182,28 @@ def sda_step(s: SdaState) -> SdaState:
     eye_n, eye_m = np.eye(n, dtype=s.G.dtype), np.eye(m, dtype=s.G.dtype)
     f_igh, cond_gh, inv_norm = _guarded_factor(eye_n - s.G @ s.Hm, s.step)
     f_ihg, cond_hg, _ = _guarded_factor(eye_m - s.Hm @ s.G, s.step)
-    if isinstance(s.E, tuple):  # E = el @ er and F = fl @ fr, of rank r
-        (el, er), (fl, fr) = s.E, s.F
-        w_g = lu_solve(f_igh, er.T, trans=1).T
-        w_h = lu_solve(f_ihg, fr.T, trans=1).T
-        e, f = (el, w_g @ el @ er), (fl, w_h @ fl @ fr)
-        g = s.G + el @ (w_g @ (s.G @ fl) @ fr)
-        h = s.Hm + fl @ (w_h @ (s.Hm @ el) @ er)
-        e_norm, f_norm = (np.linalg.norm(left @ right, 1) for left, right in (e, f))
-    else:
-        z_g = lu_solve(f_igh, s.E.T, trans=1).T
-        z_h = lu_solve(f_ihg, s.F.T, trans=1).T
-        e, f = z_g @ s.E, z_h @ s.F
-        g, h = s.G + z_g @ (s.G @ s.F), s.Hm + z_h @ (s.Hm @ s.E)
-        e_norm, f_norm = np.linalg.norm(e, 1), np.linalg.norm(f, 1)
-    return SdaState(E=e, F=f, G=g, Hm=h, step=s.step + 1,
-                    cond=max(cond_gh, cond_hg),
-                    err_est=float(e_norm) * float(f_norm) * inv_norm)
+    cond = max(cond_gh, cond_hg)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: breakdown
+        if isinstance(s.E, tuple):  # E = el @ er and F = fl @ fr, of rank r
+            (el, er), (fl, fr) = s.E, s.F
+            w_g = lu_solve(f_igh, er.T, trans=1).T
+            w_h = lu_solve(f_ihg, fr.T, trans=1).T
+            e, f = (el, w_g @ el @ er), (fl, w_h @ fl @ fr)
+            g = s.G + el @ (w_g @ (s.G @ fl) @ fr)
+            h = s.Hm + fl @ (w_h @ (s.Hm @ el) @ er)
+            e_norm, f_norm = (np.linalg.norm(left @ right, 1) for left, right in (e, f))
+        else:
+            z_g = lu_solve(f_igh, s.E.T, trans=1).T
+            z_h = lu_solve(f_ihg, s.F.T, trans=1).T
+            e, f = z_g @ s.E, z_h @ s.F
+            g, h = s.G + z_g @ (s.G @ s.F), s.Hm + z_h @ (s.Hm @ s.E)
+            e_norm, f_norm = np.linalg.norm(e, 1), np.linalg.norm(f, 1)
+        err_est = float(e_norm) * float(f_norm) * inv_norm
+    if not np.isfinite(err_est):
+        raise Breakdown(f"doubling breakdown at step {s.step}: E or F overflowed "
+                        f"(error estimate {err_est})",
+                        {"step": s.step, "cond_estimate": cond})
+    return SdaState(E=e, F=f, G=g, Hm=h, step=s.step + 1, cond=cond, err_est=err_est)
 
 
 def _thin(a, sketch):

@@ -37,10 +37,10 @@ import numpy as np
 from .core import (
     LinearizingMatrix,
     NareProblem,
-    Solution,
     _residual_with_size,
     build_h,
     gamma_star,
+    relative_residual,
     require_mmatrix,
 )
 from .diagnostics import check_coupling
@@ -54,7 +54,7 @@ from .errors import (
 )
 from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
 from .kernel import lu_solve, subspace_distance, thin_qr
-from .sda import SdaConfig, SdaOutcome, residual_bound, sda_solve
+from .sda import SdaConfig, residual_bound, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
 PAIR_MAX_ITERS = 100       #: inverse-iteration step cap of the central pair
@@ -316,10 +316,15 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     solver on it with the original problem's gamma, and polish the result
     with Newton defect correction on the original equation.
 
-    Returns (Solution, CentralSubspaces, ShiftPlan, SdaOutcome); the
-    outcome's residuals are those of the shifted equation, Solution's is
-    that of the original one after the polish; Solution.converged says if
-    that one meets sda.residual_bound (the outcome's flag is the shifted one's).
+    Returns (result, CentralSubspaces, ShiftPlan, shifted), two
+    SdaOutcomes.  shifted is the doubling's outcome on the shifted
+    equation, its residuals and flag that equation's.  result answers the
+    original equation: the polished X and its residual, converged when that
+    residual meets sda.residual_bound, and the shifted doubling's steps,
+    gamma, tail_from and Y with the dual residual of the original equation.
+    The shift keeps every invariant subspace of H and the sign of every
+    eigenvalue's real part, so that Y is the original dual solution,
+    unpolished.
     """
     t0 = time.perf_counter()
     h = build_h(p)
@@ -343,32 +348,15 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
         if opts.k is not None:
             moduli = smallest_moduli(factor, k + 1)
         plan = choose_shift_s(cs, moduli[k], frobenius_norm(h.H))
-    shifted = build_shifted_h(h, cs, plan.s)
-    shifted_problem = shifted.to_problem()
+    shifted_problem = build_shifted_h(h, cs, plan.s).to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
-    outcome = sda_solve(shifted_problem, cfg)
-    x, res = newton_polish(p, outcome.X, *_residual_with_size(p, outcome.X),
+    shifted = sda_solve(shifted_problem, cfg)
+    x, res = newton_polish(p, shifted.X, *_residual_with_size(p, shifted.X),
                            float(np.min(np.abs(cs.central_eigs))))
-    solution = Solution(X=x, residual=float(res), iterations=outcome.steps,
-                        converged=res <= residual_bound(p, opts.tol))
+    result = replace(shifted, X=x, residual=res,
+                     converged=res <= residual_bound(p, opts.tol),
+                     dual_residual=relative_residual(p.dual(), shifted.Y))
     plan = replace(plan, rationale=dict(plan.rationale,
                                         elapsed_s=time.perf_counter() - t0))
-    return solution, cs, plan, outcome
-
-
-def sushi_report(solution: Solution, cs: CentralSubspaces, plan: ShiftPlan,
-                 outcome: SdaOutcome):
-    """Structured summary of a shifted solve, JSON-serializable."""
-    return {
-        "k": cs.k,
-        "s": plan.s,
-        "central_eigs": [[z.real, z.imag] for z in np.atleast_1d(cs.central_eigs)],
-        "inv_iter_steps": cs.inv_iter_steps,
-        "cond_uv": cs.cond_uv,
-        "sda_steps": outcome.steps,
-        "residual": solution.residual,
-        "converged": solution.converged,
-        "shifted_dual_residual": outcome.dual_residual,
-        "timings": {"total_s": plan.rationale.get("elapsed_s")},
-    }
+    return result, cs, plan, shifted

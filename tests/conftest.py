@@ -26,10 +26,10 @@ def transport_bench():
     for n, beta in TRANSPORT_GRID:
         p = nk.transport_problem(nk.TransportSpec.near_critical(n, beta))
         plain = nk.sda_solve(p, nk.SdaConfig())
-        solution, cs, plan, outcome = nk.sushi_solve(p)
+        result, cs, plan, shifted = nk.sushi_solve(p)
         runs[(n, beta)] = {
-            "problem": p, "plain": plain, "solution": solution,
-            "cs": cs, "plan": plan, "outcome": outcome,
+            "problem": p, "plain": plain, "result": result,
+            "cs": cs, "plan": plan, "shifted": shifted,
         }
     elapsed = time.perf_counter() - t0
     return runs, elapsed
@@ -42,10 +42,10 @@ def random_bench():
     for n in (50, 100):
         p = nk.random_mnare(nk.RandomMnareSpec(n=n, alpha=1e-3, seed=0))
         plain = nk.sda_solve(p, nk.SdaConfig())
-        solution, cs, plan, outcome = nk.sushi_solve(p)
+        result, cs, plan, shifted = nk.sushi_solve(p)
         runs[n] = {
-            "problem": p, "plain": plain, "solution": solution,
-            "cs": cs, "plan": plan, "outcome": outcome,
+            "problem": p, "plain": plain, "result": result,
+            "cs": cs, "plan": plan, "shifted": shifted,
         }
     return runs
 

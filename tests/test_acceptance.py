@@ -97,19 +97,18 @@ def test_transport_iteration_counts(transport_bench):
     for key, want in TABLE2.items():
         cell = runs[key]
         assert abs(cell["plain"].steps - want["sda"]) <= 2, key
-        assert abs(cell["outcome"].steps - want["sushi"]) <= 2, key
+        assert abs(cell["result"].steps - want["sushi"]) <= 2, key
         assert abs(cell["cs"].inv_iter_steps - want["orth"]) <= 3, key
         assert cell["plain"].residual <= 1e-12, key
-        assert cell["solution"].residual <= 1e-12, key
+        assert cell["result"].residual <= 1e-12, key
 
 
 def test_table2_solves_report_converged(transport_bench):
     runs, _ = transport_bench
     for key, cell in runs.items():
         assert cell["plain"].converged, key
-        assert cell["outcome"].converged, key
-        assert nk.sushi_report(cell["solution"], cell["cs"], cell["plan"],
-                               cell["outcome"])["converged"], key
+        assert cell["shifted"].converged, key
+        assert cell["result"].converged, key
 
 
 # --- criterion 3: random family, qualitative ----------------------------------
@@ -119,9 +118,9 @@ def test_random_family_shift_beats_plain():
         for seed in range(5):
             p = nk.random_mnare(nk.RandomMnareSpec(n=n, alpha=1e-3, seed=seed))
             plain = nk.sda_solve(p, nk.SdaConfig())
-            _, _, _, outcome = nk.sushi_solve(p)
+            result, *_ = nk.sushi_solve(p)
             assert plain.steps >= 10, (n, seed)
-            assert outcome.steps <= 6, (n, seed)
+            assert result.steps <= 6, (n, seed)
 
 
 # --- criterion 4: single-precision mode ---------------------------------------
@@ -247,7 +246,7 @@ def test_solution_equivalence(transport_bench, random_bench):
     for cell in cells:
         p = cell["problem"]
         x_plain = cell["plain"].X
-        x_shift = cell["solution"].X
+        x_shift = cell["result"].X
         assert relative_error(x_shift, x_plain) <= 1e-8
         assert nk.relative_residual(p, x_plain) <= 1e-12
         assert nk.relative_residual(p, x_shift) <= 1e-12

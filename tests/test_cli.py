@@ -243,7 +243,7 @@ class TestSushi:
         assert code == 0
         report = json.loads(out)
         assert report["k"] == 2
-        assert abs(report["sda_steps"] - 11) <= 2
+        assert abs(report["steps"] - 11) <= 2
         assert report["residual"] <= 1e-12
 
     def test_overrides(self, capsys):
@@ -253,6 +253,14 @@ class TestSushi:
         assert code == 0
         report = json.loads(out)
         assert report["s"] == 50.0
+
+    def test_report_is_the_solve_report_plus_the_shift(self, capsys):
+        args = ("--family", "transport", "--n", "8", "--beta", "1e-3")
+        _, solve_out, _ = run(capsys, "solve", *args)
+        code, sushi_out, _ = run(capsys, "sushi", *args)
+        assert code == 0
+        assert set(json.loads(sushi_out)) == set(json.loads(solve_out)) | {
+            "k", "s", "central_eigs", "inv_iter_steps", "cond_uv", "timings"}
 
     def test_csv_cells_are_json(self, capsys):
         code, out, _ = run(capsys, "sushi", "--family", "transport", "--n", "8",
@@ -295,7 +303,8 @@ class TestSushi:
         assert flag in err
 
     def test_k_max_reached_exits_3(self, capsys):
-        # exactly critical: no central dimension up to K_MAX separates
+        # exactly critical: the central pair's inverse iteration does not
+        # settle in PAIR_MAX_ITERS steps (NoConvergence)
         code, out, _ = run(capsys, "sushi", "--family", "transport", "--n", "8",
                            "--alpha", "0", "--c", "1")
         assert code == 3

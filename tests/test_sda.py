@@ -97,6 +97,18 @@ class TestStep:
         assert BREAKDOWN_COND < err.value.diagnostics["cond_estimate"] < np.inf
         assert err.value.diagnostics["cond_estimate"] == pytest.approx(1.0e15, rel=0.2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+    def test_breakdown_on_overflow(self, factored):
+        # E' = E @ E overflows to inf with I - G@H = I perfectly conditioned
+        big = np.array([[1e200]])
+        e = (big, np.eye(1)) if factored else big
+        f = (np.eye(1), np.eye(1)) if factored else np.eye(1)
+        s = SdaState(E=e, F=f, G=np.zeros((1, 1)), Hm=np.zeros((1, 1)), step=3)
+        with pytest.raises(Breakdown) as err:
+            nk.sda_step(s)
+        assert err.value.diagnostics == {"step": 3, "cond_estimate": 1.0}
+
     def test_one_transposed_solve_per_factor(self, monkeypatch):
         # each factor is applied once, by a transposed solve on E^T (n
         # columns) or F^T (m columns)
@@ -217,6 +229,18 @@ class TestSolve:
         floor = -1e-12 * frobenius_norm(out.X)
         assert np.all(out.X >= floor)
         assert np.all(out.Y >= -1e-12 * frobenius_norm(out.Y))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_breaks_down_in_its_own_step(self):
+        # float32 transport with beta below eps_32: E and F grow until one
+        # overflows; the step that overflows raises, no nan err_est is traced
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-6))
+        trace = []
+        with pytest.raises(Breakdown) as err:
+            nk.sda_solve(p.astype(np.float32), nk.SdaConfig(tol=1e-7, trace=trace.append))
+        assert trace and all(np.isfinite(r["err_est"]) for r in trace)
+        assert err.value.diagnostics["step"] == trace[-1]["step"]
+        assert err.value.diagnostics["cond_estimate"] < BREAKDOWN_COND
 
     def test_err_est_tail_falls(self):
         p = nk.random_mnare(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3))
@@ -406,8 +430,8 @@ def test_single_precision_steps_not_above_change_test(beta, sda_steps, sushi_ste
     p = nk.transport_problem(nk.TransportSpec.near_critical(32, beta))
     p32 = p.astype(np.float32)
     assert nk.sda_solve(p32, nk.SdaConfig(tol=1e-7)).steps <= sda_steps
-    *_, outcome = nk.sushi_solve(p32, nk.SushiOptions(tol=1e-7))
-    assert outcome.steps <= sushi_steps
+    result, *_ = nk.sushi_solve(p32, nk.SushiOptions(tol=1e-7))
+    assert result.steps <= sushi_steps
 
 
 class TestPredictedRate:

@@ -15,6 +15,7 @@ from narekit.errors import (
 )
 from narekit.kernel import coupling_cond, frobenius_norm, lu_factor
 from narekit import core, sda, shift
+from narekit.sda import residual_bound
 from narekit.shift import (
     CentralSubspaces,
     detect_k,
@@ -182,10 +183,10 @@ class TestSharedFactor:
         m = (np.max(np.abs(np.linalg.eigvals(big))) + 1e-3) * np.eye(16) - big
         n = 6
         p = nk.NareProblem(A=m[n:, n:], B=-m[n:, :n], C=-m[:n, n:], D=m[:n, :n])
-        solution, _, _, _ = nk.sushi_solve(p)
-        x = solution.X
+        result, *_ = nk.sushi_solve(p)
+        x = result.X
         assert x.shape == (10, 6)
-        assert solution.residual <= 1e-12
+        assert result.residual <= 1e-12
         assert x.min() >= -np.finfo(float).eps * frobenius_norm(x)
         assert relative_error(x, nk.sda_solve(p).X) <= 1e-12
 
@@ -208,8 +209,8 @@ class TestDetectK:
         # moduli still show the gap after |xi_2|, so k = 2 is accepted
         p = nk.transport_problem(nk.TransportSpec.near_critical(8, beta))
         assert detect_k(smallest_moduli(_lu(nk.build_h(p).H), 9)) == 2
-        solution, cs, _, _ = nk.sushi_solve(p)
-        assert cs.k == 2 and solution.residual <= 1e-12
+        result, cs, _, _ = nk.sushi_solve(p)
+        assert cs.k == 2 and result.residual <= 1e-12
 
     def test_no_separation_raises(self, monkeypatch):
         # all eigenvalues on the unit circle: no modulus gap anywhere
@@ -240,22 +241,22 @@ class TestDetectK:
     def test_near_critical_transport_takes_two(self, n, beta):
         # |xi_2| / |xi_3| is far below SLOW_RATE at each of these betas
         p = nk.transport_problem(nk.TransportSpec.near_critical(n, beta))
-        solution, cs, _, _ = nk.sushi_solve(p)
-        assert cs.k == 2 and solution.converged
+        result, cs, _, _ = nk.sushi_solve(p)
+        assert cs.k == 2 and result.converged
 
     def test_transport_n4_takes_two(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(4, 1e-9))
-        _, cs, _, outcome = nk.sushi_solve(p)
-        assert cs.k == 2 and outcome.steps <= 8
+        result, cs, _, _ = nk.sushi_solve(p)
+        assert cs.k == 2 and result.steps <= 8
 
     @pytest.mark.parametrize("beta", np.geomspace(1e-6, 1e-4, 16))
     def test_float32_transport_near_critical(self, beta):
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, float(beta)))
         reference = nk.sda_solve(p).X
-        solution, _, _, _ = nk.sushi_solve(p.astype(np.float32),
-                                           nk.SushiOptions(tol=1e-7, iter_tol=1e-6))
-        assert solution.X.dtype == np.float32
-        assert relative_error(solution.X.astype(np.float64), reference) <= 1e-4
+        result, *_ = nk.sushi_solve(p.astype(np.float32),
+                                    nk.SushiOptions(tol=1e-7, iter_tol=1e-6))
+        assert result.X.dtype == np.float32
+        assert relative_error(result.X.astype(np.float64), reference) <= 1e-4
 
     @pytest.mark.parametrize("problem", [
         lambda: nk.transport_problem(nk.TransportSpec.near_critical(1, 1e-3)),
@@ -473,18 +474,17 @@ class TestSushiSolve:
     def test_matches_plain_sda_far_from_critical(self):
         p = nk.random_mnare(nk.RandomMnareSpec(n=12, alpha=0.5, seed=5))
         plain = nk.sda_solve(p, nk.SdaConfig())
-        solution, cs, plan, outcome = nk.sushi_solve(p)
-        assert relative_error(solution.X, plain.X) <= 1e-8
-        assert solution.residual <= 1e-13
-        assert outcome.steps <= plain.steps
+        result, *_ = nk.sushi_solve(p)
+        assert relative_error(result.X, plain.X) <= 1e-8
+        assert result.residual <= 1e-13
+        assert result.steps <= plain.steps
 
     def test_fixed_k_and_s_respected(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
-        solution, cs, plan, _ = nk.sushi_solve(
-            p, nk.SushiOptions(k=2, s=100.0))
+        result, cs, plan, _ = nk.sushi_solve(p, nk.SushiOptions(k=2, s=100.0))
         assert cs.k == 2
         assert plan.s == 100.0
-        assert solution.residual <= 1e-12
+        assert result.residual <= 1e-12
 
     @pytest.mark.parametrize("s", [-2.0, -1.0, float("nan")])
     def test_fixed_shift_needs_one_plus_s_positive(self, s):
@@ -498,39 +498,55 @@ class TestSushiSolve:
     def test_fixed_shift_above_minus_one_is_minimal(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
         plain = nk.sda_solve(p, nk.SdaConfig())
-        solution, _, plan, _ = nk.sushi_solve(p, nk.SushiOptions(s=-0.5))
+        result, _, plan, _ = nk.sushi_solve(p, nk.SushiOptions(s=-0.5))
         assert plan.s == -0.5
-        assert relative_error(solution.X, plain.X) <= 1e-10
-        assert solution.residual <= 1e-13
+        assert relative_error(result.X, plain.X) <= 1e-10
+        assert result.residual <= 1e-13
 
     def test_plan_records_elapsed_time(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
-        solution, cs, plan, outcome = nk.sushi_solve(p)
+        _, _, plan, _ = nk.sushi_solve(p)
         assert plan.rationale["elapsed_s"] > 0.0
         assert "xi_1" in plan.rationale
-        report = nk.sushi_report(solution, cs, plan, outcome)
-        assert report["timings"]["total_s"] == plan.rationale["elapsed_s"]
 
     def test_report_schema(self):
+        # the shifted solve answers in sda_solve's type, so in its report
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
-        report = nk.sushi_report(*nk.sushi_solve(p))
-        assert {"k", "s", "central_eigs", "inv_iter_steps", "cond_uv",
-                "sda_steps", "residual", "converged", "shifted_dual_residual",
-                "timings"} <= set(report)
-        assert report["k"] == 2
+        result, *_ = nk.sushi_solve(p)
+        assert isinstance(result, nk.SdaOutcome)
+        report = result.report()
+        assert set(report) == set(nk.sda_solve(p).report())
         assert report["residual"] <= 1e-12
         assert report["converged"] is True
 
     def test_dual_residual_of_iterated_equation(self):
         # G converges to the dual solution of the shifted equation
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-12))
-        _, _, _, outcome = nk.sushi_solve(p)
-        assert outcome.dual_residual <= 1e-13
+        _, _, _, shifted = nk.sushi_solve(p)
+        assert shifted.dual_residual <= 1e-13
+
+    @pytest.mark.parametrize("problem", [
+        nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-12)),
+        nk.random_mnare(nk.RandomMnareSpec(n=24, alpha=1e-3, seed=1)),
+        carved_mnare(7, 11, 1e-6),
+    ], ids=["transport-32", "random-24", "carved-7x11"])
+    def test_result_answers_the_original_equation(self, problem):
+        # the polished X and Y, unpolished, of the original equation and its
+        # dual; the doubling's count, gamma and tail from the shifted solve
+        result, _, _, shifted = nk.sushi_solve(problem)
+        assert result.residual == nk.relative_residual(problem, result.X)
+        assert result.converged == (result.residual <= residual_bound(problem, 1e-15))
+        assert result.Y is shifted.Y
+        assert result.dual_residual == nk.relative_residual(problem.dual(), result.Y)
+        assert result.dual_residual <= 1e-6
+        assert (result.steps, result.gamma, result.tail_from) == (
+            shifted.steps, shifted.gamma, shifted.tail_from)
+        assert result.gamma == nk.gamma_star(problem)
 
     def test_residual_not_degraded_vs_plain(self, transport_bench):
         runs, _ = transport_bench
         for cell in runs.values():
-            assert cell["solution"].residual <= 10.0 * cell["plain"].residual
+            assert cell["result"].residual <= 10.0 * cell["plain"].residual
 
 
 def _polish(p, x):
@@ -604,14 +620,15 @@ def test_sushi_solve_makes_no_schur_form(monkeypatch):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.linalg, name, counting)
-    solution, _, _, outcome = nk.sushi_solve(p)
-    assert solution.residual < nk.relative_residual(p, outcome.X)  # the polish ran
+    result, _, _, shifted = nk.sushi_solve(p)
+    assert result.residual < nk.relative_residual(p, shifted.X)  # the polish ran
     assert calls == []
 
 
 def test_sushi_solve_residual_calls(monkeypatch):
     # X C X is formed twice in the doubling (primal and dual), once for its
-    # X on the original equation and once per polish correction
+    # X on the original equation, once per polish correction and once for
+    # its Y on the original dual equation
     formed, corrections = [], []
     for mod, name in ((core, "_residual_with_size"), (shift, "_residual_with_size"),
                       (core, "residual")):
@@ -627,10 +644,10 @@ def test_sushi_solve_residual_calls(monkeypatch):
 
     monkeypatch.setattr(shift, "_smith_correction", correcting)
     p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
-    solution, *_ = nk.sushi_solve(p)
-    assert solution.residual <= 1e-12
+    result, *_ = nk.sushi_solve(p)
+    assert result.residual <= 1e-12
     assert sum(corrections) >= 1  # the polish ran
-    assert len(formed) == 3 + sum(corrections)
+    assert len(formed) == 4 + sum(corrections)
 
 
 @pytest.mark.parametrize("doublings", [2, shift.POLISH_MAX_DOUBLINGS])
