@@ -13,9 +13,9 @@ breakdown (SingularMatrix, InitSingular and Breakdown included), 3 any
 other NarekitError (no convergence, no central subspace, an
 ill-conditioned central pair), 4 InvalidProblem (not an M-matrix
 equation, a spectrum that does not split), 5 usage or input/output error
-(an unknown flag, a malformed value, a --k, --s, --gamma, --tol or
---max-steps out of range, and a problem file or generator that raises
-InvalidProblem included); 6 is unassigned.  In JSON mode
+(an unknown flag, a malformed value, a --k, --s, --gamma, --tol,
+--max-steps or bench --seeds out of range, and a problem file or
+generator that raises InvalidProblem included); 6 is unassigned.  In JSON mode
 errors, usage errors included, are reported as {"error": <code-name>,
 "message": ...} on standard output; a human-readable message always goes
 to standard error.  csv and table cells render lists and dicts as
@@ -276,8 +276,8 @@ def cmd_sushi(args):
     p = _load_problem(args)
     if args.k is not None and not 1 <= args.k < p.n + p.m:
         raise _CliFailure(EXIT_IO, f"--k {args.k} is outside 1..{p.n + p.m - 1}")
-    if args.s is not None and not 1.0 + args.s > 0.0:
-        raise _CliFailure(EXIT_IO, f"--s {args.s} must satisfy 1 + s > 0")
+    if args.s is not None and not 0.0 < 1.0 + args.s < np.inf:
+        raise _CliFailure(EXIT_IO, f"--s {args.s} must be finite with 1 + s > 0")
     with _trace(args) as trace:
         opts = SushiOptions(k=args.k, s=args.s, tol=args.tol, max_steps=args.max_steps,
                             force=args.force, trace=trace)
@@ -325,10 +325,7 @@ BENCH_HEADER = ["n", "param", "seed", "gap", "delta", "sda_its", "sda_res",
 
 
 def _bench_cell(family, n, param, seed, tol, max_steps):
-    if family == "transport":
-        p = transport_problem(TransportSpec.near_critical(n, param))
-    else:
-        p = random_mnare(RandomMnareSpec(n=n, alpha=param, seed=seed))
+    p = _generate(family, n, beta=param, alpha=param, seed=seed)
     h = build_h(p)
     row = {"n": n, "param": param, "seed": seed if family == "random" else ""}
     try:
@@ -365,6 +362,8 @@ def cmd_bench(args):
         sizes = [int(v) for v in args.sizes.split(",") if v]
         params = [float(v) for v in args.params.split(",") if v]
         seeds = [int(v) for v in args.seeds.split(",") if v]
+        if min(seeds, default=0) < 0:
+            raise ValueError(f"negative seed {min(seeds)}")
     except ValueError as exc:
         raise _CliFailure(EXIT_IO, f"bad grid specification: {exc}")
     seeds = seeds if args.family == "random" else [0]

@@ -17,12 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    InvalidProblem,
-    PoleHit,
-    SingularMatrix,
-)
+from .errors import InvalidProblem, SingularMatrix
 from .kernel import as_matrix, eigenvalues, frobenius_norm, lu_factor, lu_solve
 
 ZERO_TOL = 1e-10  #: relative size of classify_mmatrix's certificate shift tau
@@ -243,18 +238,19 @@ def residual(p: NareProblem, x) -> np.ndarray:
 
 def _residual_with_size(p: NareProblem, x):
     """(R(X), ||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F)), each product
-    formed once; R sums in `residual`'s order, so it is bit-identical."""
+    formed once; R sums in `residual`'s order, so it is bit-identical.  The
+    size is 0.0 when the denominator is 0, which by the triangle inequality
+    forces R(X) = 0 (B = 0 at X = 0, say)."""
     x = np.asarray(x)
     xcx, ax, xd = x @ p.C @ x, p.A @ x, x @ p.D
     den = frobenius_norm(xcx + p.B) + frobenius_norm(ax + xd)
-    if den < np.finfo(np.float64).eps:
-        raise DegenerateDenominator("relative residual denominator is zero")
     r = xcx - ax - xd + p.B
-    return r, frobenius_norm(r) / den
+    return r, frobenius_norm(r) / den if den else 0.0
 
 
 def relative_residual(p: NareProblem, x) -> float:
-    """||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F), the relative residual."""
+    """||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F), the relative
+    residual; 0.0 when the denominator is 0, as R(X) = 0 then."""
     return _residual_with_size(p, x)[1]
 
 
@@ -264,12 +260,13 @@ def gamma_star(p: NareProblem) -> float:
 
 
 def cayley(z, gamma):
-    """(z - gamma) / (z + gamma); InvalidProblem unless 0 < gamma < inf."""
+    """(z - gamma) / (z + gamma), infinite at the pole z = -gamma;
+    InvalidProblem unless 0 < gamma < inf."""
     z = complex(z)
     if not 0.0 < gamma < np.inf:
         raise InvalidProblem(f"Cayley parameter {gamma} must be finite and > 0")
-    if abs(z + gamma) < np.finfo(np.float64).eps * (abs(z) + abs(gamma)):
-        raise PoleHit(f"Cayley transform evaluated at its pole, z={z}")
+    if z == -gamma:
+        return complex(np.inf, 0.0)
     w = (z - gamma) / (z + gamma)
     return w if z.imag != 0 else complex(w.real, 0.0)
 

@@ -52,10 +52,6 @@ def gap_of(h: LinearizingMatrix) -> float:
 def _cayley_gap(h, lam, gamma):
     anti, stab = lam[: h.n], lam[h.n:]
     num = max(abs(cayley(z, gamma)) for z in anti)
-    if num == 0.0:
-        # an exact Cayley zero on the antistable side; skip the stable
-        # minimum, which may sit at the transform's pole
-        return 0.0
     den = min(abs(cayley(z, gamma)) for z in stab)
     return float(num / den)
 

@@ -4,7 +4,9 @@ Every failure mode raised by the library derives from :class:`NarekitError`
 and has its one constructor: a message and a ``diagnostics`` dict of the
 values behind it, or None.  The CLI maps three cases to exit codes:
 SingularMatrix (InitSingular and Breakdown included) to 2, InvalidProblem
-to 4 and any other NarekitError to 3.
+to 4 and any other NarekitError to 3.  A defined value is no error: a
+relative residual with a zero denominator is 0.0, and a Cayley transform at
+its pole is infinite.
 """
 
 
@@ -33,14 +35,6 @@ class InvalidProblem(NarekitError):
     """Problem data is malformed, dimensionally inconsistent or non-finite,
     or the problem lies outside what a solver accepts (no M-matrix
     structure, a spectrum that does not split, a bad parameter)."""
-
-
-class DegenerateDenominator(NarekitError):
-    """The relative-residual denominator is numerically zero."""
-
-
-class PoleHit(NarekitError):
-    """A Cayley transform was evaluated at (numerically) its pole."""
 
 
 # --- doubling solver --------------------------------------------------------

@@ -50,8 +50,10 @@ class RandomMnareSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidProblem("size n must be positive")
-        if self.alpha <= 0.0:
-            raise InvalidProblem("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise InvalidProblem("alpha must be positive and finite")
+        if self.seed < 0:
+            raise InvalidProblem("seed must be nonnegative")
 
 
 def gauss_legendre_nodes(n):

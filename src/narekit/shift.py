@@ -204,12 +204,13 @@ def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
     CentralPairIllConditioned by diagnostics.cond_uv's rule, applied to
     cs.cond_uv, or when the k x k solve finds U^T V exactly singular.
 
-    InvalidProblem unless 1 + s > 0: a factor 1 + s <= 0 moves the central
-    eigenvalues onto or across the imaginary axis, so the doubling would
-    stall or converge to a nonnegative solution other than the minimal one.
+    InvalidProblem unless s is finite and 1 + s > 0: a factor 1 + s <= 0
+    moves the central eigenvalues onto or across the imaginary axis, so the
+    doubling would stall or converge to a nonnegative solution other than
+    the minimal one.
     """
-    if not 1.0 + s > 0.0:
-        raise InvalidProblem(f"shift s={s} must satisfy 1 + s > 0")
+    if not 0.0 < 1.0 + s < np.inf:
+        raise InvalidProblem(f"shift s={s} must be finite with 1 + s > 0")
     check_coupling(cs.cond_uv, cs.k)
     try:
         w = np.linalg.solve(cs.U.T @ cs.V, cs.U.T)

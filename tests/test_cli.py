@@ -42,6 +42,18 @@ class TestGen:
         assert code == 5
         assert "alpha" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--alpha", "inf"),
+                                             ("--alpha", "nan")])
+    @pytest.mark.parametrize("command", ["gen", "solve", "sushi", "diagnose"])
+    def test_bad_random_parameter_exits_5(self, tmp_path, capsys, command, flag, value):
+        argv = {"--alpha": "1e-3", flag: value}
+        extra = ["--out", str(tmp_path / "p.json")] if command == "gen" else []
+        code, out, err = run(capsys, command, "--family", "random", "--n", "8",
+                             *[w for kv in argv.items() for w in kv], *extra)
+        assert code == 5
+        assert flag[2:] in err
+
     def test_quadrature_failure_exits_5(self, tmp_path, capsys, broken_leggauss):
         out = tmp_path / "x.json"
         code, _, err = run(capsys, "gen", "--family", "transport", "--n", "5",
@@ -66,6 +78,20 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--problem", str(path))
         assert code == 0
         assert json.loads(out)["converged"]
+
+    @pytest.mark.parametrize("zero", ["B", "C"])
+    def test_zero_coefficient_block_solves(self, tmp_path, capsys, zero):
+        # X = 0 (B = 0) or Y = 0 (C = 0) zeroes the residual's denominator
+        blocks = {"A": np.diag([2.0, 1.0]), "B": np.full((2, 2), 0.1),
+                  "C": np.full((2, 2), 0.1), "D": np.diag([1.5, 1.0])}
+        blocks[zero] = np.zeros((2, 2))
+        path = tmp_path / "p.json"
+        nk.NareProblem(**blocks).save(path)
+        code, out, _ = run(capsys, "solve", "--problem", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["converged"]
+        assert report["residual" if zero == "B" else "dual_residual"] == 0.0
 
     def test_non_mmatrix_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -293,9 +319,10 @@ class TestSushi:
 
     @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "16"),
                                              ("--k", "17"), ("--s", "-2"),
-                                             ("--s", "-1")])
+                                             ("--s", "-1"), ("--s", "nan"),
+                                             ("--s", "inf")])
     def test_out_of_range_override_exits_5(self, capsys, flag, value):
-        # n = m = 8 allows 1 <= k <= 15; a shift needs 1 + s > 0
+        # n = m = 8 allows 1 <= k <= 15; a shift needs a finite s, 1 + s > 0
         code, out, err = run(capsys, "sushi", "--family", "transport",
                              "--n", "8", "--beta", "1e-3", flag, value)
         assert code == 5
@@ -327,6 +354,15 @@ class TestDiagnose:
         assert report["classification"] == "NonsingularM"
         assert report["gap"] == pytest.approx(0.11, rel=0.05)
         assert report["cayley_gap"] <= 1.0 + 1e-12
+
+    def test_stable_eigenvalue_on_the_pole(self, tmp_path, capsys):
+        # eigenvalues 1.5, 1, -2, -1; -2 is the pole of the transform at gamma* = 2
+        path = tmp_path / "p.json"
+        nk.NareProblem(A=np.diag([2.0, 1.0]), B=np.full((2, 2), 0.1),
+                       C=np.zeros((2, 2)), D=np.diag([1.5, 1.0])).save(path)
+        code, out, _ = run(capsys, "diagnose", "--problem", str(path))
+        assert code == 0
+        assert json.loads(out)["cayley_gap"] == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--family", "transport",
@@ -429,6 +465,14 @@ class TestBench:
     def test_bad_grid_exits_5(self, capsys):
         code, _, _ = run(capsys, "bench", "--sizes", "abc")
         assert code == 5
+        code, _, err = run(capsys, "bench", "--family", "random", "--sizes", "8",
+                           "--params", "1e-3", "--seeds", "0,-1")
+        assert code == 5
+        assert "seed" in err
+        code, _, err = run(capsys, "bench", "--family", "random", "--sizes", "8",
+                           "--params", "nan")
+        assert code == 5
+        assert "alpha" in err
 
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "bench.csv"

@@ -6,12 +6,7 @@ import pytest
 import narekit as nk
 from narekit import core
 from narekit.core import ordered_eigenvalues, require_mmatrix
-from narekit.errors import (
-    DegenerateDenominator,
-    InvalidProblem,
-    PoleHit,
-    SingularMatrix,
-)
+from narekit.errors import InvalidProblem, SingularMatrix
 from narekit.kernel import frobenius_norm, lu_factor
 from oracles import central_real_pair, relative_error
 
@@ -266,9 +261,10 @@ class TestResiduals:
         assert got == frobenius_norm(nk.residual(p, x)) / den
 
     def test_degenerate_denominator(self):
+        # ||R||_F <= ||X C X + B||_F + ||A X + X D||_F, so a zero
+        # denominator means R = 0
         p = nk.NareProblem(A=[[0.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])
-        with pytest.raises(DegenerateDenominator):
-            nk.relative_residual(p, [[0.0]])
+        assert nk.relative_residual(p, [[0.0]]) == 0.0
 
     def test_relative_error(self):
         x = np.ones((2, 2))
@@ -298,8 +294,7 @@ class TestGammaAndCayley:
         assert nk.cayley(1.0, 3.0) == -0.5
 
     def test_cayley_pole(self):
-        with pytest.raises(PoleHit):
-            nk.cayley(-2.0, 2.0)
+        assert np.isinf(nk.cayley(-2.0, 2.0))
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
     def test_cayley_rejects_bad_parameter(self, gamma):

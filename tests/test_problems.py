@@ -27,6 +27,11 @@ class TestSpecs:
             nk.RandomMnareSpec(n=4, alpha=0.0, seed=0)
         with pytest.raises(InvalidProblem):
             nk.RandomMnareSpec(n=0, alpha=0.1, seed=0)
+        for alpha in (np.inf, np.nan):
+            with pytest.raises(InvalidProblem):
+                nk.RandomMnareSpec(n=4, alpha=alpha, seed=0)
+        with pytest.raises(InvalidProblem):
+            nk.RandomMnareSpec(n=4, alpha=0.1, seed=-1)
 
 
 class TestQuadrature:

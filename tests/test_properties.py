@@ -10,14 +10,16 @@ transport family.  `sushi_solve` may refuse a random problem with
 casts of the transport family go through `sushi_solve` only: it converges
 and agrees with float64 `sda_solve` to 1e-4.  Plain float32 doubling is
 left out: at beta below eps_32 it can break down, and its error reaches
-5e-3.
+5e-3.  Both solvers are invariant under scaling the equation by c = 10^k,
+|k| <= 30: the same steps, X to 1e-10, and the same refusal.
 """
 
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 import numpy as np
+import pytest
 
 import narekit as nk
-from narekit.errors import KMaxReached
+from narekit.errors import KMaxReached, NarekitError
 from narekit.sda import residual_bound
 
 EPS = np.finfo(np.float64).eps
@@ -85,3 +87,37 @@ def test_float32_transport_shifted_solution(n, log_beta):
     assert result.converged
     err = np.linalg.norm(result.X.astype(np.float64) - reference)
     assert err <= 1e-4 * np.linalg.norm(reference)
+
+
+def _check_scale_invariance(p, log_c):
+    c = 10.0 ** log_c
+    scaled = nk.NareProblem(c * p.A, c * p.B, c * p.C, c * p.D)
+    for solve in (nk.sda_solve, lambda q: nk.sushi_solve(q)[0]):
+        try:
+            base = solve(p)
+        except NarekitError as exc:  # sushi_solve refuses some random equations
+            with pytest.raises(type(exc)):
+                solve(scaled)
+            continue
+        out = solve(scaled)
+        assert out.converged and base.converged
+        assert out.steps == base.steps
+        assert np.linalg.norm(out.X - base.X) <= 1e-10 * np.linalg.norm(base.X)
+
+
+@seed(20120601)
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 16), log_beta=st.floats(-8.0, -2.0),
+       log_c=st.integers(-30, 30))
+@example(n=16, log_beta=-6.0, log_c=-17)  # solved at a residual denominator of 1e-16
+def test_transport_scale_invariance(n, log_beta, log_c):
+    p = nk.transport_problem(nk.TransportSpec.near_critical(n, 10.0 ** log_beta))
+    _check_scale_invariance(p, log_c)
+
+
+@seed(20120601)
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 10), m=st.integers(2, 10), log_alpha=st.floats(-8.0, 0.0),
+       rng_seed=st.integers(0, 2**32 - 1), log_c=st.integers(-30, 30))
+def test_random_scale_invariance(n, m, log_alpha, rng_seed, log_c):
+    _check_scale_invariance(_random_mnare(n, m, 10.0 ** log_alpha, rng_seed), log_c)

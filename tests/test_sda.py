@@ -19,6 +19,12 @@ def scalar_problem(a, b, c, d):
     return nk.NareProblem(A=[[a]], B=[[b]], C=[[c]], D=[[d]])
 
 
+def decoupled_problem():
+    """A = diag(2, 1), B = 0.1, C = 0, D = diag(1.5, 1): Y = 0 solves the dual."""
+    return nk.NareProblem(A=np.diag([2.0, 1.0]), B=np.full((2, 2), 0.1),
+                          C=np.zeros((2, 2)), D=np.diag([1.5, 1.0]))
+
+
 class TestInit:
     def test_scalar_hand_computed(self):
         # a = d = 2, b = c = 1, gamma = 2:
@@ -300,6 +306,21 @@ class TestSolve:
         with pytest.raises(InvalidProblem):
             nk.sda_solve(p, nk.SdaConfig(tol=tol))
 
+    def test_zero_b_solves_to_zero(self):
+        # B = 0: X = 0 is the minimal solution, with a zero residual denominator
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        out = nk.sda_solve(nk.NareProblem(p.A, np.zeros_like(p.B), p.C, p.D))
+        assert out.converged
+        assert not out.X.any()
+        assert out.residual == 0.0
+
+    def test_zero_c_solves_with_zero_dual(self):
+        # C = 0: Y = 0 solves the dual equation Y B Y - Y A - D Y + C = 0
+        out = nk.sda_solve(decoupled_problem())
+        assert out.converged
+        assert not out.Y.any()
+        assert out.dual_residual == 0.0
+
     def test_gamma_default_is_gamma_star(self):
         p = nk.random_mnare(nk.RandomMnareSpec(n=6, alpha=1.0, seed=0))
         out = nk.sda_solve(p, nk.SdaConfig())
@@ -446,6 +467,14 @@ class TestPredictedRate:
         p = nk.transport_problem(nk.TransportSpec.near_critical(4, 1e-3))
         rate = nk.cayley_gap(nk.build_h(p), nk.gamma_star(p))
         assert rate == pytest.approx(0.98, rel=0.01)
+
+    def test_stable_eigenvalue_on_the_pole(self):
+        # A = diag(2, 1), D = diag(1.5, 1), C = 0: H = [[D, 0], [B, -A]] has
+        # eigenvalues 1.5, 1, -2, -1, and -2 sits on the pole at gamma* = 2;
+        # the rate is |C(1)| / |C(-1)| = (1/3) / 3
+        p = decoupled_problem()
+        assert nk.gamma_star(p) == 2.0
+        assert nk.cayley_gap(nk.build_h(p), 2.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_no_split_is_ambiguous(self):
         # both eigenvalues antistable: no rate, although the formula gives 0.4

@@ -486,13 +486,14 @@ class TestSushiSolve:
         assert plan.s == 100.0
         assert result.residual <= 1e-12
 
-    @pytest.mark.parametrize("s", [-2.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("s", [-2.0, -1.0, float("nan"), float("inf")])
     def test_fixed_shift_needs_one_plus_s_positive(self, s):
         # 1 + s < 0 moves the central eigenvalues across the imaginary
         # axis, so doubling converges to another nonnegative solution with a
-        # tiny residual; 1 + s = 0 makes the shifted H singular
+        # tiny residual; 1 + s = 0 makes the shifted H singular, and an
+        # infinite s fills it with NaN
         p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
-        with pytest.raises(InvalidProblem):
+        with pytest.raises(InvalidProblem, match="shift s="):
             nk.sushi_solve(p, nk.SushiOptions(s=s))
 
     def test_fixed_shift_above_minus_one_is_minimal(self):
