@@ -24,12 +24,10 @@ from .core import (
     ordered_eigenvalues,
     relative_residual,
     residual,
-    verify_invariant_pair,
 )
 from .diagnostics import (
     DiagnosticsReport,
     cayley_gap,
-    cond_uv,
     delta_central,
     gap_of,
     relsep_of_subspace,
@@ -39,7 +37,7 @@ from .diagnostics import (
     stable_basis,
 )
 from .errors import NarekitError
-from .kernel import subspace_distance
+from .kernel import cond_uv, subspace_distance
 from .problems import (
     RandomMnareSpec,
     TransportSpec,
@@ -102,5 +100,4 @@ __all__ = [
     "subspace_distance",
     "sushi_solve",
     "transport_problem",
-    "verify_invariant_pair",
 ]

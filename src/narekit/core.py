@@ -209,20 +209,22 @@ def require_mmatrix(p: NareProblem, factor=None) -> MMatrixClass:
     """The solvers' guard: InvalidProblem unless build_m(p) is an M-matrix.
 
     With factor, H's LU, one solve of H x = J 1 (M = J H, J = diag(I, -I))
-    decides first: a Z-matrix M with x > 0 and M x > 0 (in float64, as a
-    float32 x needs) is a nonsingular M-matrix with s - rho(N) >=
-    min(M x / x), about 1/max(x) (Berman and Plemmons 1994, ch. 6).  That
-    bound is the evidence, tagged by the tau rule, so only is_mmatrix() is
-    sure to agree with classify_mmatrix, which can prove NonsingularM where
-    it says SingularM (transport n = 256, beta = 1e-6).  Near a singular M,
-    x is H's near-kernel direction.  Otherwise classify_mmatrix decides."""
+    decides first: for a Z-matrix M and x > 0, s - rho(N) >= min(M x / x)
+    (in float64, as a float32 x needs; Berman and Plemmons 1994, ch. 6), so
+    a bound above -tau certifies (M + tau I) x > 0, classify_mmatrix's
+    SingularM test.  That bound is the evidence, tagged by the tau rule, so
+    only is_mmatrix() is sure to agree with classify_mmatrix, which can
+    prove NonsingularM where it says SingularM (transport n = 256, beta =
+    1e-6).  Near a singular M, x is H's near-kernel direction, and roundoff
+    can leave the bound just below 0 (-3.4e-15 at transport n = 512, beta =
+    1e-12, with tau = 1.8e-7).  Otherwise classify_mmatrix decides."""
     m = build_m(p)
     tau = _z_tau(m)
     if factor is not None and tau is not None:
         x = lu_solve(factor, np.repeat(np.array([1.0, -1.0], p.dtype), [p.n, p.m]))
         if np.all(np.isfinite(x)) and np.all(x > 0):
             bound = float(np.min(m.astype(np.float64) @ x / x))
-            if bound > 0.0:
+            if bound > -tau:
                 return MMatrixClass("NonsingularM" if bound > tau else "SingularM", bound)
     cls = classify_mmatrix(m)
     if not cls.is_mmatrix():
@@ -269,17 +271,6 @@ def cayley(z, gamma):
         return complex(np.inf, 0.0)
     w = (z - gamma) / (z + gamma)
     return w if z.imag != 0 else complex(w.real, 0.0)
-
-
-def verify_invariant_pair(h: LinearizingMatrix, x) -> float:
-    """Invariant-subspace defect ||H [I; X] - [I; X](D - C X)||_F / ||H||_F."""
-    x = np.asarray(x)
-    if x.shape != (h.m, h.n):
-        raise InvalidProblem(f"X must be {h.m}x{h.n}")
-    stacked = np.vstack([np.eye(h.n, dtype=x.dtype), x])
-    dcx = h.block_d() - h.block_c() @ x
-    defect = h.H @ stacked - stacked @ dcx
-    return frobenius_norm(defect) / frobenius_norm(h.H)
 
 
 def ordered_eigenvalues(h: LinearizingMatrix):

@@ -15,7 +15,8 @@ delta     minimum distance from the central eigenvalues to the rest of
           the spectrum; large delta with small gap is the regime where
           the subspace shift pays off.
 cond_uv   ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V) for the left and right
-          central bases; report_for reads it from CentralSubspaces.cond_uv.
+          central bases, measured by kernel.cond_uv (narekit.cond_uv) when a
+          CentralSubspaces is built; report_for reports it, refusing nothing.
 """
 
 from dataclasses import dataclass
@@ -25,9 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import LinearizingMatrix, cayley, ordered_eigenvalues
-from .errors import CentralPairIllConditioned, InvalidProblem, MatchFailure
-from .errors import NoConvergence, NotInvariant
-from .kernel import coupling_cond, frobenius_norm
+from .errors import InvalidProblem, MatchFailure, NoConvergence, NotInvariant
+from .kernel import frobenius_norm
 
 #: step cap of the Lanczos iteration in sep_f
 SEP_MAX_STEPS = 5000
@@ -183,22 +183,6 @@ def delta_central(h: LinearizingMatrix, central_eigs) -> float:
     return _delta(h, ordered_eigenvalues(h), central_eigs)
 
 
-def check_coupling(cond, k) -> float:
-    """cond = ||(U^T V)^-1||_2 of k-column bases, passed through; raises
-    CentralPairIllConditioned when sigma_min(U^T V) = 1 / cond is at most
-    eps * k."""
-    if cond * np.finfo(np.float64).eps * max(k, 1) >= 1.0:
-        raise CentralPairIllConditioned("U^T V is numerically singular",
-                                        {"cond_uv": cond})
-    return cond
-
-
-def cond_uv(u, v) -> float:
-    """Spectral norm of (U^T V)^-1, i.e. 1 / sigma_min(U^T V); raises
-    CentralPairIllConditioned when sigma_min is at roundoff level."""
-    return check_coupling(coupling_cond(u, v), np.shape(u)[1])
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Per-problem criticality metrics, serializable to JSON or a text table."""
@@ -247,7 +231,8 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
 
     stable_basis: orthonormal basis of the stable invariant subspace, used
     for sep/relsep.  central_pair: a CentralSubspaces instance, used for
-    relsep of the central subspace, delta, and cond(U^T V).
+    relsep of the central subspace and delta; its cond_uv, which its
+    construction capped, is reported as it stands.
     """
     lam = ordered_eigenvalues(h)
     kwargs = {
@@ -263,5 +248,5 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
     if central_pair is not None:
         kwargs["relsep_central"] = relsep_of_subspace(h.H, central_pair.V)
         kwargs["delta_central"] = _delta(h, lam, central_pair.central_eigs)
-        kwargs["cond_uv"] = check_coupling(central_pair.cond_uv, central_pair.k)
+        kwargs["cond_uv"] = central_pair.cond_uv
     return DiagnosticsReport(**kwargs)

@@ -52,8 +52,9 @@ class Breakdown(SingularMatrix):
 # --- subspace shift ---------------------------------------------------------
 
 class CentralPairIllConditioned(NarekitError):
-    """The left/right central bases are too close to orthogonal to pair, or
-    U^T V is singular; diagnostics: cond_uv."""
+    """Raised on building a shift.CentralSubspaces whose left and right bases
+    have cond(U^T V) above shift.COND_CAP (inf for a singular U^T V), too
+    close to orthogonal to pair; diagnostics: cond_uv."""
 
 
 class KMaxReached(NarekitError):

@@ -96,12 +96,13 @@ def subspace_distance(b1, b2) -> float:
     return spectral_norm(b1 - b2 @ (b2.T @ b1))
 
 
-def coupling_cond(u, v) -> float:
+def cond_uv(u, v) -> float:
     """||(U^T V)^-1||_2 = 1 / sigma_min(U^T V), the conditioning of a pair of
-    left and right bases; inf when U^T V is exactly singular."""
+    left and right bases of equal shape; inf when U^T V is exactly singular,
+    as a Cayley transform is at its pole."""
+    if np.shape(u) != np.shape(v):
+        raise InvalidProblem("U and V must have the same shape")
     uv = np.asarray(u).T @ np.asarray(v)
-    if uv.shape[0] != uv.shape[1]:
-        raise InvalidProblem("U^T V must be square")
     smin = smallest_singular_value(uv)
     return 1.0 / smin if smin > 0 else np.inf
 

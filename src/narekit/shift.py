@@ -43,7 +43,6 @@ from .core import (
     relative_residual,
     require_mmatrix,
 )
-from .diagnostics import check_coupling
 from .errors import (
     CentralPairIllConditioned,
     DegenerateSpectrum,
@@ -52,8 +51,8 @@ from .errors import (
     NoConvergence,
     SingularMatrix,
 )
-from .kernel import coupling_cond, eigenvalues, frobenius_norm, lu_factor
-from .kernel import lu_solve, subspace_distance, thin_qr
+from .kernel import as_matrix, cond_uv, eigenvalues, frobenius_norm
+from .kernel import lu_factor, lu_solve, subspace_distance, thin_qr
 from .sda import SdaConfig, residual_bound, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
@@ -69,12 +68,27 @@ POLISH_MAX_DOUBLINGS = 50  #: doubling cap of the polish's Sylvester solve (2^50
 
 @dataclass(frozen=True)
 class CentralSubspaces:
+    """Right and left central bases V, U, paired: k = V.shape[1] and cond_uv
+    = ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V) are read off the bases.
+    InvalidProblem for non-finite or mismatched bases, and
+    CentralPairIllConditioned unless cond_uv <= COND_CAP."""
+
     V: np.ndarray  # right basis, orthonormal columns
     U: np.ndarray  # left basis, orthonormal columns
-    k: int
     central_eigs: np.ndarray  # eigenvalues of V^T H V
     inv_iter_steps: int
-    cond_uv: float  # ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V)
+    k: int = field(init=False)
+    cond_uv: float = field(init=False)
+
+    def __post_init__(self):
+        v = as_matrix(self.V, name="V")
+        cond = cond_uv(as_matrix(self.U, name="U"), v)
+        if not cond <= COND_CAP:
+            raise CentralPairIllConditioned(
+                f"cond(U^T V) = {cond:.3e} exceeds the acceptance cap",
+                {"cond_uv": cond})
+        object.__setattr__(self, "k", v.shape[1])
+        object.__setattr__(self, "cond_uv", cond)
 
 
 @dataclass(frozen=True)
@@ -122,22 +136,16 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
 
     The right basis comes from inverse iteration on h, the left one from
     the same iteration on h^T, both on one LU factor of h (factor, or a
-    fresh one).  Refuses to return a pair with ||(U^T V)^-1||_2 above
-    COND_CAP.
+    fresh one).  The CentralSubspaces refuses a pair with ||(U^T V)^-1||_2
+    above COND_CAP.
     """
     h = np.asarray(h)
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0)
     v, steps_v = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS)
     u, _ = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS, trans=1)
-    cond_uv = coupling_cond(u, v)
-    if cond_uv > COND_CAP:
-        raise CentralPairIllConditioned(
-            f"cond(U^T V) = {cond_uv:.3e} exceeds the acceptance cap",
-            {"cond_uv": cond_uv})
     central = eigenvalues(v.T @ h @ v)
-    return CentralSubspaces(V=v, U=u, k=k, central_eigs=central,
-                            inv_iter_steps=steps_v, cond_uv=cond_uv)
+    return CentralSubspaces(V=v, U=u, central_eigs=central, inv_iter_steps=steps_v)
 
 
 def smallest_moduli(factor, count):
@@ -200,9 +208,8 @@ def choose_shift_s(cs: CentralSubspaces, xi_next, h_norm) -> ShiftPlan:
 def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
                     s: float) -> LinearizingMatrix:
     """The rank-k update H (I + s V (U^T V)^-1 U^T) as a LinearizingMatrix,
-    formed as H + s (H V)((U^T V)^-1 U^T) in O(N^2 k);
-    CentralPairIllConditioned by diagnostics.cond_uv's rule, applied to
-    cs.cond_uv, or when the k x k solve finds U^T V exactly singular.
+    formed as H + s (H V)((U^T V)^-1 U^T) in O(N^2 k).  cs holds
+    cond(U^T V) <= COND_CAP, so the k x k solve meets no zero pivot.
 
     InvalidProblem unless s is finite and 1 + s > 0: a factor 1 + s <= 0
     moves the central eigenvalues onto or across the imaginary axis, so the
@@ -211,12 +218,7 @@ def build_shifted_h(h: LinearizingMatrix, cs: CentralSubspaces,
     """
     if not 0.0 < 1.0 + s < np.inf:
         raise InvalidProblem(f"shift s={s} must be finite with 1 + s > 0")
-    check_coupling(cs.cond_uv, cs.k)
-    try:
-        w = np.linalg.solve(cs.U.T @ cs.V, cs.U.T)
-    except np.linalg.LinAlgError as exc:
-        raise CentralPairIllConditioned(f"U^T V is singular: {exc}",
-                                        {"cond_uv": cs.cond_uv}) from exc
+    w = np.linalg.solve(cs.U.T @ cs.V, cs.U.T)
     return LinearizingMatrix(h.H + (s * (h.H @ cs.V)) @ w, h.n, h.m)
 
 

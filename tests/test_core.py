@@ -223,6 +223,21 @@ def test_guard_shortcut_evidence_and_tag():
     assert require_mmatrix(p).tag == "NonsingularM"
 
 
+def test_guard_certifies_by_tau_rule_on_shared_factor(monkeypatch):
+    # near a singular M roundoff leaves min(M x / x) just below 0; a bound
+    # above -tau is classify_mmatrix's SingularM certificate (M + tau I) x > 0,
+    # so the guard needs no LU of M -+ tau I
+    def refuse(m):
+        raise AssertionError("require_mmatrix fell back to classify_mmatrix")
+
+    p = nk.transport_problem(nk.TransportSpec.near_critical(512, 1e-12))
+    factor = lu_factor(nk.build_h(p).H, pivot_tol=0.0)
+    monkeypatch.setattr(core, "classify_mmatrix", refuse)
+    got = require_mmatrix(p, factor)
+    assert got.tag == "SingularM"
+    assert got.spectral_abscissa_evidence > -core._z_tau(nk.build_m(p))
+
+
 class TestResiduals:
     def test_zero_solution_gives_b(self):
         p = nk.transport_problem(nk.TransportSpec(n=4, alpha=0.1, c=0.9))
@@ -300,29 +315,6 @@ class TestGammaAndCayley:
     def test_cayley_rejects_bad_parameter(self, gamma):
         with pytest.raises(InvalidProblem):
             nk.cayley(1.0, gamma)
-
-
-class TestInvariantPair:
-    def test_scalar_solution_defect(self):
-        a, b, c, d = 2.0, 1.0, 1.0, 3.0
-        x = scalar_solution(a, b, c, d)
-        h = nk.build_h(scalar_problem(a, b, c, d))
-        assert nk.verify_invariant_pair(h, [[x]]) <= 1e-15
-
-    def test_defect_equals_residual_norm(self):
-        # H [I; X] - [I; X](D - C X) = [0; -R(X)], so the defect is
-        # ||R(X)||_F / ||H||_F for any X, solution or not.
-        rng = np.random.default_rng(10)
-        p = nk.transport_problem(nk.TransportSpec(n=4, alpha=0.1, c=0.9))
-        h = nk.build_h(p)
-        x = rng.standard_normal((4, 4))
-        expected = frobenius_norm(nk.residual(p, x)) / frobenius_norm(h.H)
-        assert nk.verify_invariant_pair(h, x) == pytest.approx(expected, rel=1e-12)
-
-    def test_sda_solution_defect(self):
-        p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-3))
-        out = nk.sda_solve(p, nk.SdaConfig())
-        assert nk.verify_invariant_pair(nk.build_h(p), out.X) <= 1e-12
 
 
 class TestEigenvalueOrdering:

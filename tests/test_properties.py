@@ -21,15 +21,9 @@ import pytest
 import narekit as nk
 from narekit.errors import KMaxReached, NarekitError
 from narekit.sda import residual_bound
+from conftest import carved_mnare
 
 EPS = np.finfo(np.float64).eps
-
-
-def _random_mnare(n, m, alpha, rng_seed):
-    """M-NARE with an m x n solution, carved from (rho(N) + alpha) I - N."""
-    big = np.random.default_rng(rng_seed).uniform(0.0, 1.0, (n + m, n + m))
-    mm = (np.max(np.abs(np.linalg.eigvals(big))) + alpha) * np.eye(n + m) - big
-    return nk.NareProblem(A=mm[n:, n:], B=-mm[n:, :n], C=-mm[:n, n:], D=mm[:n, :n])
 
 
 def _numpy_residual(p, x):
@@ -65,7 +59,7 @@ def _check_both_solvers(p, may_refuse):
 @given(n=st.integers(2, 10), m=st.integers(2, 10), log_alpha=st.floats(-8.0, 0.0),
        rng_seed=st.integers(0, 2**32 - 1))
 def test_random_family_minimal_solution(n, m, log_alpha, rng_seed):
-    _check_both_solvers(_random_mnare(n, m, 10.0 ** log_alpha, rng_seed), True)
+    _check_both_solvers(carved_mnare(n, m, 10.0 ** log_alpha, rng_seed), True)
 
 
 @seed(20120601)
@@ -120,4 +114,4 @@ def test_transport_scale_invariance(n, log_beta, log_c):
 @given(n=st.integers(2, 10), m=st.integers(2, 10), log_alpha=st.floats(-8.0, 0.0),
        rng_seed=st.integers(0, 2**32 - 1), log_c=st.integers(-30, 30))
 def test_random_scale_invariance(n, m, log_alpha, rng_seed, log_c):
-    _check_scale_invariance(_random_mnare(n, m, 10.0 ** log_alpha, rng_seed), log_c)
+    _check_scale_invariance(carved_mnare(n, m, 10.0 ** log_alpha, rng_seed), log_c)

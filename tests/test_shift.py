@@ -13,7 +13,7 @@ from narekit.errors import (
     NoConvergence,
     SingularMatrix,
 )
-from narekit.kernel import coupling_cond, frobenius_norm, lu_factor
+from narekit.kernel import frobenius_norm, lu_factor
 from narekit import core, sda, shift
 from narekit.sda import residual_bound
 from narekit.shift import (
@@ -106,7 +106,8 @@ class TestComputeCentralPair:
     def test_cond_uv_is_norm_of_coupling_inverse(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6))
         cs = nk.compute_central_pair(nk.build_h(p).H, 2)
-        assert cs.cond_uv == pytest.approx(nk.cond_uv(cs.U, cs.V))
+        assert cs.k == cs.V.shape[1] == 2
+        assert cs.cond_uv == nk.cond_uv(cs.U, cs.V)
 
     def test_ill_conditioned_single_eigenvalue_refused(self, monkeypatch):
         # k = 1: U^T V is 1 x 1, so only 1 / sigma_min can see that the
@@ -120,6 +121,57 @@ class TestComputeCentralPair:
         with pytest.raises(CentralPairIllConditioned) as err:
             nk.compute_central_pair(h, 1)
         assert "e+05" in str(err.value)
+
+
+class TestCentralSubspaces:
+    """k and cond(U^T V) are read off the bases; COND_CAP is checked once,
+    at construction."""
+
+    def _pair(self, u, v):
+        return CentralSubspaces(V=v, U=u, central_eigs=np.zeros(np.shape(v)[1]),
+                                inv_iter_steps=0)
+
+    def test_orthogonal_bases_refused(self):
+        with pytest.raises(CentralPairIllConditioned) as err:
+            self._pair(np.eye(4)[:, 2:], np.eye(4)[:, :2])
+        assert err.value.diagnostics["cond_uv"] == np.inf
+
+    @pytest.mark.parametrize("factor, accepted", [(1.0 + 1e-6, False), (1.0 - 1e-6, True)])
+    def test_refused_just_above_cap(self, factor, accepted):
+        # one column: U^T V = cos(theta), so cond(U^T V) = 1 / cos(theta)
+        c = 1.0 / (shift.COND_CAP * factor)
+        u, v = np.array([[1.0], [0.0]]), np.array([[c], [np.sqrt(1.0 - c * c)]])
+        if accepted:
+            assert self._pair(u, v).cond_uv == pytest.approx(shift.COND_CAP * factor)
+        else:
+            with pytest.raises(CentralPairIllConditioned):
+                self._pair(u, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_is_invalid(self, bad):
+        good, broken = np.eye(4)[:, :2], np.eye(4)[:, :2]
+        broken[1, 1] = bad
+        for u, v in ((broken, good), (good, broken)):
+            with pytest.raises(InvalidProblem):
+                self._pair(u, v)
+
+    def test_mismatched_bases_are_invalid(self):
+        with pytest.raises(InvalidProblem):
+            self._pair(np.eye(4)[:, :2], np.eye(4)[:, :3])
+        with pytest.raises(InvalidProblem):
+            self._pair(np.eye(4)[:, :2], np.eye(5)[:, :2])
+
+    def test_k_and_cond_read_off_hand_built_bases(self):
+        rng = np.random.default_rng(30)
+        eigs = np.concatenate([[0.05, -0.06, 0.07], rng.uniform(1.0, 2.0, 7)])
+        _, t = planted_matrix(rng, eigs)
+        v, _ = np.linalg.qr(t[:, :3])
+        u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :3])
+        cs = self._pair(u, v)
+        assert cs.k == cs.V.shape[1] == 3
+        assert cs.cond_uv == nk.cond_uv(cs.U, cs.V) > 1.0
+        with pytest.raises(TypeError):  # derived, not passed
+            CentralSubspaces(V=v, U=u, k=3, central_eigs=eigs[:3], inv_iter_steps=0)
 
 
 class TestSharedFactor:
@@ -278,8 +330,7 @@ class TestShiftSelection:
         central_eigs = np.asarray(central_eigs, dtype=complex)
         k = central_eigs.size
         v = np.eye(4)[:, :k]
-        return CentralSubspaces(V=v, U=v, k=k, central_eigs=central_eigs,
-                                inv_iter_steps=1, cond_uv=1.0)
+        return CentralSubspaces(V=v, U=v, central_eigs=central_eigs, inv_iter_steps=1)
 
     def test_rule_arithmetic(self):
         plan = nk.choose_shift_s(self._pair([0.5, 0.6]), xi_next=2.5, h_norm=1.0)
@@ -318,28 +369,26 @@ class TestBuildShiftedH:
     def test_diagonal_instance(self):
         h = nk.LinearizingMatrix(np.diag([0.01, -0.02, 1.0, -1.0]), 2, 2)
         v = np.eye(4)[:, :2]
-        cs = CentralSubspaces(V=v, U=v, k=2,
-                              central_eigs=np.array([0.01, -0.02]),
-                              inv_iter_steps=0, cond_uv=1.0)
+        cs = CentralSubspaces(V=v, U=v, central_eigs=np.array([0.01, -0.02]),
+                              inv_iter_steps=0)
         shifted = nk.build_shifted_h(h, cs, 9.0)
         got = np.sort(np.linalg.eigvals(shifted.H).real)
         npt.assert_allclose(got, [-1.0, -0.2, 0.1, 1.0], atol=1e-12)
 
     def test_uv_rule_reads_stored_cond(self, monkeypatch):
-        # the eps * k rule of diagnostics.cond_uv is applied to cs.cond_uv;
-        # no SVD of U^T V is taken, and an exactly singular U^T V that
-        # slips past the rule fails in the k x k solve
+        # the COND_CAP rule runs once, when the pair is built, so an exactly
+        # singular U^T V never reaches build_shifted_h, which takes no SVD
         def refuse(*args, **kwargs):
             raise AssertionError("build_shifted_h took an SVD")
 
-        monkeypatch.setattr(np.linalg, "svd", refuse)
         h = nk.LinearizingMatrix(np.diag([0.01, -0.02, 1.0, -1.0]), 2, 2)
-        v = np.eye(4)[:, :2]
-        for u, cond in ((v, 1e17), (np.eye(4)[:, 2:], 1.0)):
-            cs = CentralSubspaces(V=v, U=u, k=2, central_eigs=np.array([0.01, -0.02]),
-                                  inv_iter_steps=0, cond_uv=cond)
-            with pytest.raises(CentralPairIllConditioned):
-                nk.build_shifted_h(h, cs, 9.0)
+        v, eigs = np.eye(4)[:, :2], np.array([0.01, -0.02])
+        with pytest.raises(CentralPairIllConditioned):
+            CentralSubspaces(V=v, U=np.eye(4)[:, 2:], central_eigs=eigs, inv_iter_steps=0)
+        cs = CentralSubspaces(V=v, U=v, central_eigs=eigs, inv_iter_steps=0)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        shifted = nk.build_shifted_h(h, cs, 9.0)
+        npt.assert_allclose(np.diag(shifted.H), [0.1, -0.2, 1.0, -1.0], atol=1e-15)
 
     def test_spectrum_split_random(self):
         rng = np.random.default_rng(25)
@@ -348,8 +397,7 @@ class TestBuildShiftedH:
             h, t = planted_matrix(rng, eigs)
             v, _ = np.linalg.qr(t[:, :2])
             u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :2])
-            cs = CentralSubspaces(V=v, U=u, k=2, central_eigs=eigs[:2],
-                                  inv_iter_steps=0, cond_uv=1.0)
+            cs = CentralSubspaces(V=v, U=u, central_eigs=eigs[:2], inv_iter_steps=0)
             shifted = nk.build_shifted_h(nk.LinearizingMatrix(h, 5, 5), cs, s)
             got = np.sort(np.linalg.eigvals(shifted.H).real)
             want = np.sort(np.concatenate([(1 + s) * eigs[:2], eigs[2:]]))
@@ -382,13 +430,11 @@ def test_rank_k_update_matches_product_form(dim, k, log_s, seed):
     h, t = planted_matrix(rng, eigs)
     v, _ = np.linalg.qr(t[:, :k])
     u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :k])
-    cond_uv = coupling_cond(u, v)
-    cs = CentralSubspaces(V=v, U=u, k=k, central_eigs=eigs[:k], inv_iter_steps=0,
-                          cond_uv=cond_uv)
+    cs = CentralSubspaces(V=v, U=u, central_eigs=eigs[:k], inv_iter_steps=0)
     s = 10.0 ** log_s
     got = nk.build_shifted_h(nk.LinearizingMatrix(h, dim // 2, dim - dim // 2), cs, s).H
     want = h @ (np.eye(dim) + s * v @ np.linalg.solve(u.T @ v, u.T))
-    bound = 4.0 * dim * np.finfo(float).eps * (1.0 + s) * cond_uv * frobenius_norm(h)
+    bound = 4.0 * dim * np.finfo(float).eps * (1.0 + s) * cs.cond_uv * frobenius_norm(h)
     assert frobenius_norm(got - want) <= bound
 
 
@@ -409,9 +455,8 @@ def test_build_shifted_h_makes_no_cubic_product():
             shapes.append((np.shape(other), np.shape(self)))
             return (np.asarray(other) @ np.asarray(self)).view(Tracked)
 
-    cs = CentralSubspaces(V=v.view(Tracked), U=v.view(Tracked), k=2,
-                          central_eigs=np.array([0.01, -0.02]), inv_iter_steps=0,
-                          cond_uv=1.0)
+    cs = CentralSubspaces(V=v.view(Tracked), U=v.view(Tracked),
+                          central_eigs=np.array([0.01, -0.02]), inv_iter_steps=0)
     nk.build_shifted_h(h, cs, 9.0)
     assert shapes and all(min(a[0], a[1], b[1]) <= 2 for a, b in shapes)
 
