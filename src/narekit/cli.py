@@ -182,7 +182,8 @@ def _generate(family, n, beta=None, alpha=None, c=None, seed=0):
 
 
 def _emit(args, payload, rows=None):
-    """Write the report in the requested format.
+    """Write the report in the requested format to the --output file, or to
+    stdout without one.
 
     rows, when given, is (header, list-of-value-lists) used by csv/table;
     json always gets the full payload.
@@ -194,11 +195,6 @@ def _emit(args, payload, rows=None):
             header = sorted(payload)
             rows = (header, [[payload[k] for k in header]])
         text = _format_rows(args.format, *rows)
-    _write(args, text)
-
-
-def _write(args, text):
-    """Write text to the --output file, or to stdout without one."""
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -313,9 +309,6 @@ def cmd_diagnose(args):
     payload["gamma"] = gamma
     payload["classification"] = classify_mmatrix(build_m(p)).tag
     payload["schema"] = f"narekit-diagnose/{__version__}"
-    if args.format == "table":
-        _write(args, report.to_table() + "\n")
-        return EXIT_OK
     _emit(args, payload)
     return EXIT_OK
 

@@ -132,21 +132,10 @@ class LinearizingMatrix:
             raise InvalidProblem("H shape disagrees with n + m")
         object.__setattr__(self, "H", h)
 
-    def block_d(self):
-        return self.H[: self.n, : self.n]
-
-    def block_c(self):
-        return -self.H[: self.n, self.n:]
-
-    def block_b(self):
-        return self.H[self.n:, : self.n]
-
-    def block_a(self):
-        return -self.H[self.n:, self.n:]
-
     def to_problem(self):
         """Coefficient blocks read back from H (sign conventions included)."""
-        return NareProblem(self.block_a(), self.block_b(), self.block_c(), self.block_d())
+        h, n = self.H, self.n
+        return NareProblem(-h[n:, n:], h[n:, :n], -h[:n, n:], h[:n, :n])
 
 
 @dataclass(frozen=True)
@@ -234,15 +223,13 @@ def require_mmatrix(p: NareProblem, factor=None) -> MMatrixClass:
 
 def residual(p: NareProblem, x) -> np.ndarray:
     """The equation residual X C X - A X - X D + B."""
-    x = np.asarray(x)
-    return x @ p.C @ x - p.A @ x - x @ p.D + p.B
+    return _residual_with_size(p, x)[0]
 
 
 def _residual_with_size(p: NareProblem, x):
     """(R(X), ||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F)), each product
-    formed once; R sums in `residual`'s order, so it is bit-identical.  The
-    size is 0.0 when the denominator is 0, which by the triangle inequality
-    forces R(X) = 0 (B = 0 at X = 0, say)."""
+    formed once.  The size is 0.0 when the denominator is 0, which by the
+    triangle inequality forces R(X) = 0 (B = 0 at X = 0, say)."""
     x = np.asarray(x)
     xcx, ax, xd = x @ p.C @ x, p.A @ x, x @ p.D
     den = frobenius_norm(xcx + p.B) + frobenius_norm(ax + xd)

@@ -77,20 +77,25 @@ def sep_f(m, n) -> float:
     Lanczos iteration on (T^T T)^-1 in the coordinates of the real Schur
     forms Tm, Tn, which leave the singular values of T unchanged: one step
     solves Tm^T U - U Tn^T = V, then Tm Z - Z Tn = U, with LAPACK trsyl.
-    The largest Ritz value grows to 1/sigma_min^2, so the estimate falls to
-    sigma_min from above.  0.0 when T is numerically singular.
+    The largest Ritz value grows to 1/sigma_min^2.  The Schur forms carry a
+    backward error of about eps (||M||_F + ||N||_F), which the Ritz value
+    inherits, so the answer is ||M X - X N||_F / ||X||_F at the Ritz vector
+    X mapped back by the Schur vectors, formed in long double on M and N
+    themselves: an upper bound of sigma_min with an error quadratic in the
+    vector's.  0.0 when T is numerically singular.
     """
     m, n = (np.asarray(a, dtype=np.float64) for a in (m, n))
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in (m, n)):
         raise InvalidProblem("sep_f needs square matrices")
     if not m.size * n.size:
         return 0.0
-    tm, tn = (scipy.linalg.schur(a, output="real")[0] for a in (m, n))
+    (tm, qm), (tn, qn) = (scipy.linalg.schur(a, output="real") for a in (m, n))
     trsyl = scipy.linalg.get_lapack_funcs("trsyl", (tm, tn))
     v = np.full((len(m), len(n)), 1.0 / np.sqrt(len(m) * len(n)))
     v_prev, b = np.zeros_like(v), 0.0
-    alpha, beta, theta = [], [], 0.0
+    alpha, beta, theta, basis = [], [], 0.0, []
     for step in range(1, SEP_MAX_STEPS + 1):
+        basis.append(v)
         u, scale_u, info_u = trsyl(tm, tn, v, trana="T", tranb="T", isgn=-1)
         w, scale_w, info_w = trsyl(tm, tn, u, isgn=-1)
         w /= scale_u * scale_w
@@ -98,12 +103,14 @@ def sep_f(m, n) -> float:
             return 0.0  # trsyl perturbed a (near-)common eigenvalue, or overflow
         alpha.append(float(np.vdot(v, w)))
         w -= alpha[-1] * v + b * v_prev
-        new = scipy.linalg.eigvalsh_tridiagonal(
-            alpha, beta, select="i", select_range=(step - 1, step - 1))[0]
+        new, ritz = scipy.linalg.eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(step - 1, step - 1))
         b = frobenius_norm(w)
-        if new - theta <= SEP_RTOL * new or b == 0.0:
-            return float(1.0 / np.sqrt(new))
-        theta = new
+        if new[0] - theta <= SEP_RTOL * new[0] or b == 0.0:
+            x = (qm @ np.tensordot(ritz[:, 0], basis, axes=1) @ qn.T).astype(np.longdouble)
+            r = m.astype(np.longdouble) @ x - x @ n.astype(np.longdouble)
+            return float(np.sqrt(np.sum(r * r) / np.sum(x * x)))
+        theta = new[0]
         beta.append(b)
         v_prev, v = v, w / b
     raise NoConvergence(f"sep_f: no convergence in {SEP_MAX_STEPS} steps", diagnostics={

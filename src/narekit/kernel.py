@@ -68,8 +68,9 @@ def lu_solve(factor, b, trans=0):
 def thin_qr(m):
     """Thin QR with nonnegative diagonal of R (deterministic sign convention).
 
-    No rank check: inverse iteration, its only use, feeds it iterates that
-    are close to rank deficient on purpose.
+    No rank check: inverse iteration and the moduli probe feed it iterates
+    that are close to rank deficient on purpose, and sda._thin a sketch of
+    a matrix whose rank it is testing.
     """
     m = np.asarray(m)
     rows, cols = m.shape

@@ -52,7 +52,7 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import as_matrix, cond_uv, eigenvalues, frobenius_norm
-from .kernel import lu_factor, lu_solve, subspace_distance, thin_qr
+from .kernel import lu_factor, lu_solve, spectral_norm, thin_qr
 from .sda import SdaConfig, residual_bound, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
@@ -102,11 +102,14 @@ def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     eigenvalues of H (of H^T when trans=1), by repeated solve + thin QR on
     factor, H's LU from kernel.lu_factor; 1 <= k < N, N the order of H.
 
-    Stops when the subspace distance between successive bases drops below
-    tol, or when it stagnates at its roundoff floor (once past the initial
-    transient, a step that recovers less than a factor 0.9 means the basis
-    only jitters).  Returns (Q, steps); NoConvergence after max_iters steps,
-    with diagnostics basis, steps and distance (the last step's).
+    Each step forms Q' R = H^-1 Q and the gap G = Q' - Q (Q^T Q'); the
+    subspace distance between successive bases is ||G||_2.  Stops when it
+    drops below tol, or when it stalls at its roundoff floor: once a
+    distance has fallen below 1e-2, a step that recovers less than a factor
+    0.9 ends the iteration only if Q is invariant, ||G R||_F <= tol ||R||_F
+    (G R = (I - Q Q^T) H^-1 Q), so a transient stall iterates on.  Returns
+    the last step's (Q', steps); NoConvergence after max_iters steps, with
+    diagnostics basis, steps and distance (the last step's).
     """
     dim = factor[0].shape[0]
     if not 1 <= k < dim:
@@ -115,10 +118,12 @@ def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     q, _ = thin_qr(rng.standard_normal((dim, k)).astype(factor[0].dtype))
     dists, armed = [], False
     for _ in range(max_iters):
-        q_new, _ = thin_qr(lu_solve(factor, q, trans=trans))
-        dists.append(subspace_distance(q_new, q))
+        q_new, r = thin_qr(lu_solve(factor, q, trans=trans))
+        gap = q_new - q @ (q.T @ q_new)
+        dists.append(spectral_norm(gap))
         q = q_new
-        if dists[-1] <= tol or (armed and dists[-1] >= 0.9 * dists[-2]):
+        if dists[-1] <= tol or (armed and dists[-1] >= 0.9 * dists[-2] and
+                                frobenius_norm(gap @ r) <= tol * frobenius_norm(r)):
             break
         armed = armed or dists[-1] < 1e-2
     else:
@@ -341,15 +346,13 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
         require_mmatrix(p, factor)
     iter_tol = max(opts.iter_tol, 100.0 * float(np.finfo(p.dtype).eps))
     k = opts.k
-    if k is None:
-        moduli = smallest_moduli(factor, min(K_MAX, h.H.shape[0] - 1) + 1)
-        k = detect_k(moduli)
+    if k is None or opts.s is None:
+        moduli = smallest_moduli(factor, np.clip(k or K_MAX, 1, h.H.shape[0] - 1) + 1)
+        k = detect_k(moduli) if k is None else k
     cs = compute_central_pair(h.H, k, iter_tol, factor=factor)
     if opts.s is not None:
         plan = ShiftPlan(s=float(opts.s), rationale={"fixed": True})
     else:
-        if opts.k is not None:
-            moduli = smallest_moduli(factor, k + 1)
         plan = choose_shift_s(cs, moduli[k], frobenius_norm(h.H))
     shifted_problem = build_shifted_h(h, cs, plan.s).to_problem()
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,

@@ -194,14 +194,30 @@ class TestSolve:
     def test_save_solution_and_trace(self, tmp_path, capsys):
         sol = tmp_path / "x.json"
         trace = tmp_path / "trace.jsonl"
-        code, _, _ = run(capsys, "solve", "--family", "transport", "--n", "8",
-                         "--beta", "1e-3", "--save-solution", str(sol),
-                         "--trace", str(trace))
+        code, out, _ = run(capsys, "solve", "--family", "transport", "--n", "8",
+                           "--beta", "1e-3", "--save-solution", str(sol),
+                           "--trace", str(trace))
         assert code == 0
         x = np.array(json.loads(sol.read_text())["X"])
         assert x.shape == (8, 8)
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         assert records and records[0]["step"] == 1
+        assert len(records) == json.loads(out)["steps"]
+        assert all({"err_est", "cond"} <= set(record) for record in records)
+
+    def test_thin_tail_is_traced(self, tmp_path, capsys):
+        # near-critical n = 256: E and F collapse to rank 1 and the doubling
+        # finishes on thin factors, each tail step still traced
+        trace = tmp_path / "trace.jsonl"
+        code, out, _ = run(capsys, "solve", "--family", "transport", "--n", "256",
+                           "--beta", "1e-12", "--trace", str(trace))
+        assert code == 0
+        report = json.loads(out)
+        assert report["converged"] is True and report["residual"] <= 1e-12
+        assert isinstance(report["tail_from"], int)
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(records) == report["steps"]
+        assert all(np.isfinite(r["err_est"]) and np.isfinite(r["cond"]) for r in records)
 
 
 class TestUsage:
@@ -217,6 +233,7 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 5
         assert "usage:" in err
+        assert len(out.splitlines()) == 1
         report = json.loads(out)
         assert report["error"] == "io" and report["message"] in err
 
@@ -271,6 +288,16 @@ class TestSushi:
         assert report["k"] == 2
         assert abs(report["steps"] - 11) <= 2
         assert report["residual"] <= 1e-12
+
+    def test_singular_m_certified_on_the_lu_of_h(self, capsys):
+        # the guard certifies on the LU of H; the tau rule calls this M SingularM
+        code, out, _ = run(capsys, "sushi", "--family", "transport",
+                           "--n", "64", "--beta", "1e-12")
+        assert code == 0
+        report = json.loads(out)
+        assert report["converged"] is True and report["residual"] <= 1e-12
+        assert isinstance(report["steps"], int) and report["steps"] <= 16
+        assert report["dual_residual"] <= 1e-6
 
     def test_overrides(self, capsys):
         code, out, _ = run(capsys, "sushi", "--family", "transport",
@@ -362,7 +389,9 @@ class TestDiagnose:
                        C=np.zeros((2, 2)), D=np.diag([1.5, 1.0])).save(path)
         code, out, _ = run(capsys, "diagnose", "--problem", str(path))
         assert code == 0
-        assert json.loads(out)["cayley_gap"] == pytest.approx(1.0 / 9.0, rel=1e-14)
+        gap = json.loads(out)["cayley_gap"]
+        assert gap == pytest.approx(1.0 / 9.0, rel=1e-14)
+        assert abs(gap - 1.0 / 9.0) <= 1e-15
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--family", "transport",
@@ -371,6 +400,13 @@ class TestDiagnose:
         lines = out.splitlines()
         assert len(lines) == 2
         assert "gap" in lines[0]
+
+    def test_table_has_the_csv_columns(self, capsys):
+        argv = ("diagnose", "--family", "transport", "--n", "8", "--beta", "1e-3")
+        _, table, _ = run(capsys, *argv, "--format", "table")
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        header, _ = csv.reader(io.StringIO(out))
+        assert table.splitlines()[0].split() == header
 
     def test_table_output_file(self, tmp_path, capsys):
         dest = tmp_path / "diag.txt"
@@ -473,6 +509,13 @@ class TestBench:
                            "--params", "nan")
         assert code == 5
         assert "alpha" in err
+
+    def test_csv_single_cell(self, capsys):
+        code, out, _ = run(capsys, "bench", "--family", "transport", "--sizes", "8",
+                           "--params", "1e-3", "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header == cli.BENCH_HEADER and row[:2] == ["8", "0.001"]
 
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "bench.csv"

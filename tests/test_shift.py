@@ -14,7 +14,7 @@ from narekit.errors import (
     SingularMatrix,
 )
 from narekit.kernel import frobenius_norm, lu_factor
-from narekit import core, sda, shift
+from narekit import core, diagnostics, sda, shift
 from narekit.sda import residual_bound
 from narekit.shift import (
     CentralSubspaces,
@@ -68,6 +68,14 @@ class TestInverseIteration:
         for k in (0, 3, 5):
             with pytest.raises(InvalidProblem):
                 inverse_orthogonal_iteration(_lu(np.eye(3)), k, 1e-12, 100)
+
+    def test_stall_ends_only_on_invariant_basis(self):
+        # transport n = 4, beta = 1e-3: the distance stalls in a transient at
+        # step 4, where the basis's invariance defect is still 8.0e-7
+        h = nk.build_h(nk.transport_problem(nk.TransportSpec.near_critical(4, 1e-3))).H
+        v, _ = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, shift.PAIR_MAX_ITERS)
+        defect = frobenius_norm(h @ v - v @ (v.T @ h @ v)) / frobenius_norm(h)
+        assert defect <= diagnostics.DEFECT_TOL
 
 
 class TestComputeCentralPair:
@@ -203,6 +211,22 @@ class TestSharedFactor:
             monkeypatch.setattr(mod, "lu_factor", counting)
         nk.sushi_solve(p)
         assert shapes.count((p.n + p.m, p.n + p.m)) == 1
+
+    @pytest.mark.parametrize("n, k, s, columns", [
+        (16, 2, 100.0, []), (16, 2, None, [3]), (16, None, 100.0, [shift.K_MAX + 1]),
+        (16, None, None, [shift.K_MAX + 1]), (4, None, None, [8])])
+    def test_one_moduli_probe_per_solve(self, monkeypatch, n, k, s, columns):
+        # min(k or K_MAX, N - 1) + 1 columns, none when k and s are both fixed
+        p = nk.transport_problem(nk.TransportSpec.near_critical(n, 1e-6))
+        counts = []
+
+        def counting(factor, count, _fn=shift.smallest_moduli):
+            counts.append(count)
+            return _fn(factor, count)
+
+        monkeypatch.setattr(shift, "smallest_moduli", counting)
+        nk.sushi_solve(p, nk.SushiOptions(k=k, s=s))
+        assert counts == columns
 
     def test_no_eig_larger_than_k(self, monkeypatch):
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
@@ -530,6 +554,13 @@ class TestSushiSolve:
         assert cs.k == 2
         assert plan.s == 100.0
         assert result.residual <= 1e-12
+
+    @pytest.mark.parametrize("k", [-3, 0, 32])
+    def test_out_of_range_k_rejected(self, k):
+        # the inverse iteration's own message, after the one moduli probe
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
+        with pytest.raises(InvalidProblem, match="central dimension"):
+            nk.sushi_solve(p, nk.SushiOptions(k=k))
 
     @pytest.mark.parametrize("s", [-2.0, -1.0, float("nan"), float("inf")])
     def test_fixed_shift_needs_one_plus_s_positive(self, s):
