@@ -25,6 +25,7 @@ compact JSON and None as an empty cell.
 import argparse
 import contextlib
 import csv
+from dataclasses import asdict
 import io
 import json
 import sys
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .core import NareProblem, build_h, build_m, classify_mmatrix, gamma_star
-from .core import ordered_eigenvalues, require_mmatrix
-from .diagnostics import _delta, _gap, report_for
+from .core import require_mmatrix
+from .diagnostics import delta_central, gap_of, report_for
 from .errors import InvalidProblem, NarekitError, SingularMatrix
 from .sda import SdaConfig, sda_solve, trace_writer
 from .shift import SushiOptions, sushi_solve
@@ -302,14 +303,10 @@ def cmd_diagnose(args):
     p = _load_problem(args)
     if args.gamma is not None and not 0.0 < args.gamma < np.inf:
         raise _CliFailure(EXIT_IO, f"--gamma {args.gamma} must be finite and > 0")
-    h = build_h(p)
     gamma = args.gamma if args.gamma is not None else gamma_star(p)
-    report = report_for(h, gamma)
-    payload = json.loads(report.to_json())
-    payload["gamma"] = gamma
-    payload["classification"] = classify_mmatrix(build_m(p)).tag
-    payload["schema"] = f"narekit-diagnose/{__version__}"
-    _emit(args, payload)
+    _emit(args, dict(asdict(report_for(build_h(p), gamma)), gamma=gamma,
+                     classification=classify_mmatrix(build_m(p)).tag,
+                     schema=f"narekit-diagnose/{__version__}"))
     return EXIT_OK
 
 
@@ -322,10 +319,9 @@ def _bench_cell(family, n, param, seed, tol, max_steps):
     h = build_h(p)
     row = {"n": n, "param": param, "seed": seed if family == "random" else ""}
     try:
-        lam = ordered_eigenvalues(h)
-        row["gap"] = _gap(h, lam)
+        row["gap"] = gap_of(h)
     except NarekitError as exc:
-        lam, row["gap"] = None, f"error:{type(exc).__name__}"
+        row["gap"] = f"error:{type(exc).__name__}"
     try:
         plain = sda_solve(p, SdaConfig(tol=tol, max_steps=max_steps))
         row["sda_its"] = plain.steps
@@ -337,13 +333,10 @@ def _bench_cell(family, n, param, seed, tol, max_steps):
         row["sushi_its"] = result.steps
         row["orth_its"] = cs.inv_iter_steps
         row["sushi_res"] = result.residual
-        if lam is None:  # the spectrum failed; gap holds its error tag
-            row["delta"] = row["gap"]
-        else:
-            try:
-                row["delta"] = _delta(h, lam, cs.central_eigs)
-            except NarekitError as exc:
-                row["delta"] = f"error:{type(exc).__name__}"
+        try:
+            row["delta"] = delta_central(h, cs.central_eigs)
+        except NarekitError as exc:
+            row["delta"] = f"error:{type(exc).__name__}"
     except NarekitError as exc:
         tag = f"error:{type(exc).__name__}"
         row["sushi_its"] = row["orth_its"] = row["sushi_res"] = row["delta"] = tag

@@ -13,6 +13,7 @@ minimal entrywise-nonnegative solution exists.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import json
 
 import numpy as np
@@ -120,7 +121,8 @@ class NareProblem:
 
 @dataclass(frozen=True)
 class LinearizingMatrix:
-    """The matrix [[D, -C], [B, -A]] with its block partition sizes."""
+    """The matrix [[D, -C], [B, -A]] with its block partition sizes.  Its
+    ordered spectrum is kept once read: H is not to be modified in place."""
 
     H: np.ndarray
     n: int
@@ -136,6 +138,11 @@ class LinearizingMatrix:
         """Coefficient blocks read back from H (sign conventions included)."""
         h, n = self.H, self.n
         return NareProblem(-h[n:, n:], h[n:, :n], -h[:n, n:], h[:n, :n])
+
+    @cached_property
+    def _spectrum(self):  # not a field: eq, repr and replace ignore it
+        ev = eigenvalues(self.H)
+        return ev[np.lexsort((-ev.imag, -ev.real))]
 
 
 @dataclass(frozen=True)
@@ -261,12 +268,11 @@ def cayley(z, gamma):
 
 
 def ordered_eigenvalues(h: LinearizingMatrix):
-    """Eigenvalues of H sorted by descending real part (ties: descending imag).
+    """Eigenvalues of H sorted by descending real part (ties: descending imag),
+    computed once per LinearizingMatrix; every call on h returns that array.
 
     Position n-1 and n of the returned array are the two eigenvalues that
     straddle the imaginary axis for an M-matrix-structured problem.
     """
-    ev = eigenvalues(h.H)
-    order = np.lexsort((-ev.imag, -ev.real))
-    return ev[order]
+    return h._spectrum
 

@@ -1,4 +1,5 @@
-"""Criticality and conditioning metrics of the linearizing matrix.
+"""Criticality and conditioning metrics of the linearizing matrix, one
+implementation each; gap, cayley and delta read its one ordered spectrum.
 
 gap       |lambda_n - lambda_{n+1}|, the distance between the two
           eigenvalues straddling the imaginary axis.
@@ -19,7 +20,7 @@ cond_uv   ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V) for the left and right
           CentralSubspaces is built; report_for reports it, refusing nothing.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import json
 
 import numpy as np
@@ -40,20 +41,10 @@ MATCH_TOL = 1e-6
 DEFECT_TOL = 1e-8
 
 
-def _gap(h, lam):
-    return float(abs(lam[h.n - 1] - lam[h.n]))
-
-
 def gap_of(h: LinearizingMatrix) -> float:
     """|lambda_n - lambda_{n+1}| under the descending-real-part ordering."""
-    return _gap(h, ordered_eigenvalues(h))
-
-
-def _cayley_gap(h, lam, gamma):
-    anti, stab = lam[: h.n], lam[h.n:]
-    num = max(abs(cayley(z, gamma)) for z in anti)
-    den = min(abs(cayley(z, gamma)) for z in stab)
-    return float(num / den)
+    lam = ordered_eigenvalues(h)
+    return float(abs(lam[h.n - 1] - lam[h.n]))
 
 
 def cayley_gap(h: LinearizingMatrix, gamma: float) -> float:
@@ -68,7 +59,9 @@ def cayley_gap(h: LinearizingMatrix, gamma: float) -> float:
     scale = frobenius_norm(h.H)
     if lam[h.n - 1].real < -1e-8 * scale or lam[h.n].real > 1e-8 * scale:
         raise InvalidProblem("spectrum does not split n antistable / m stable")
-    return _cayley_gap(h, lam, gamma)
+    num = max(abs(cayley(z, gamma)) for z in lam[: h.n])
+    den = min(abs(cayley(z, gamma)) for z in lam[h.n:])
+    return float(num / den)
 
 
 def sep_f(m, n) -> float:
@@ -161,25 +154,6 @@ def relsep_of_subspace(h, basis) -> float:
     return sep_f(a11, a22) / scale
 
 
-def _delta(h, lam, central_eigs):
-    scale = frobenius_norm(h.H)
-    central = np.atleast_1d(np.asarray(central_eigs, dtype=complex))
-    remaining = list(range(lam.size))
-    matched = []
-    for c in central:
-        dists = np.abs(lam[remaining] - c)
-        j = int(np.argmin(dists))
-        if dists[j] > MATCH_TOL * max(scale, 1.0):
-            raise MatchFailure(
-                f"central eigenvalue {c} is {dists[j]:.3e} from the spectrum"
-            )
-        matched.append(remaining.pop(j))
-    others = lam[remaining]
-    if others.size == 0:
-        raise InvalidProblem("no non-central eigenvalues to measure against")
-    return float(min(np.min(np.abs(others - lam[i])) for i in matched))
-
-
 def delta_central(h: LinearizingMatrix, central_eigs) -> float:
     """Minimum distance from the central eigenvalues to the rest of sigma(H).
 
@@ -187,7 +161,21 @@ def delta_central(h: LinearizingMatrix, central_eigs) -> float:
     spectrum point; a match farther than MATCH_TOL (relative to ||H||_F)
     raises MatchFailure.
     """
-    return _delta(h, ordered_eigenvalues(h), central_eigs)
+    lam = ordered_eigenvalues(h)
+    scale = frobenius_norm(h.H)
+    central = np.atleast_1d(np.asarray(central_eigs, dtype=complex))
+    remaining, matched = list(range(lam.size)), []
+    for c in central:
+        dists = np.abs(lam[remaining] - c)
+        j = int(np.argmin(dists))
+        if dists[j] > MATCH_TOL * max(scale, 1.0):
+            raise MatchFailure(f"central eigenvalue {c} is {dists[j]:.3e} "
+                               "from the spectrum")
+        matched.append(remaining.pop(j))
+    others = lam[remaining]
+    if others.size == 0:
+        raise InvalidProblem("no non-central eigenvalues to measure against")
+    return float(min(np.min(np.abs(others - lam[i])) for i in matched))
 
 
 @dataclass(frozen=True)
@@ -217,7 +205,7 @@ class DiagnosticsReport:
     )
 
     def to_json(self):
-        return json.dumps({name: getattr(self, name) for name, _ in self._COLUMNS})
+        return json.dumps(asdict(self))
 
     def to_table(self):
         """Two aligned rows, header and values, skipping absent metrics."""
@@ -236,6 +224,8 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
                central_pair=None) -> DiagnosticsReport:
     """Assemble a DiagnosticsReport from whatever pieces the caller has.
 
+    gap_of, cayley_gap and delta_central give their metrics, so a spectrum
+    that does not split raises InvalidProblem, as cayley_gap does.
     stable_basis: orthonormal basis of the stable invariant subspace, used
     for sep/relsep.  central_pair: a CentralSubspaces instance, used for
     relsep of the central subspace and delta; its cond_uv, which its
@@ -243,8 +233,8 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
     """
     lam = ordered_eigenvalues(h)
     kwargs = {
-        "gap": _gap(h, lam),
-        "cayley_gap": _cayley_gap(h, lam, gamma),
+        "gap": gap_of(h),
+        "cayley_gap": cayley_gap(h, gamma),
         "lambda_n": float(lam[h.n - 1].real),
         "lambda_n1": float(lam[h.n].real),
     }
@@ -254,6 +244,6 @@ def report_for(h: LinearizingMatrix, gamma, stable_basis=None,
         kwargs["sep_f_stable"] = rs * frobenius_norm(h.H)
     if central_pair is not None:
         kwargs["relsep_central"] = relsep_of_subspace(h.H, central_pair.V)
-        kwargs["delta_central"] = _delta(h, lam, central_pair.central_eigs)
+        kwargs["delta_central"] = delta_central(h, central_pair.central_eigs)
         kwargs["cond_uv"] = central_pair.cond_uv
     return DiagnosticsReport(**kwargs)

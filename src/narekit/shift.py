@@ -97,7 +97,7 @@ class ShiftPlan:
     rationale: dict = field(default_factory=dict)
 
 
-def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
+def inverse_orthogonal_iteration(factor, k, tol, trans=0):
     """Orthonormal basis of the invariant subspace of the k smallest-modulus
     eigenvalues of H (of H^T when trans=1), by repeated solve + thin QR on
     factor, H's LU from kernel.lu_factor; 1 <= k < N, N the order of H.
@@ -108,8 +108,8 @@ def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     distance has fallen below 1e-2, a step that recovers less than a factor
     0.9 ends the iteration only if Q is invariant, ||G R||_F <= tol ||R||_F
     (G R = (I - Q Q^T) H^-1 Q), so a transient stall iterates on.  Returns
-    the last step's (Q', steps); NoConvergence after max_iters steps, with
-    diagnostics basis, steps and distance (the last step's).
+    the last step's (Q', steps); NoConvergence after PAIR_MAX_ITERS steps,
+    with diagnostics basis, steps and distance (the last step's).
     """
     dim = factor[0].shape[0]
     if not 1 <= k < dim:
@@ -117,7 +117,7 @@ def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     rng = np.random.default_rng(DEFAULT_SEED)
     q, _ = thin_qr(rng.standard_normal((dim, k)).astype(factor[0].dtype))
     dists, armed = [], False
-    for _ in range(max_iters):
+    for _ in range(PAIR_MAX_ITERS):
         q_new, r = thin_qr(lu_solve(factor, q, trans=trans))
         gap = q_new - q @ (q.T @ q_new)
         dists.append(spectral_norm(gap))
@@ -129,7 +129,7 @@ def inverse_orthogonal_iteration(factor, k, tol, max_iters, trans=0):
     else:
         distance = dists[-1] if dists else np.inf
         raise NoConvergence(
-            f"inverse iteration did not settle in {max_iters} steps "
+            f"inverse iteration did not settle in {PAIR_MAX_ITERS} steps "
             f"(distance {distance:.3g})",
             diagnostics={"basis": q, "steps": len(dists), "distance": distance},
         )
@@ -147,8 +147,8 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
     h = np.asarray(h)
     if factor is None:
         factor = lu_factor(h, pivot_tol=0.0)
-    v, steps_v = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS)
-    u, _ = inverse_orthogonal_iteration(factor, k, tol, PAIR_MAX_ITERS, trans=1)
+    v, steps_v = inverse_orthogonal_iteration(factor, k, tol)
+    u, _ = inverse_orthogonal_iteration(factor, k, tol, trans=1)
     central = eigenvalues(v.T @ h @ v)
     return CentralSubspaces(V=v, U=u, central_eigs=central, inv_iter_steps=steps_v)
 

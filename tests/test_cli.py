@@ -393,6 +393,17 @@ class TestDiagnose:
         assert gap == pytest.approx(1.0 / 9.0, rel=1e-14)
         assert abs(gap - 1.0 / 9.0) <= 1e-15
 
+    def test_unsplit_spectrum_exits_4(self, tmp_path, capsys):
+        # eigenvalues -1 and -2 of H: no antistable one for n = 1
+        path = tmp_path / "p.json"
+        nk.NareProblem(A=[[1.0]], B=[[0.0]], C=[[0.0]], D=[[-2.0]]).save(path)
+        code, out, err = run(capsys, "diagnose", "--problem", str(path))
+        assert code == 4
+        assert json.loads(out) == {
+            "error": "classification",
+            "message": "spectrum does not split n antistable / m stable"}
+        assert "does not split" in err
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--family", "transport",
                            "--n", "8", "--beta", "1e-3", "--format", "table")

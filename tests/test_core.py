@@ -1,3 +1,5 @@
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +8,7 @@ import pytest
 import narekit as nk
 from narekit import core
 from narekit.core import ordered_eigenvalues, require_mmatrix
-from narekit.errors import InvalidProblem, SingularMatrix
+from narekit.errors import InvalidProblem, NoConvergence, SingularMatrix
 from narekit.kernel import frobenius_norm, lu_factor
 from oracles import central_real_pair, relative_error
 
@@ -330,3 +332,37 @@ class TestEigenvalueOrdering:
         p = nk.transport_problem(nk.TransportSpec(n=8, alpha=1e-3, c=1 - 1e-3))
         lam_n, lam_n1 = central_real_pair(nk.build_h(p))
         assert lam_n > 0.0 > lam_n1
+
+    def test_spectrum_computed_once_per_matrix(self, monkeypatch):
+        h = nk.LinearizingMatrix(np.diag([2.0, -1.0, 1.0]), 2, 1)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        first = ordered_eigenvalues(h)
+        assert ordered_eigenvalues(h) is first
+        npt.assert_array_equal(first, [2.0, 1.0, -1.0])
+        assert calls == [(3, 3)]
+        # the kept spectrum is no field: equality, repr and replace ignore it
+        assert h == nk.LinearizingMatrix(h.H, 2, 1)
+        assert "_spectrum" not in repr(h)
+        other = dataclasses.replace(h, H=np.diag([3.0, -1.0, 1.0]))
+        npt.assert_array_equal(ordered_eigenvalues(other), [3.0, 1.0, -1.0])
+        assert calls == [(3, 3), (3, 3)]
+
+    def test_failed_spectrum_is_not_kept(self, monkeypatch):
+        h = nk.LinearizingMatrix(np.diag([2.0, -1.0]), 1, 1)
+        eigvals = np.linalg.eigvals
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NoConvergence):
+            ordered_eigenvalues(h)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        npt.assert_array_equal(ordered_eigenvalues(h), [2.0, -1.0])

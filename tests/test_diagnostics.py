@@ -349,6 +349,15 @@ class TestShiftImprovesGaps:
         assert nk.gap_of(shifted) > nk.gap_of(h)
         assert nk.cayley_gap(shifted, gamma) < nk.cayley_gap(h, gamma)
 
+    def test_shifted_matrix_has_its_own_spectrum(self):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
+        h = nk.build_h(p)
+        before = nk.gap_of(h)  # H's spectrum is read, and kept, first
+        _, cs, plan, _ = nk.sushi_solve(p)
+        shifted = nk.build_shifted_h(h, cs, plan.s)
+        assert nk.ordered_eigenvalues(shifted) is not nk.ordered_eigenvalues(h)
+        assert nk.gap_of(shifted) != before == nk.gap_of(h)
+
 
 class TestReport:
     # the Table-1 problems; at n = 4, beta = 1e-3 the pair's inverse
@@ -396,6 +405,30 @@ class TestReport:
         assert report.gap == nk.gap_of(h)
         assert report.cayley_gap == nk.cayley_gap(h, nk.gamma_star(p))
         assert report.delta_central == nk.delta_central(h, cs.central_eigs)
+
+    def test_one_spectrum_for_all_three_metrics(self, monkeypatch):
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        h = nk.build_h(p)
+        cs = nk.compute_central_pair(h.H, 2)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        nk.gap_of(h)
+        nk.cayley_gap(h, nk.gamma_star(p))
+        nk.delta_central(h, cs.central_eigs)
+        assert calls.count(h.H.shape) == 1
+
+    def test_unsplit_spectrum_refused(self):
+        # H = diag(-2, -1): both eigenvalues stable, where n = 1 must not be;
+        # the Cayley gap of such a spectrum is no doubling rate
+        p = nk.NareProblem(A=[[1.0]], B=[[0.0]], C=[[0.0]], D=[[-2.0]])
+        with pytest.raises(InvalidProblem, match="does not split"):
+            nk.report_for(nk.build_h(p), nk.gamma_star(p))
 
     def test_cond_uv_read_from_central_pair(self, monkeypatch):
         p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))

@@ -35,7 +35,7 @@ def _lu(h):
 class TestInverseIteration:
     def test_diagonal_well_separated(self):
         h = np.diag([0.1, 0.2, 5.0, 7.0])
-        q, steps = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 100)
+        q, steps = inverse_orthogonal_iteration(_lu(h), 2, 1e-12)
         target = np.zeros((4, 2))
         target[0, 0] = target[1, 1] = 1.0
         assert nk.subspace_distance(q, target) <= 1e-12
@@ -50,12 +50,13 @@ class TestInverseIteration:
         true_ratio = 0.02 / np.min(np.abs(eigs[2:]))
         assert true_ratio / 3.0 <= t <= true_ratio * 3.0
 
-    def test_no_convergence_carries_best_iterate(self):
+    def test_no_convergence_carries_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(21)
         eigs = np.concatenate([[0.5, 0.55], rng.uniform(0.6, 0.9, 8)])
         h, _ = planted_matrix(rng, eigs)
+        monkeypatch.setattr(shift, "PAIR_MAX_ITERS", 4)
         with pytest.raises(NoConvergence) as err:
-            inverse_orthogonal_iteration(_lu(h), 2, 1e-12, 4)
+            inverse_orthogonal_iteration(_lu(h), 2, 1e-12)
         assert err.value.diagnostics["basis"].shape == (10, 2)
         assert err.value.diagnostics["steps"] == 4
 
@@ -67,13 +68,13 @@ class TestInverseIteration:
         # a central subspace leaves at least one eigenvalue outside
         for k in (0, 3, 5):
             with pytest.raises(InvalidProblem):
-                inverse_orthogonal_iteration(_lu(np.eye(3)), k, 1e-12, 100)
+                inverse_orthogonal_iteration(_lu(np.eye(3)), k, 1e-12)
 
     def test_stall_ends_only_on_invariant_basis(self):
         # transport n = 4, beta = 1e-3: the distance stalls in a transient at
         # step 4, where the basis's invariance defect is still 8.0e-7
         h = nk.build_h(nk.transport_problem(nk.TransportSpec.near_critical(4, 1e-3))).H
-        v, _ = inverse_orthogonal_iteration(_lu(h), 2, 1e-12, shift.PAIR_MAX_ITERS)
+        v, _ = inverse_orthogonal_iteration(_lu(h), 2, 1e-12)
         defect = frobenius_norm(h @ v - v @ (v.T @ h @ v)) / frobenius_norm(h)
         assert defect <= diagnostics.DEFECT_TOL
 
@@ -249,7 +250,7 @@ class TestSharedFactor:
         eigs = np.concatenate([[0.05, -0.06], rng.uniform(1.0, 2.0, 8)])
         h, _ = planted_matrix(rng, eigs)
         cs = nk.compute_central_pair(h, 2)
-        u, _ = inverse_orthogonal_iteration(_lu(h.T), 2, 1e-12, 100)
+        u, _ = inverse_orthogonal_iteration(_lu(h.T), 2, 1e-12)
         assert nk.subspace_distance(cs.U, u) <= 1e-10
 
     def test_rectangular_blocks(self):
