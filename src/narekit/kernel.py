@@ -110,11 +110,21 @@ def cond_uv(u, v) -> float:
 
 def eigenvalues(m):
     """All eigenvalues of a square dense matrix, as a complex 1-d array."""
+    return _eig(np.linalg.eigvals, m)
+
+
+def eigenpairs(m):
+    """(w, c) with m c = c diag(w): the eigenvalues and right eigenvectors
+    of a square dense matrix."""
+    return tuple(_eig(np.linalg.eig, m))
+
+
+def _eig(decompose, m):
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         raise InvalidProblem("eigenvalues needs a square matrix")
     try:
-        return np.linalg.eigvals(m.astype(np.float64, copy=False))
+        return decompose(m.astype(np.float64, copy=False))
     except np.linalg.LinAlgError as exc:  # QR iteration failed to converge
         raise NoConvergence(str(exc)) from exc
 

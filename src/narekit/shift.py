@@ -11,12 +11,12 @@ multiplies the k central eigenvalues by (1 + s) while leaving every right
 invariant subspace of H (and hence the minimal solution) unchanged.  One
 short orthogonal iteration probes the smallest eigenvalue moduli
 |xi_1| <= |xi_2| <= ... of H; k is the first k >= 2 with |xi_k| / |xi_{k+1}|
-<= SLOW_RATE, and s = |xi_{k+1}| / |xi_1| - 1.  The bases come from inverse
-orthogonal iteration.  H is LU-factored once per solve, and the stages take
-that LU, not H: the M-matrix guard, the probe and every inverse iteration,
-the left one with H^T included, solve with it.  A central subspace has
-1 <= k < n + m.  The fixed settings (seed, step caps, k and s limits) are
-the module constants below.
+<= SLOW_RATE, and s = |xi_{k+1}| / |xi_1| - 1 in [S_MIN, S_MAX].  The bases
+come from inverse orthogonal iteration.  H is LU-factored once per solve,
+and the stages take that LU, not H: the M-matrix guard, the probe and every
+inverse iteration, the left one with H^T included, solve with it.  A
+central subspace has 1 <= k < n + m.  The fixed settings (seed, step
+caps, k limit, s clamp) are the module constants below.
 
 `sushi_solve` chains the whole pipeline: probe the moduli, detect k,
 compute the central pair, choose s, build the shifted equation, run the
@@ -24,9 +24,11 @@ doubling solver on it with the original problem's gamma, and polish the
 result with a Newton defect-correction step on the original equation
 (forming the shifted coefficients in floating point perturbs the solution
 at level eps * (1 + s), which the correction removes), forming R(X) once
-per iterate.  The step's Sylvester equation has M-matrix coefficients and
-is solved by Smith doubling on their Cayley transforms: two LUs, one solve
-each, and products, no Schur form.
+per iterate.  Its Sylvester step solves the block between the central
+pair's slow eigenvectors exactly and the rest by Smith doubling on Cayley
+transforms at g = sqrt(|xi_{k+1}| gamma*): two LUs, one solve each, and
+products, no Schur form.  Y is not polished: S_MAX bounds the error it
+gets from s.
 """
 
 from dataclasses import dataclass, field, replace
@@ -51,7 +53,7 @@ from .errors import (
     NoConvergence,
     SingularMatrix,
 )
-from .kernel import as_matrix, cond_uv, eigenvalues, frobenius_norm
+from .kernel import as_matrix, cond_uv, eigenpairs, frobenius_norm
 from .kernel import lu_factor, lu_solve, spectral_norm, thin_qr
 from .sda import SdaConfig, residual_bound, sda_solve
 
@@ -75,7 +77,8 @@ class CentralSubspaces:
 
     V: np.ndarray  # right basis, orthonormal columns
     U: np.ndarray  # left basis, orthonormal columns
-    central_eigs: np.ndarray  # eigenvalues of V^T H V
+    central_eigs: np.ndarray  # eigenvalues lam of V^T H V
+    central_vecs: np.ndarray  # C, V^T H V = C diag(lam) C^-1
     inv_iter_steps: int
     k: int = field(init=False)
     cond_uv: float = field(init=False)
@@ -137,7 +140,7 @@ def inverse_orthogonal_iteration(factor, k, tol, trans=0):
 
 
 def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
-    """Left and right central bases plus the central eigenvalues.
+    """Left and right central bases plus the eigendecomposition of V^T H V.
 
     The right basis comes from inverse iteration on h, the left one from
     the same iteration on h^T, both on one LU factor of h (factor, or a
@@ -149,8 +152,9 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
         factor = lu_factor(h, pivot_tol=0.0)
     v, steps_v = inverse_orthogonal_iteration(factor, k, tol)
     u, _ = inverse_orthogonal_iteration(factor, k, tol, trans=1)
-    central = eigenvalues(v.T @ h @ v)
-    return CentralSubspaces(V=v, U=u, central_eigs=central, inv_iter_steps=steps_v)
+    lam, c = eigenpairs(v.T @ h @ v)
+    return CentralSubspaces(V=v, U=u, central_eigs=lam, central_vecs=c,
+                            inv_iter_steps=steps_v)
 
 
 def smallest_moduli(factor, count):
@@ -242,56 +246,79 @@ def classical_shift(h, v, u, s):
     return h + (s / uv) * np.outer(v, u)
 
 
-def newton_polish(p: NareProblem, x, r, res, xi):
+def newton_polish(p: NareProblem, x, r, res, g, modes):
     """Newton defect correction on the original equation.
 
-    Solves (A - X C) D + D (D_coef - C X) = R(X) for the correction D by
-    Smith doubling and keeps the update, for up to POLISH_MAX_STEPS
-    corrections, while the relative residual improves.  r and res are R(x)
-    and its relative size (a candidate's come from one evaluation); the
-    polish is a no-op when res is at the floor 100 * eps of x's dtype.  xi,
-    the smallest central eigenvalue modulus, gives the Cayley parameter
-    sqrt(xi * gamma*), the best single shift for a real spectrum in
-    [xi, gamma*]; xi = gamma* gives gamma*.
+    Solves (A - X C) D + D (D_coef - C X) = R(X) for the correction D and
+    keeps the update, for up to POLISH_MAX_STEPS corrections, while the
+    relative residual improves.  r and res are R(x) and its relative size
+    (a candidate's come from one evaluation); the polish is a no-op when
+    res is at the floor 100 * eps of x's dtype.  modes = (on_q, right,
+    left) are H's eigenvectors to deflate (central_modes; with no columns
+    nothing is deflated), and g > 0 is Smith's Cayley parameter for the
+    rest: sqrt(xi * gamma*) is the best single one for a real spectrum in
+    [xi, gamma*].  Returns (x, res, doublings), Smith's doubling count per
+    correction.
     """
     x = np.asarray(x)
-    floor = 100.0 * float(np.finfo(x.dtype).eps)
+    floor, doublings = 100.0 * float(np.finfo(x.dtype).eps), []
     for _ in range(POLISH_MAX_STEPS):
         if res <= floor:
             break
-        delta = _smith_correction(p, x, r, xi)
-        if delta is None:
+        correction = _smith_correction(p, x, r, g, modes)
+        if correction is None:
             break
-        candidate = x + delta
+        doublings.append(correction[1])
+        candidate = x + correction[0]
         new_r, new_res = _residual_with_size(p, candidate)
         if not new_res < res:
             break
         x, r, res = candidate, new_r, new_res
-    return x, float(res)
+    return x, float(res), doublings
 
 
-def _smith_correction(p: NareProblem, x, r, xi):
-    """Sum over j of S^j D0 T^j, with S = I - 2g P_g^-1, T = I - 2g Q_g^-1 and
-    D0 = P_g^-1 (2g r) Q_g^-1, r = R(X), P_g = P + gI, Q_g = Q + gI, P = A - X C
-    and Q = D_coef - C X (one solve per LU, against I), by doubling until
-    an increment no longer changes X (a residual target would drop the
-    slowly converging part); None when a factor is singular or the sum
-    diverges, as it can unless P and Q are M-matrices."""
-    g_star = gamma_star(p)
-    eps = float(np.finfo(x.dtype).eps)
-    g = float(np.sqrt(max(xi, eps * g_star) * g_star))
+def central_modes(cs: CentralSubspaces):
+    """(Re lam > 0, V C, (U^T V C)^-1 U^T): H's central right and left
+    eigenvectors from the pair's V^T H V = C diag(lam) C^-1, a complex
+    pair's as its real and imaginary parts, in O(N k^2)."""
+    lam = cs.central_eigs
+    c = np.where(lam.imag < 0, cs.central_vecs.imag, cs.central_vecs.real)
+    vc = cs.V @ c.astype(cs.V.dtype)
+    return lam.real > 0, vc, np.linalg.solve(cs.U.T @ vc, cs.U.T)
+
+
+def _smith_correction(p: NareProblem, x, r, g, modes):
+    """(D, doublings) with P D + D Q = r, r = R(X), P = A - X C, Q = D_coef - C X;
+    None when a matrix is singular or the sum diverges, as it can unless P
+    and Q are M-matrices.  The modes' r, l with Re lam > 0 give Q's slow
+    vectors z = r[:n], y = l[:n] + l[n:] X, the others P's w = r[n:] - X r[:n],
+    t = l[n:].  D = W D_s Y^T + sum_j S^j D0 T^j: (T^T P W) D_s (Y^T Z) +
+    (T^T W) D_s (Y^T Q Z) = T^T r Z, S = I - 2g P_g^-1, T = I - 2g Q_g^-1,
+    D0 = P_g^-1 2g (r - P W D_s Y^T - W D_s Y^T Q) Q_g^-1, P_g = P + gI and
+    Q_g = Q + gI (one solve per LU, against I), doubled until an increment no
+    longer changes X (a residual target would drop the slowly converging part)."""
+    eps, n, (on_q, right, left) = float(np.finfo(x.dtype).eps), p.n, modes
     pm, qm = p.A - x @ p.C, p.D - p.C @ x
-    eye_m, eye_n = np.eye(p.m, dtype=x.dtype), np.eye(p.n, dtype=x.dtype)
+    z, y = right[:n, on_q], left[on_q, :n] + left[on_q, n:] @ x
+    w, tp = right[n:, ~on_q] - x @ right[:n, ~on_q], left[~on_q, n:]
+    pw, rs = pm @ w, tp @ r @ z
+    lhs = np.multiply.outer((y @ z).T, tp @ pw) + np.multiply.outer(
+        (y @ (qm @ z)).T, tp @ w)  # sum of kron(b, a), without np.kron's cost
+    eye_m, eye_n = np.eye(p.m, dtype=x.dtype), np.eye(n, dtype=x.dtype)
+    delta = 2.0 * g * r  # 2g r', then D0
     try:
         fp, fq = lu_factor(pm + g * eye_m), lu_factor(qm + g * eye_n)
-    except SingularMatrix:
+        by = np.linalg.solve(lhs.swapaxes(1, 2).reshape(rs.size, rs.size),
+                             rs.ravel("F")).reshape(rs.shape, order="F") @ y  # D_s Y^T
+    except (SingularMatrix, np.linalg.LinAlgError):
         return None
+    delta -= (2.0 * g * np.hstack([pw, w])) @ np.vstack([by, by @ qm])
     p_inv, q_inv = lu_solve(fp, eye_m), lu_solve(fq, eye_n)
     s, t = eye_m - 2.0 * g * p_inv, eye_n - 2.0 * g * q_inv
-    delta = p_inv @ (2.0 * g * r) @ q_inv
+    delta = p_inv @ delta @ q_inv
     stop = eps * frobenius_norm(x)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: divergence
-        for _ in range(POLISH_MAX_DOUBLINGS):
+        for doublings in range(1, POLISH_MAX_DOUBLINGS + 1):
             inc = s @ delta @ t
             size = frobenius_norm(inc)
             if not np.isfinite(size):
@@ -300,7 +327,7 @@ def _smith_correction(p: NareProblem, x, r, xi):
             if size <= stop:
                 break
             s, t = s @ s, t @ t
-    return delta
+    return delta + w @ by, doublings
 
 
 @dataclass(frozen=True)
@@ -319,10 +346,11 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
 
     Pipeline: factor H, classify on that factor, probe the smallest
     eigenvalue moduli once (min(K_MAX, N - 1) + 1 of them, k + 1 under a
-    fixed k, none when k and s are both fixed), (detect k), compute the
-    central pair, choose s, build the shifted equation, run the doubling
-    solver on it with the original problem's gamma, and polish the result
-    with Newton defect correction on the original equation.
+    fixed k), (detect k), compute the central pair, choose s, build the
+    shifted equation, run the doubling solver on it with the original
+    problem's gamma, and polish the result on the original equation with
+    the central modes deflated, Smith at g = sqrt(|xi_{k+1}| gamma*);
+    plan.rationale records polish_g and polish_doublings.
 
     Returns (result, CentralSubspaces, ShiftPlan, shifted), two
     SdaOutcomes.  shifted is the doubling's outcome on the shifted
@@ -331,8 +359,9 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     residual meets sda.residual_bound, and the shifted doubling's steps,
     gamma, tail_from and Y with the dual residual of the original equation.
     The shift keeps every invariant subspace of H and the sign of every
-    eigenvalue's real part, so that Y is the original dual solution,
-    unpolished.
+    eigenvalue's real part, so that Y is the original dual solution up to
+    the eps * (1 + s) perturbation of forming the shifted equation; Y is
+    not polished.
     """
     t0 = time.perf_counter()
     h = build_h(p)
@@ -344,11 +373,11 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
         raise
     if not opts.force:
         require_mmatrix(p, factor)
-    iter_tol = max(opts.iter_tol, 100.0 * float(np.finfo(p.dtype).eps))
+    eps = float(np.finfo(p.dtype).eps)
+    iter_tol = max(opts.iter_tol, 100.0 * eps)
     k = opts.k
-    if k is None or opts.s is None:
-        moduli = smallest_moduli(factor, np.clip(k or K_MAX, 1, h.H.shape[0] - 1) + 1)
-        k = detect_k(moduli) if k is None else k
+    moduli = smallest_moduli(factor, np.clip(k or K_MAX, 1, h.H.shape[0] - 1) + 1)
+    k = detect_k(moduli) if k is None else k
     cs = compute_central_pair(h.H, k, iter_tol, factor=factor)
     if opts.s is not None:
         plan = ShiftPlan(s=float(opts.s), rationale={"fixed": True})
@@ -358,11 +387,13 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
     shifted = sda_solve(shifted_problem, cfg)
-    x, res = newton_polish(p, shifted.X, *_residual_with_size(p, shifted.X),
-                           float(np.min(np.abs(cs.central_eigs))))
+    g = float(np.sqrt(max(moduli[k], eps * cfg.gamma) * cfg.gamma))
+    x, res, doublings = newton_polish(p, shifted.X, *_residual_with_size(p, shifted.X),
+                                      g, central_modes(cs))
     result = replace(shifted, X=x, residual=res,
                      converged=res <= residual_bound(p, opts.tol),
                      dual_residual=relative_residual(p.dual(), shifted.Y))
-    plan = replace(plan, rationale=dict(plan.rationale,
+    plan = replace(plan, rationale=dict(plan.rationale, polish_g=g,
+                                        polish_doublings=doublings,
                                         elapsed_s=time.perf_counter() - t0))
     return result, cs, plan, shifted

@@ -162,7 +162,8 @@ def test_spectrum_invariance_randomized():
         h, t = planted_matrix(rng, eigs, coupling=0.15)
         v, _ = np.linalg.qr(t[:, :k])
         u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :k])
-        cs = CentralSubspaces(V=v, U=u, central_eigs=central, inv_iter_steps=0)
+        cs = CentralSubspaces(V=v, U=u, central_eigs=central,
+                              central_vecs=np.eye(k), inv_iter_steps=0)
         n_part = dim // 2
         shifted = nk.build_shifted_h(
             nk.LinearizingMatrix(h, n_part, dim - n_part), cs, s)

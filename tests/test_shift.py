@@ -138,7 +138,7 @@ class TestCentralSubspaces:
 
     def _pair(self, u, v):
         return CentralSubspaces(V=v, U=u, central_eigs=np.zeros(np.shape(v)[1]),
-                                inv_iter_steps=0)
+                                central_vecs=np.eye(np.shape(v)[1]), inv_iter_steps=0)
 
     def test_orthogonal_bases_refused(self):
         with pytest.raises(CentralPairIllConditioned) as err:
@@ -180,7 +180,8 @@ class TestCentralSubspaces:
         assert cs.k == cs.V.shape[1] == 3
         assert cs.cond_uv == nk.cond_uv(cs.U, cs.V) > 1.0
         with pytest.raises(TypeError):  # derived, not passed
-            CentralSubspaces(V=v, U=u, k=3, central_eigs=eigs[:3], inv_iter_steps=0)
+            CentralSubspaces(V=v, U=u, k=3, central_eigs=eigs[:3],
+                             central_vecs=np.eye(3), inv_iter_steps=0)
 
 
 class TestSharedFactor:
@@ -214,10 +215,11 @@ class TestSharedFactor:
         assert shapes.count((p.n + p.m, p.n + p.m)) == 1
 
     @pytest.mark.parametrize("n, k, s, columns", [
-        (16, 2, 100.0, []), (16, 2, None, [3]), (16, None, 100.0, [shift.K_MAX + 1]),
+        (16, 2, 100.0, [3]), (16, 2, None, [3]), (16, None, 100.0, [shift.K_MAX + 1]),
         (16, None, None, [shift.K_MAX + 1]), (4, None, None, [8])])
     def test_one_moduli_probe_per_solve(self, monkeypatch, n, k, s, columns):
-        # min(k or K_MAX, N - 1) + 1 columns, none when k and s are both fixed
+        # min(k or K_MAX, N - 1) + 1 columns, also when k and s are both
+        # fixed: the polish's Cayley parameter reads |xi_{k+1}|
         p = nk.transport_problem(nk.TransportSpec.near_critical(n, 1e-6))
         counts = []
 
@@ -355,7 +357,8 @@ class TestShiftSelection:
         central_eigs = np.asarray(central_eigs, dtype=complex)
         k = central_eigs.size
         v = np.eye(4)[:, :k]
-        return CentralSubspaces(V=v, U=v, central_eigs=central_eigs, inv_iter_steps=1)
+        return CentralSubspaces(V=v, U=v, central_eigs=central_eigs,
+                                central_vecs=np.eye(k), inv_iter_steps=1)
 
     def test_rule_arithmetic(self):
         plan = nk.choose_shift_s(self._pair([0.5, 0.6]), xi_next=2.5, h_norm=1.0)
@@ -395,7 +398,7 @@ class TestBuildShiftedH:
         h = nk.LinearizingMatrix(np.diag([0.01, -0.02, 1.0, -1.0]), 2, 2)
         v = np.eye(4)[:, :2]
         cs = CentralSubspaces(V=v, U=v, central_eigs=np.array([0.01, -0.02]),
-                              inv_iter_steps=0)
+                              central_vecs=np.eye(2), inv_iter_steps=0)
         shifted = nk.build_shifted_h(h, cs, 9.0)
         got = np.sort(np.linalg.eigvals(shifted.H).real)
         npt.assert_allclose(got, [-1.0, -0.2, 0.1, 1.0], atol=1e-12)
@@ -409,8 +412,10 @@ class TestBuildShiftedH:
         h = nk.LinearizingMatrix(np.diag([0.01, -0.02, 1.0, -1.0]), 2, 2)
         v, eigs = np.eye(4)[:, :2], np.array([0.01, -0.02])
         with pytest.raises(CentralPairIllConditioned):
-            CentralSubspaces(V=v, U=np.eye(4)[:, 2:], central_eigs=eigs, inv_iter_steps=0)
-        cs = CentralSubspaces(V=v, U=v, central_eigs=eigs, inv_iter_steps=0)
+            CentralSubspaces(V=v, U=np.eye(4)[:, 2:], central_eigs=eigs,
+                             central_vecs=np.eye(2), inv_iter_steps=0)
+        cs = CentralSubspaces(V=v, U=v, central_eigs=eigs, central_vecs=np.eye(2),
+                              inv_iter_steps=0)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         shifted = nk.build_shifted_h(h, cs, 9.0)
         npt.assert_allclose(np.diag(shifted.H), [0.1, -0.2, 1.0, -1.0], atol=1e-15)
@@ -422,7 +427,8 @@ class TestBuildShiftedH:
             h, t = planted_matrix(rng, eigs)
             v, _ = np.linalg.qr(t[:, :2])
             u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :2])
-            cs = CentralSubspaces(V=v, U=u, central_eigs=eigs[:2], inv_iter_steps=0)
+            cs = CentralSubspaces(V=v, U=u, central_eigs=eigs[:2],
+                                  central_vecs=np.eye(2), inv_iter_steps=0)
             shifted = nk.build_shifted_h(nk.LinearizingMatrix(h, 5, 5), cs, s)
             got = np.sort(np.linalg.eigvals(shifted.H).real)
             want = np.sort(np.concatenate([(1 + s) * eigs[:2], eigs[2:]]))
@@ -455,7 +461,8 @@ def test_rank_k_update_matches_product_form(dim, k, log_s, seed):
     h, t = planted_matrix(rng, eigs)
     v, _ = np.linalg.qr(t[:, :k])
     u, _ = np.linalg.qr(np.linalg.inv(t).T[:, :k])
-    cs = CentralSubspaces(V=v, U=u, central_eigs=eigs[:k], inv_iter_steps=0)
+    cs = CentralSubspaces(V=v, U=u, central_eigs=eigs[:k],
+                          central_vecs=np.eye(k), inv_iter_steps=0)
     s = 10.0 ** log_s
     got = nk.build_shifted_h(nk.LinearizingMatrix(h, dim // 2, dim - dim // 2), cs, s).H
     want = h @ (np.eye(dim) + s * v @ np.linalg.solve(u.T @ v, u.T))
@@ -481,7 +488,8 @@ def test_build_shifted_h_makes_no_cubic_product():
             return (np.asarray(other) @ np.asarray(self)).view(Tracked)
 
     cs = CentralSubspaces(V=v.view(Tracked), U=v.view(Tracked),
-                          central_eigs=np.array([0.01, -0.02]), inv_iter_steps=0)
+                          central_eigs=np.array([0.01, -0.02]), central_vecs=np.eye(2),
+                          inv_iter_steps=0)
     nk.build_shifted_h(h, cs, 9.0)
     assert shapes and all(min(a[0], a[1], b[1]) <= 2 for a, b in shapes)
 
@@ -627,10 +635,17 @@ class TestSushiSolve:
             assert cell["result"].residual <= 10.0 * cell["plain"].residual
 
 
+def _no_modes(p):
+    """newton_polish's modes with no columns: nothing deflated."""
+    dim = p.n + p.m
+    return np.zeros(0, dtype=bool), np.zeros((dim, 0)), np.zeros((0, dim))
+
+
 def _polish(p, x):
     """newton_polish from x's own residual, with Cayley parameter gamma*."""
-    return newton_polish(p, x, nk.residual(p, x), nk.relative_residual(p, x),
-                         nk.gamma_star(p))
+    x, res, _ = newton_polish(p, x, nk.residual(p, x), nk.relative_residual(p, x),
+                              nk.gamma_star(p), _no_modes(p))
+    return x, res
 
 
 def test_newton_polish_improves_residual():
@@ -649,7 +664,8 @@ def test_newton_polish_reuses_given_residual(monkeypatch):
     for mod, name in ((core, "_residual_with_size"), (shift, "_residual_with_size"),
                       (core, "residual"), (shift, "_smith_correction")):
         monkeypatch.setattr(mod, name, lambda *args: calls.append(args))
-    x, res = newton_polish(p, out.X, r, out.residual, nk.gamma_star(p))
+    x, res, _ = newton_polish(p, out.X, r, out.residual, nk.gamma_star(p),
+                              _no_modes(p))
     assert calls == []
     assert x is out.X and res == out.residual
 
@@ -688,6 +704,47 @@ def test_newton_polish_matches_bartels_stewart(n, m, log_margin, scale, seed):
     assert got.shape == (m, n)
     assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
     assert got_res <= 10.0 * max(want_res, np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-12)),
+    lambda: nk.transport_problem(nk.TransportSpec.near_critical(64, 1e-12)),
+    lambda: carved_mnare(20, 12, 1e-8),
+], ids=["transport-32", "transport-64", "carved-20x12"])
+def test_deflated_polish_matches_bartels_stewart(problem):
+    # the shifted doubling's X, polished with the central pair's slow block
+    # solved exactly, against the same Newton steps by a Schur-based solve
+    p = problem()
+    result, _, plan, shifted = nk.sushi_solve(p)
+    assert plan.rationale["polish_doublings"]  # a deflated correction ran
+    want, _ = _bartels_stewart_polish(p, shifted.X)
+    assert frobenius_norm(result.X - want) <= 1e-12 * frobenius_norm(want)
+
+
+def test_deflated_polish_doublings():
+    # Smith runs at g = sqrt(|xi_3| gamma*) = 31 once the slow pair is
+    # deflated; at sqrt(|xi_1| gamma*) = 0.044 it took 17 doublings
+    p = nk.transport_problem(nk.TransportSpec.near_critical(256, 1.5e-12))
+    result, _, plan, _ = nk.sushi_solve(p)
+    assert result.converged
+    assert plan.rationale["polish_g"] ** 2 == pytest.approx(
+        plan.rationale["xi_next_estimate"] * nk.gamma_star(p))
+    assert 1 <= max(plan.rationale["polish_doublings"]) <= 10
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_clamped_shift_matches_plain(seed):
+    # |xi_3| / |xi_1| - 1 is 2.3e11 and 4.2e10 here, clamped to S_MAX.  The
+    # polished X is plain doubling's, not a nearby second solution.  Y is
+    # not polished and keeps the shifted equation's eps * (1 + s) error:
+    # unclamped, the dual residual is 4.2e-5 and 8.3e-6.  Seeds 2 and 3
+    # miss 1e-6 even at s = 10 (ROADMAP item 5)
+    p = nk.random_mnare(nk.RandomMnareSpec(n=256, alpha=1e-12, seed=seed))
+    result, _, plan, _ = nk.sushi_solve(p)
+    assert plan.s == shift.S_MAX and plan.rationale["clamped"]
+    assert result.converged and result.dual_residual <= 1e-6
+    plain = nk.sda_solve(p).X
+    assert frobenius_norm(result.X - plain) <= 1e-12 * frobenius_norm(plain)
 
 
 def test_sushi_solve_makes_no_schur_form(monkeypatch):
