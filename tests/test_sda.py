@@ -176,6 +176,54 @@ class TestStep:
                                 atol=1e-13)
 
 
+class TestStepKernels:
+    """sda_step keeps its input state and takes np.linalg.norm's 1-norms."""
+
+    PROBLEMS = {
+        "transport-32": lambda: nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-6)),
+        "random-64": lambda: nk.random_mnare(nk.RandomMnareSpec(64, 1e-3, 0)),
+    }
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_input_state_unchanged(self, factored):
+        rng = np.random.default_rng(14)
+        n, m = 6, 5
+        g = _unit_spectral(rng, n, m, np.float64, 0.5)
+        h = _unit_spectral(rng, m, n, np.float64, 0.5)
+        if factored:
+            e = (rng.standard_normal((n, 2)), rng.standard_normal((2, n)) / (2 * n))
+            f = (rng.standard_normal((m, 2)), rng.standard_normal((2, m)) / (2 * m))
+        else:
+            e, f = _unit_spectral(rng, n, n, np.float64), _unit_spectral(rng, m, m, np.float64)
+        s = SdaState(E=e, F=f, G=g, Hm=h)
+
+        def arrays(state):
+            return [a for v in (state.E, state.F, state.G, state.Hm)
+                    for a in (v if isinstance(v, tuple) else (v,))]
+
+        kept = [a.copy() for a in arrays(s)]
+        nk.sda_step(s)
+        for before, after in zip(kept, arrays(s), strict=True):
+            npt.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_bit_identical_to_numpy_one_norm(self, monkeypatch, name):
+        # the oracle is the step with np.linalg.norm(., 1) patched back in
+        p = self.PROBLEMS[name]()
+        start = nk.sda_init(p, nk.gamma_star(p))
+        got, want = [start], [start]
+        for _ in range(4):
+            got.append(nk.sda_step(got[-1]))
+        monkeypatch.setattr(sda, "one_norm", lambda mat: np.linalg.norm(mat, 1))
+        for _ in range(4):
+            want.append(nk.sda_step(want[-1]))
+        for a, b in zip(got[1:], want[1:]):
+            for field in ("E", "F", "G", "Hm"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+            assert (a.cond, a.err_est, a.step) == (b.cond, b.err_est, b.step)
+
+
 def _unit_spectral(rng, rows, cols, dtype, scale=1.0):
     a = rng.standard_normal((rows, cols))
     return (scale / np.linalg.norm(a, 2) * a).astype(dtype)

@@ -60,6 +60,17 @@ class TestInverseIteration:
         assert err.value.diagnostics["basis"].shape == (10, 2)
         assert err.value.diagnostics["steps"] == 4
 
+    def test_overflowing_solve_is_no_convergence(self):
+        # the solve against the pivot 1e-310 overflows, so the first
+        # distance is nan: a NoConvergence at step 1, not numpy's
+        # LinAlgError from an SVD nor 100 steps on nan
+        factor = lu_factor(np.diag([1e-310, 1.0, 2.0, 3.0, 4.0, 5.0]), pivot_tol=0.0)
+        with pytest.raises(NoConvergence) as err:
+            inverse_orthogonal_iteration(factor, 2, 1e-12)
+        assert err.value.diagnostics["steps"] == 1
+        assert not np.isfinite(err.value.diagnostics["distance"])
+        assert err.value.diagnostics["basis"].shape == (6, 2)
+
     def test_singular_h_rejected(self):
         with pytest.raises(SingularMatrix):
             nk.compute_central_pair(np.zeros((3, 3)), 1)
