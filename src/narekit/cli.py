@@ -14,12 +14,14 @@ other NarekitError (no convergence, no central subspace, an
 ill-conditioned central pair), 4 InvalidProblem (not an M-matrix
 equation, a spectrum that does not split), 5 usage or input/output error
 (an unknown flag, a malformed value, a --k, --s, --gamma, --tol,
---max-steps or bench --seeds out of range, and a problem file or
-generator that raises InvalidProblem included); 6 is unassigned.  In JSON mode
-errors, usage errors included, are reported as {"error": <code-name>,
-"message": ...} on standard output; a human-readable message always goes
-to standard error.  csv and table cells render lists and dicts as
-compact JSON and None as an empty cell.
+--max-steps or bench --seeds out of range, a problem file or generator
+that raises InvalidProblem, and an --out, --output, --trace or
+--save-solution file that cannot be written included); 6 is unassigned.
+--save-solution is written before the report.  In JSON mode errors, usage
+errors included, are reported as {"error": <code-name>, "message": ...} on
+standard output; a human-readable message always goes to standard error.
+csv and table cells render lists and dicts as compact JSON and None as an
+empty cell.
 """
 
 import argparse
@@ -183,12 +185,13 @@ def _generate(family, n, beta=None, alpha=None, c=None, seed=0):
 
 
 def _emit(args, payload, rows=None):
-    """Write the report in the requested format to the --output file, or to
-    stdout without one.
+    """Stamp the command's schema on the report and write it in the requested
+    format to the --output file, or to stdout without one.
 
     rows, when given, is (header, list-of-value-lists) used by csv/table;
     json always gets the full payload.
     """
+    payload["schema"] = f"narekit-{args.command}/{__version__}"
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -197,11 +200,8 @@ def _emit(args, payload, rows=None):
             rows = (header, [[payload[k] for k in header]])
         text = _format_rows(args.format, *rows)
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _CliFailure(EXIT_IO, str(exc))
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -238,20 +238,12 @@ def _trace(args):
     if args.trace is None:
         yield None
         return
-    try:
-        fh = open(args.trace, "w")
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, str(exc))
-    with fh:
+    with open(args.trace, "w") as fh:
         yield trace_writer(fh)
 
 
 def cmd_gen(args):
-    p = _load_problem(args)
-    try:
-        p.save(args.out)
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, str(exc))
+    _load_problem(args).save(args.out)
     return EXIT_OK
 
 
@@ -266,7 +258,7 @@ def cmd_solve(args):
     with _trace(args) as trace:
         outcome = sda_solve(p, SdaConfig(gamma=args.gamma, tol=args.tol,
                                          max_steps=args.max_steps, trace=trace))
-    return _finish(args, "solve", outcome.report(), outcome.X)
+    return _finish(args, outcome.report(), outcome.X)
 
 
 def cmd_sushi(args):
@@ -283,19 +275,15 @@ def cmd_sushi(args):
                   central_eigs=[[z.real, z.imag] for z in np.atleast_1d(cs.central_eigs)],
                   inv_iter_steps=cs.inv_iter_steps, cond_uv=cs.cond_uv,
                   timings={"total_s": plan.rationale["elapsed_s"]})
-    return _finish(args, "sushi", report, result.X)
+    return _finish(args, report, result.X)
 
 
-def _finish(args, command, report, x):
-    """Emit a solver report; write X to the --save-solution path if given."""
-    report["schema"] = f"narekit-{command}/{__version__}"
-    _emit(args, report)
+def _finish(args, report, x):
+    """Write X to the --save-solution path if given, then emit the report."""
     if args.save_solution:
-        try:
-            with open(args.save_solution, "w") as fh:
-                json.dump({"X": np.asarray(x).tolist()}, fh)
-        except OSError as exc:
-            raise _CliFailure(EXIT_IO, str(exc))
+        with open(args.save_solution, "w") as fh:
+            json.dump({"X": np.asarray(x).tolist()}, fh)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -305,8 +293,7 @@ def cmd_diagnose(args):
         raise _CliFailure(EXIT_IO, f"--gamma {args.gamma} must be finite and > 0")
     gamma = args.gamma if args.gamma is not None else gamma_star(p)
     _emit(args, dict(asdict(report_for(build_h(p), gamma)), gamma=gamma,
-                     classification=classify_mmatrix(build_m(p)).tag,
-                     schema=f"narekit-diagnose/{__version__}"))
+                     classification=classify_mmatrix(build_m(p)).tag))
     return EXIT_OK
 
 
@@ -359,12 +346,8 @@ def cmd_bench(args):
         for param in params
         for seed in seeds
     ]
-    payload = {
-        "schema": f"narekit-bench/{__version__}",
-        "header": BENCH_HEADER,
-        "rows": rows,
-    }
-    _emit(args, payload, rows=(BENCH_HEADER, rows))  # json ignores rows
+    _emit(args, {"header": BENCH_HEADER, "rows": rows},
+          rows=(BENCH_HEADER, rows))  # json ignores rows
     return EXIT_OK
 
 
@@ -415,6 +398,8 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except _CliFailure as exc:
         return _error_exit(args, exc.code, str(exc))
+    except OSError as exc:  # a file that cannot be written
+        return _error_exit(args, EXIT_IO, str(exc))
     except SingularMatrix as exc:  # InitSingular and Breakdown included
         return _error_exit(args, EXIT_BREAKDOWN, str(exc))
     except InvalidProblem as exc:

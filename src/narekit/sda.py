@@ -40,7 +40,7 @@ starts to pay: with OpenBLAS on one thread of a 2-vCPU Xeon, solves took
 at n = 64 and 0.71-0.74x at n = 128.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import json
 import numbers
 
@@ -96,14 +96,9 @@ class SdaOutcome:
     tail_from: int = None  # step after which E and F were thin factors
 
     def report(self):
-        return {
-            "steps": self.steps,
-            "converged": self.converged,
-            "residual": self.residual,
-            "dual_residual": self.dual_residual,
-            "gamma": self.gamma,
-            "tail_from": self.tail_from,
-        }
+        """Every field but X and Y."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("X", "Y")}
 
 
 def sda_init(p: NareProblem, gamma: float) -> SdaState:

@@ -220,6 +220,41 @@ class TestSolve:
         assert all(np.isfinite(r["err_est"]) and np.isfinite(r["cond"]) for r in records)
 
 
+class TestUnwritableFile:
+    SOLVE = ["solve", "--family", "transport", "--n", "8", "--beta", "1e-3"]
+
+    @staticmethod
+    def _oserror_text(path):
+        with pytest.raises(OSError) as failure:
+            open(path, "w")
+        return str(failure.value)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "--family", "transport", "--n", "8", "--beta", "1e-3"], "--out"),
+        (SOLVE, "--output"),
+        (SOLVE, "--trace"),
+        (SOLVE, "--save-solution"),
+    ])
+    def test_exits_5_with_one_error(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "missing" / "f.json"
+        code, out, err = run(capsys, *argv, flag, str(path))
+        message = self._oserror_text(path)
+        assert code == 5
+        assert err == f"narekit: {message}\n"
+        if argv[0] == "gen":  # gen has no --format and writes no JSON
+            assert out == ""
+        else:  # exactly one JSON document: the error, no report before it
+            assert json.loads(out) == {"error": "io", "message": message}
+
+    def test_failed_save_solution_leaves_no_csv_report(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "f.json"
+        code, out, err = run(capsys, *self.SOLVE, "--format", "csv",
+                             "--save-solution", str(path))
+        assert code == 5
+        assert out == ""
+        assert err == f"narekit: {self._oserror_text(path)}\n"
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["solve", "--nope"],

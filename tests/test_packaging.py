@@ -1,5 +1,6 @@
-"""Distribution metadata in pyproject.toml agrees with the package, and
-every error class is raised and documented with its CLI exit code."""
+"""Distribution metadata in pyproject.toml agrees with the package, every
+error class is raised and documented with its CLI exit code, and the
+modules keep their layering."""
 
 import ast
 import importlib
@@ -91,3 +92,33 @@ def test_exit_code_matches_readme(name, capsys, monkeypatch):
     assert json.loads(out) == {"error": cli._EXIT_NAMES[code],
                                "message": "raised in place of a solve"}
     assert err == "narekit: raised in place of a solve\n"
+
+
+def test_layering():
+    # the solver modules do not import narekit.diagnostics, no other module
+    # its private names; core, sda and shift call no dense QR, SVD or
+    # ordered norm but kernel's
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "diagnostics":
+            continue
+        solver = path.stem in ("core", "kernel", "sda", "shift")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and path.stem in ("core", "sda", "shift"):
+                name = ast.unparse(node.func)
+                ordered = len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords)
+                assert not (name in ("np.linalg.qr", "np.linalg.svd") or
+                            name == "np.linalg.norm" and ordered), (
+                    f"{path}:{node.lineno} calls {name}; use narekit.kernel")
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                parts = ["narekit"] * (node.level > 0) + [node.module or ""]
+                base = ".".join(part for part in parts if part)
+                targets = [base] + [base + "." + alias.name for alias in node.names]
+            else:
+                continue
+            for target in targets:
+                inside = (target + ".").startswith("narekit.diagnostics.")
+                private = target.startswith("narekit.diagnostics._")
+                assert not (inside and (solver or private)), (
+                    f"{path}:{node.lineno} imports {target}")

@@ -11,7 +11,9 @@ casts of the transport family go through `sushi_solve` only: it converges
 and agrees with float64 `sda_solve` to 1e-4.  Plain float32 doubling is
 left out: at beta below eps_32 it can break down, and its error reaches
 5e-3.  Both solvers are invariant under scaling the equation by c = 10^k,
-|k| <= 30: the same steps, X to 1e-10, and the same refusal.
+|k| <= 30: the same steps, X to 1e-10, and the same refusal.  Critical
+transport fails through both solvers; two strict xfails pin that until
+ROADMAP item 4 mends it.
 """
 
 from hypothesis import example, given, seed, settings, strategies as st
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import narekit as nk
-from narekit.errors import KMaxReached, NarekitError
+from narekit.errors import KMaxReached, NarekitError, NoConvergence
 from narekit.sda import residual_bound
 from conftest import carved_mnare
 
@@ -115,3 +117,22 @@ def test_transport_scale_invariance(n, log_beta, log_c):
        rng_seed=st.integers(0, 2**32 - 1), log_c=st.integers(-30, 30))
 def test_random_scale_invariance(n, m, log_alpha, rng_seed, log_c):
     _check_scale_invariance(carved_mnare(n, m, 10.0 ** log_alpha, rng_seed), log_c)
+
+
+# Critical transport (alpha = 0, c = 1, M singular) through both solvers.
+# Both fail today; ROADMAP item 4's fix is expected to flip them.
+CRITICAL = nk.TransportSpec(n=8, alpha=0.0, c=1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: plain SDA on critical transport runs to "
+                          "its 60-step cap with converged false")
+def test_critical_transport_plain_converges():
+    assert nk.sda_solve(nk.transport_problem(CRITICAL)).converged
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergence,
+                   reason="ROADMAP item 4: the central pair's inverse iteration "
+                          "does not settle on critical transport")
+def test_critical_transport_shifted_returns():
+    nk.sushi_solve(nk.transport_problem(CRITICAL))
