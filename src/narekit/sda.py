@@ -23,7 +23,10 @@ so err_est = ||E_k||_1 ||F_k||_1 ||(I - G_{k-1} H_{k-1})^-1||_1, the
 inverse norm read off the condition estimate of the factor step k already
 made, estimates the relative error ||X - H_k||_1 / ||X||_1 at O(n^2) extra
 cost per step.  The iteration stops when err_est <= max(tol, 10 eps); the
-primal and dual residuals are taken once, after the loop.
+primal and dual residuals are taken once, after the loop.  A step is two
+halves that share no data, E' and G' from I - G H and F' and H' from
+I - H G; from min(n, m) >= kernel.PAR_MIN_DIM kernel.both runs them on
+two threads, as it does sda_init's two pairs of solves and the residuals.
 
 That error lies in the ranges of E_k and F_k, which near criticality
 collapse onto the slow mode: both are within 6 eps of rank 1 from step 15
@@ -49,7 +52,7 @@ import scipy.linalg
 
 from .core import NareProblem, gamma_star, relative_residual
 from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
-from .kernel import frobenius_norm, lu_factor, lu_solve, one_norm, thin_qr
+from .kernel import both, frobenius_norm, lu_factor, lu_solve, one_norm, thin_qr
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
@@ -128,13 +131,13 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
             raise InitSingular(f"{which} is singular: {exc}", {"which": which}) from exc
         return lu_solve(factor, rhs)
 
-    dg_sol = solve(d_g, np.hstack([p.C, eye_n]), "D+gamma*I")
+    dim = min(m, n)
+    dg_sol, ag_inv_b = both(lambda: solve(d_g, np.hstack([p.C, eye_n]), "D+gamma*I"),
+                            lambda: solve(a_g, p.B, "A+gamma*I"), dim)
     dg_inv_c, dg_inv = dg_sol[:, :m], dg_sol[:, m:]
-    ag_inv_b = solve(a_g, p.B, "A+gamma*I")
-    w = a_g - p.B @ dg_inv_c
-    v = d_g - p.C @ ag_inv_b
-    e0 = eye_n - 2 * g * solve(v, eye_n, "V_gamma")
-    w_inv = solve(w, eye_m, "W_gamma")
+    v_inv, w_inv = both(lambda: solve(d_g - p.C @ ag_inv_b, eye_n, "V_gamma"),
+                        lambda: solve(a_g - p.B @ dg_inv_c, eye_m, "W_gamma"), dim)
+    e0 = eye_n - 2 * g * v_inv
     f0 = eye_m - 2 * g * w_inv
     g0 = 2 * g * dg_inv_c @ w_inv
     h0 = 2 * g * w_inv @ p.B @ dg_inv
@@ -169,36 +172,36 @@ def sda_step(s: SdaState) -> SdaState:
     The inverses enter only as left factors of E and F, so each factor is
     applied once, by a transposed solve: Z_g = E (I - G H)^-1 (n columns)
     and Z_h = F (I - H G)^-1 (m columns).  Then E' = Z_g E,
-    G' = G + Z_g (G F), F' = Z_h F and H' = H + Z_h (H E).  The new state's
-    err_est is ||E'||_1 ||F'||_1 ||(I - G H)^-1||_1.  A factored E = El Er
-    gives Z_g = El (Er (I - G H)^-1), solved on r columns; E' keeps El.
+    G' = G + Z_g (G F), F' = Z_h F and H' = H + Z_h (H E), the halves
+    _half(E, F, G, H) and _half(F, E, H, G).  The new state's err_est is
+    ||E'||_1 ||F'||_1 ||(I - G H)^-1||_1.  A factored E = El Er gives
+    Z_g = El (Er (I - G H)^-1), solved on r columns; E' keeps El.
     """
-    n, m = s.G.shape
-    eye_n, eye_m = np.eye(n, dtype=s.G.dtype), np.eye(m, dtype=s.G.dtype)
-    f_igh, cond_gh, inv_norm = _guarded_factor(eye_n - s.G @ s.Hm, s.step)
-    f_ihg, cond_hg, _ = _guarded_factor(eye_m - s.Hm @ s.G, s.step)
-    cond = max(cond_gh, cond_hg)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: breakdown
-        if isinstance(s.E, tuple):  # E = el @ er and F = fl @ fr, of rank r
-            (el, er), (fl, fr) = s.E, s.F
-            w_g = lu_solve(f_igh, er.T, trans=1).T
-            w_h = lu_solve(f_ihg, fr.T, trans=1).T
-            e, f = (el, w_g @ el @ er), (fl, w_h @ fl @ fr)
-            g = s.G + el @ (w_g @ (s.G @ fl) @ fr)
-            h = s.Hm + fl @ (w_h @ (s.Hm @ el) @ er)
-            e_norm, f_norm = (one_norm(left @ right) for left, right in (e, f))
-        else:
-            z_g = lu_solve(f_igh, s.E.T, trans=1).T
-            z_h = lu_solve(f_ihg, s.F.T, trans=1).T
-            e, f = z_g @ s.E, z_h @ s.F
-            g, h = s.G + z_g @ (s.G @ s.F), s.Hm + z_h @ (s.Hm @ s.E)
-            e_norm, f_norm = one_norm(e), one_norm(f)
-        err_est = float(e_norm) * float(f_norm) * inv_norm
+        (e, g, cond_gh, inv_norm, e_norm), (f, h, cond_hg, _, f_norm) = both(
+            lambda: _half(s.E, s.F, s.G, s.Hm, s.step),
+            lambda: _half(s.F, s.E, s.Hm, s.G, s.step), min(s.G.shape))
+    cond = max(cond_gh, cond_hg)
+    err_est = float(e_norm) * float(f_norm) * inv_norm
     if not np.isfinite(err_est):
         raise Breakdown(f"doubling breakdown at step {s.step}: E or F overflowed "
                         f"(error estimate {err_est})",
                         {"step": s.step, "cond_estimate": cond})
     return SdaState(E=e, F=f, G=g, Hm=h, step=s.step + 1, cond=cond, err_est=err_est)
+
+
+def _half(e, f, g, h, step):
+    """(E', G', cond, ||(I - G H)^-1||_1, ||E'||_1) of a doubling step, and
+    (F', H', ...) with the roles swapped; see sda_step."""
+    factor, cond, inv_norm = _guarded_factor(np.eye(len(g), dtype=g.dtype) - g @ h, step)
+    if isinstance(e, tuple):  # E = el @ er and F = fl @ fr, of rank r
+        (el, er), (fl, fr) = e, f
+        w = lu_solve(factor, er.T, trans=1).T
+        e, g = (el, w @ el @ er), g + el @ (w @ (g @ fl) @ fr)
+        return e, g, cond, inv_norm, one_norm(el @ e[1])
+    z = lu_solve(factor, e.T, trans=1).T
+    e, g = z @ e, g + z @ (g @ f)
+    return e, g, cond, inv_norm, one_norm(e)
 
 
 def _thin(a, sketch):
@@ -249,14 +252,15 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
             e = _thin(state.E, sketch)
             if e and (f := _thin(state.F, sketch)):
                 state.E, state.F, tail_from = e, f, state.step
-    res, bound = relative_residual(p, state.Hm), residual_bound(p, cfg.tol)
+    res, dual_res = both(lambda: relative_residual(p, state.Hm),
+                         lambda: relative_residual(p.dual(), state.G), min(p.n, p.m))
+    bound = residual_bound(p, cfg.tol)
     if not converged and res > bound:
         raise NoConvergence(
             f"doubling did not converge in {cfg.max_steps} steps "
             f"(error estimate {state.err_est:.3e}, relative residual {res:.3e})",
             diagnostics={"err_est": state.err_est, "residual": float(res)},
         )
-    dual_res = relative_residual(p.dual(), state.G)
     return SdaOutcome(
         X=state.Hm, Y=state.G, steps=state.step, tail_from=tail_from,
         converged=converged and res <= bound,

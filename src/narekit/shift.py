@@ -54,7 +54,7 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import as_matrix, cond_uv, eigenpairs, frobenius_norm
-from .kernel import lu_factor, lu_solve, spectral_norm, thin_qr
+from .kernel import both, lu_factor, lu_solve, spectral_norm, thin_qr
 from .sda import SdaConfig, residual_bound, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
@@ -311,28 +311,28 @@ def _smith_correction(p: NareProblem, x, r, g, modes):
     lhs = np.multiply.outer((y @ z).T, tp @ pw) + np.multiply.outer(
         (y @ (qm @ z)).T, tp @ w)  # sum of kron(b, a), without np.kron's cost
     eye_m, eye_n = np.eye(p.m, dtype=x.dtype), np.eye(n, dtype=x.dtype)
-    delta = 2.0 * g * r  # 2g r', then D0
+    delta, dim = 2.0 * g * r, min(p.m, n)  # 2g r', then D0
     try:
-        fp, fq = lu_factor(pm + g * eye_m), lu_factor(qm + g * eye_n)
+        p_inv, q_inv = both(lambda: lu_solve(lu_factor(pm + g * eye_m), eye_m),
+                            lambda: lu_solve(lu_factor(qm + g * eye_n), eye_n), dim)
         by = np.linalg.solve(lhs.swapaxes(1, 2).reshape(rs.size, rs.size),
                              rs.ravel("F")).reshape(rs.shape, order="F") @ y  # D_s Y^T
     except (SingularMatrix, np.linalg.LinAlgError):
         return None
     delta -= (2.0 * g * np.hstack([pw, w])) @ np.vstack([by, by @ qm])
-    p_inv, q_inv = lu_solve(fp, eye_m), lu_solve(fq, eye_n)
     s, t = eye_m - 2.0 * g * p_inv, eye_n - 2.0 * g * q_inv
     delta = p_inv @ delta @ q_inv
     stop = eps * frobenius_norm(x)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: divergence
         for doublings in range(1, POLISH_MAX_DOUBLINGS + 1):
-            inc = s @ delta @ t
+            # S^2 and T^2 are formed beside the increment, unused at the stop
+            inc, (s, t) = both(lambda: s @ delta @ t, lambda: (s @ s, t @ t), dim)
             size = frobenius_norm(inc)
             if not np.isfinite(size):
                 return None
             delta += inc
             if size <= stop:
                 break
-            s, t = s @ s, t @ t
     return delta + w @ by, doublings
 
 
@@ -394,11 +394,11 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
                     max_steps=opts.max_steps, trace=opts.trace)
     shifted = sda_solve(shifted_problem, cfg)
     g = float(np.sqrt(max(moduli[k], eps * cfg.gamma) * cfg.gamma))
-    x, res, doublings = newton_polish(p, shifted.X, *_residual_with_size(p, shifted.X),
-                                      g, central_modes(cs))
-    result = replace(shifted, X=x, residual=res,
-                     converged=res <= residual_bound(p, opts.tol),
-                     dual_residual=relative_residual(p.dual(), shifted.Y))
+    (r, res), dual_res = both(lambda: _residual_with_size(p, shifted.X),
+                              lambda: relative_residual(p.dual(), shifted.Y), min(p.n, p.m))
+    x, res, doublings = newton_polish(p, shifted.X, r, res, g, central_modes(cs))
+    result = replace(shifted, X=x, residual=res, dual_residual=dual_res,
+                     converged=res <= residual_bound(p, opts.tol))
     plan = replace(plan, rationale=dict(plan.rationale, polish_g=g,
                                         polish_doublings=doublings,
                                         elapsed_s=time.perf_counter() - t0))
