@@ -165,12 +165,16 @@ def build_m(p: NareProblem) -> np.ndarray:
     return np.block([[p.D, -p.C], [-p.B, p.A]])
 
 
-def _z_tau(m):
-    """None unless m's off-diagonal entries are <= 0 up to roundoff, else the
-    certificate shift tau = ZERO_TOL * max(|s|, 1), s = max diagonal."""
-    if (m - np.diag(np.diag(m))).max(initial=0.0) > 1e-14 * frobenius_norm(m):
+def _z_tau(diag, negated=()):
+    """None unless the block matrix with square diagonal blocks diag and
+    off-diagonal blocks -negated (build_m's are [D, A] and [C, B]) has
+    off-diagonal entries <= 0 up to roundoff, else the certificate shift
+    tau = ZERO_TOL * max(|s|, 1), s = its largest diagonal entry."""
+    top = max([np.max(d, where=~np.eye(len(d), dtype=bool), initial=0.0) for d in diag]
+              + [-np.min(b) for b in negated])
+    if top > 1e-14 * np.sqrt(sum(frobenius_norm(b) ** 2 for b in (*diag, *negated))):
         return None
-    return ZERO_TOL * max(abs(float(np.max(np.diag(m)))), 1.0)
+    return ZERO_TOL * max(abs(float(max(np.max(np.diag(d)) for d in diag))), 1.0)
 
 
 def classify_mmatrix(m) -> MMatrixClass:
@@ -186,7 +190,7 @@ def classify_mmatrix(m) -> MMatrixClass:
     m = as_matrix(m, name="M")
     if m.shape[0] != m.shape[1]:
         raise InvalidProblem("classify_mmatrix needs a square matrix")
-    tau = _z_tau(m)
+    tau = _z_tau([m])
     if tau is None:
         return MMatrixClass("NotM", float("nan"))
     m = m.astype(np.float64, copy=False)
@@ -214,15 +218,17 @@ def require_mmatrix(p: NareProblem, factor=None) -> MMatrixClass:
     1e-6).  Near a singular M, x is H's near-kernel direction, and roundoff
     can leave the bound just below 0 (-3.4e-15 at transport n = 512, beta =
     1e-12, with tau = 1.8e-7).  Otherwise classify_mmatrix decides."""
-    m = build_m(p)
-    tau = _z_tau(m)
+    tau = _z_tau([p.D, p.A], [p.C, p.B])
     if factor is not None and tau is not None:
         x = lu_solve(factor, np.repeat(np.array([1.0, -1.0], p.dtype), [p.n, p.m]))
         if np.all(np.isfinite(x)) and np.all(x > 0):
-            bound = float(np.min(m.astype(np.float64) @ x / x))
+            d, c, b, a = (blk.astype(np.float64, copy=False) for blk in (p.D, p.C, p.B, p.A))
+            x = x.astype(np.float64)
+            xn, xm = x[:p.n], x[p.n:]  # M x by blocks, M unassembled
+            bound = float(np.min(np.concatenate([d @ xn - c @ xm, a @ xm - b @ xn]) / x))
             if bound > -tau:
                 return MMatrixClass("NonsingularM" if bound > tau else "SingularM", bound)
-    cls = classify_mmatrix(m)
+    cls = classify_mmatrix(build_m(p))
     if not cls.is_mmatrix():
         raise InvalidProblem("problem is not M-matrix-structured (override with force)")
     return cls

@@ -4,10 +4,10 @@ Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy): a
 guarded pivoted LU, thin QR with a fixed sign convention, the 1- and
 2-norm, the distance between subspaces, dense nonsymmetric eigenvalues and
 singular values.  All functions are pure and accept/return plain ndarrays;
-float32 inputs are honored for the single-precision mode.  lu_factor and
-lu_solve, the only LU entry points, call getrf/getrs directly, looked up
-on each call by scipy.linalg.get_lapack_funcs, uncached, so the
-benchmark's tracer sees it.  The per-step kernels on N x k iterates skip
+float32 inputs are honored for the single-precision mode.  lu_factor,
+lu_solve and lu_inverse, the only LU entry points, call getrf, getrs and
+getri directly, looked up on each call by scipy.linalg.get_lapack_funcs,
+uncached, so the benchmark's tracer sees it.  The per-step kernels on N x k iterates skip
 numpy's wrappers, whose dispatch costs more than the work: thin_qr calls
 geqrf/orgqr and the thin spectral_norm syevd on a k x k Gram, which that
 tracer does not count.
@@ -17,10 +17,16 @@ two threads from dim >= PAR_MIN_DIM, if the process may use two CPUs, else
 in sequence; LAPACK and BLAS release the interpreter lock, and each half
 makes the calls, so gets the bits, it makes in sequence.  With OpenBLAS on
 one thread of a 2-vCPU Xeon a dense doubling step took 1.00-1.76x its
-sequential time at n = 64, 0.70-0.78x at 96 and 0.43-0.53x at 256, and a
-rank-8 tail step first gained at 128 (0.85-1.22x).  The worker thread
-starts on first use and is dropped in a forked child; an error in first is
-raised once second is done, so errors keep the sequential order.
+sequential time at n = 64, 0.70-0.78x at 96 and 0.43-0.53x at 256; a
+rank-8 tail step, which factors nothing, took 1.4-1.6x at 128, about 1x
+at 192 and 0.85-1x at 256.  The worker thread starts on first use and is
+dropped in a forked child; an error in first is raised once second is
+done, so errors keep the sequential order.  The halves may share an LU
+factor: scipy's getrs wrapper shifts the pivot array to 1-based and back
+in place with the interpreter lock released, so two threads solving on
+one factor aborted the interpreter (double free) or solved wrongly;
+lu_solve, and lu_inverse for getri, pass each call a private copy of the
+pivots.
 """
 
 import functools
@@ -127,8 +133,14 @@ def lu_factor(m, pivot_tol=None):
 def lu_solve(factor, b, trans=0):
     """x with a x = b (a^T x = b for trans=1) from lu_factor's (lu, piv) of a,
     by getrs in the precision scipy's lu_solve picks; b is not overwritten."""
+    lu, piv = factor  # getrs gets a private copy of piv: see both
+    return scipy.linalg.get_lapack_funcs("getrs", (lu, b))(lu, piv.copy(), b, trans=trans)[0]
+
+
+def lu_inverse(factor):
+    """a^-1 from lu_factor's (lu, piv) of a, by getri; piv as in lu_solve."""
     lu, piv = factor
-    return scipy.linalg.get_lapack_funcs("getrs", (lu, b))(lu, piv, b, trans=trans)[0]
+    return scipy.linalg.get_lapack_funcs("getri", (lu,))(lu, piv.copy())[0]
 
 
 def thin_qr(m):

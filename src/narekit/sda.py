@@ -21,12 +21,13 @@ The iterates carry their own error (Guo, Lin and Xu, Numer. Math. 103,
 
 so err_est = ||E_k||_1 ||F_k||_1 ||(I - G_{k-1} H_{k-1})^-1||_1, the
 inverse norm read off the condition estimate of the factor step k already
-made, estimates the relative error ||X - H_k||_1 / ||X||_1 at O(n^2) extra
-cost per step.  The iteration stops when err_est <= max(tol, 10 eps); the
-primal and dual residuals are taken once, after the loop.  A step is two
-halves that share no data, E' and G' from I - G H and F' and H' from
-I - H G; from min(n, m) >= kernel.PAR_MIN_DIM kernel.both runs them on
-two threads, as it does sda_init's two pairs of solves and the residuals.
+made (exact in the tail, below), estimates the relative error
+||X - H_k||_1 / ||X||_1 at O(n^2) extra cost per step.  The iteration
+stops when err_est <= max(tol, 10 eps); the primal and dual residuals are
+taken once, after the loop.  A step is two halves that share no data, E'
+and G' from I - G H and F' and H' from I - H G; from min(n, m) >=
+kernel.PAR_MIN_DIM kernel.both runs them on two threads, as it does
+sda_init's two pairs of solves and the residuals.
 
 That error lies in the ranges of E_k and F_k, which near criticality
 collapse onto the slow mode: both are within 6 eps of rank 1 from step 15
@@ -34,25 +35,32 @@ of 32 on transport n = 256, beta = 1e-12, and from step 4 of 12 on random
 n = 128, alpha = 1e-3.  So at min(n, m) >= TAIL_MIN_DIM sda_solve checks
 each dense step's E and F against a seeded Gaussian sketch of r + 1 =
 TAIL_RANK + 1 columns (O(n^2) work); once both are within TAIL_TOL_EPS eps
-||.||_F of the range of its first r, the state carries them as thin (left,
-right) factors to the end (E' = E (I - G H)^-1 E lies in E's row and column
-spaces).  Each later step solves for r columns instead of n, and O(n^2 r)
-products replace six of its eight n^3 ones.  TAIL_MIN_DIM is where that
-starts to pay: with OpenBLAS on one thread of a 2-vCPU Xeon, solves took
-1.20x the dense loop's time at n = 32, 0.97-1.00x at n = 48, 0.92-0.93x
-at n = 64 and 0.71-0.74x at n = 128.
+||.||_F of the range of its first r, it switches to the tail (_switch).
+There E = El Er and F = Fl Fr keep their left factors, and G = G_t + El A
+and H = H_t + Fl B move only inside span(El) and span(Fl), so I - G H =
+M0 - P Q^T with M0 = I - G_t H_t and P = [G_t Fl, El] fixed at the switch
+(t) and Q^T = [B; A H].  One inverse of M0, made there, gives each tail
+step (I - G H)^-1 by the Sherman-Morrison-Woodbury identity (Hager, SIAM
+Review 31, 1989) at O(n^2 r): no LU, no n^3 product, and G and H formed
+once, after the loop.  With OpenBLAS on one thread of a 2-vCPU Xeon a tail
+step took 1.4-1.7 ms at n = 256, against 4.7-7.1 ms with two LUs, and
+0.45x a dense step at n = 64 (0.30x at 96).  TAIL_MIN_DIM was set when
+tail steps still factored: they then took 1.20x the dense loop's time at
+n = 32, 0.97-1.00x at n = 48 and 0.92-0.93x at n = 64.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 import json
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .core import NareProblem, gamma_star, relative_residual
 from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
-from .kernel import both, frobenius_norm, lu_factor, lu_solve, one_norm, thin_qr
+from .kernel import (both, frobenius_norm, lu_factor, lu_inverse, lu_solve, one_norm,
+                     thin_qr)
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
@@ -76,8 +84,9 @@ class SdaConfig:
 
 @dataclass
 class SdaState:
-    """A doubling iterate.  E and F are dense, or, in sda_solve's tail, thin
-    factor pairs (left, right) with E = left @ right (n x r times r x n)."""
+    """A doubling iterate.  E and F are dense, or, in sda_solve's tail,
+    _Tail halves made by _switch; G and Hm are then the iterates at the
+    switch, and _iterates(state) forms the current ones."""
     E: np.ndarray  # n x n
     F: np.ndarray  # m x m
     G: np.ndarray  # n x m, converges to the dual solution
@@ -158,11 +167,17 @@ def _guarded_factor(mat, step):
         anorm = one_norm(mat)
         rcond, _ = gecon(factor[0], anorm)
         cond = 1.0 / rcond if rcond > 0 else np.inf
-    if cond > BREAKDOWN_COND:
+    _guard(cond, step)
+    return factor, float(cond), float(cond / anorm)
+
+
+def _guard(cond, step):
+    """Breakdown unless cond <= BREAKDOWN_COND; a nan cond reports as inf."""
+    if not cond <= BREAKDOWN_COND:
+        cond = np.inf if np.isnan(cond) else cond
         raise Breakdown(f"doubling breakdown at step {step}: "
                         f"cond(I - G@H) estimate {cond:.3e}",
                         {"step": step, "cond_estimate": cond})
-    return factor, float(cond), float(cond / anorm)
 
 
 def sda_step(s: SdaState) -> SdaState:
@@ -174,13 +189,15 @@ def sda_step(s: SdaState) -> SdaState:
     and Z_h = F (I - H G)^-1 (m columns).  Then E' = Z_g E,
     G' = G + Z_g (G F), F' = Z_h F and H' = H + Z_h (H E), the halves
     _half(E, F, G, H) and _half(F, E, H, G).  The new state's err_est is
-    ||E'||_1 ||F'||_1 ||(I - G H)^-1||_1.  A factored E = El Er gives
-    Z_g = El (Er (I - G H)^-1), solved on r columns; E' keeps El.
+    ||E'||_1 ||F'||_1 ||(I - G H)^-1||_1.  A tail state (see _switch) steps
+    by _tail_half, with no LU, on two threads only from twice both's
+    threshold: at n = 128 its step took 0.71 ms in sequence and 1.15 on two.
     """
+    dim = min(s.G.shape) // (2 if isinstance(s.E, _Tail) else 1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: breakdown
         (e, g, cond_gh, inv_norm, e_norm), (f, h, cond_hg, _, f_norm) = both(
             lambda: _half(s.E, s.F, s.G, s.Hm, s.step),
-            lambda: _half(s.F, s.E, s.Hm, s.G, s.step), min(s.G.shape))
+            lambda: _half(s.F, s.E, s.Hm, s.G, s.step), dim)
     cond = max(cond_gh, cond_hg)
     err_est = float(e_norm) * float(f_norm) * inv_norm
     if not np.isfinite(err_est):
@@ -193,15 +210,77 @@ def sda_step(s: SdaState) -> SdaState:
 def _half(e, f, g, h, step):
     """(E', G', cond, ||(I - G H)^-1||_1, ||E'||_1) of a doubling step, and
     (F', H', ...) with the roles swapped; see sda_step."""
+    if isinstance(e, _Tail):
+        return _tail_half(e, f, g, h, step)
     factor, cond, inv_norm = _guarded_factor(np.eye(len(g), dtype=g.dtype) - g @ h, step)
-    if isinstance(e, tuple):  # E = el @ er and F = fl @ fr, of rank r
-        (el, er), (fl, fr) = e, f
-        w = lu_solve(factor, er.T, trans=1).T
-        e, g = (el, w @ el @ er), g + el @ (w @ (g @ fl) @ fr)
-        return e, g, cond, inv_norm, one_norm(el @ e[1])
     z = lu_solve(factor, e.T, trans=1).T
     e, g = z @ e, g + z @ (g @ f)
     return e, g, cond, inv_norm, one_norm(e)
+
+
+class _Tail(NamedTuple):
+    """The E half of a tail state (the F half mirrors it): E = left @ right
+    and G = G_t + left @ coef, with G_t, H_t the state's G and Hm, kept from
+    the switch; m0 = I - G_t H_t, n0 = m0^-1, p = [G_t F_left, left] and
+    n0p = n0 @ p are fixed there, and work is an n x n scratch array, so
+    one thread at a time steps a tail state."""
+    left: np.ndarray  # n x r
+    right: np.ndarray  # r x n
+    coef: np.ndarray  # r x m
+    m0: np.ndarray
+    n0: np.ndarray
+    p: np.ndarray  # n x (r_F + r)
+    n0p: np.ndarray
+    work: np.ndarray
+
+
+def _switch(s, e, f):
+    """s, with E = e[0] @ e[1] and F = f[0] @ f[1] (thin factor pairs), as a
+    tail state: each half takes the guarded LU of its next step's I - G H or
+    I - H G once, here, and its inverse by getri."""
+    def half(left, right, f_left, g, h):
+        m0 = np.eye(len(g), dtype=g.dtype) - g @ h
+        n0 = lu_inverse(_guarded_factor(m0, s.step)[0])
+        p = np.hstack([g @ f_left, left])
+        return _Tail(left, right, np.zeros((len(right), g.shape[1]), g.dtype),
+                     m0, n0, p, n0 @ p, np.empty_like(m0))
+
+    e, f = both(lambda: half(*e, f[0], s.G, s.Hm),
+                lambda: half(*f, e[0], s.Hm, s.G), min(s.G.shape))
+    return replace(s, E=e, F=f)
+
+
+def _tail_half(e, f, g, h, step):
+    """_half of a tail state at O(n^2 r), no LU: G H = G_t H_t + p q^T with
+    q^T = [B; A H] (A = e.coef, B = f.coef, H = h + F_left B), so
+    M = I - G H = m0 - p q^T and, by Woodbury, M^-1 = n0 + n0p C^-1 q^T n0,
+    C = I - q^T n0p of order 2r.  M^-1 goes to e.work; cond is the exact
+    ||M||_1 ||M^-1||_1, inf for an exactly singular C."""
+    a, b = e.coef, f.coef
+    qt = np.vstack([b, a @ h + (a @ f.left) @ b])
+    work = np.matmul(e.p, qt, out=e.work)
+    anorm = one_norm(np.subtract(e.m0, work, out=work))
+    try:  # inv, as getrs on 2r x n took 100 us, not 30, at n = 256
+        y = np.linalg.inv(np.eye(len(qt), dtype=qt.dtype) - qt @ e.n0p) @ (qt @ e.n0)
+    except np.linalg.LinAlgError:
+        inv_norm = np.inf
+    else:
+        work = np.add(e.n0, np.matmul(e.n0p, y, out=work), out=work)
+        inv_norm = one_norm(work)
+    cond = float(anorm) * float(inv_norm)
+    _guard(cond, step)
+    w = e.right @ work
+    right = w @ e.left @ e.right
+    coef = a + w @ (e.p[:, :len(b)] + e.left @ (a @ f.left)) @ f.right
+    return (e._replace(right=right, coef=coef), g, cond, float(inv_norm),
+            one_norm(e.left @ right))
+
+
+def _iterates(s):
+    """(G, Hm) of a state, formed from a tail state's halves."""
+    if not isinstance(s.E, _Tail):
+        return s.G, s.Hm
+    return s.G + s.E.left @ s.E.coef, s.Hm + s.F.left @ s.F.coef
 
 
 def _thin(a, sketch):
@@ -251,9 +330,10 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
         if tail_from is None and sketch is not None:
             e = _thin(state.E, sketch)
             if e and (f := _thin(state.F, sketch)):
-                state.E, state.F, tail_from = e, f, state.step
-    res, dual_res = both(lambda: relative_residual(p, state.Hm),
-                         lambda: relative_residual(p.dual(), state.G), min(p.n, p.m))
+                state, tail_from = _switch(state, e, f), state.step
+    y, x = _iterates(state)
+    res, dual_res = both(lambda: relative_residual(p, x),
+                         lambda: relative_residual(p.dual(), y), min(p.n, p.m))
     bound = residual_bound(p, cfg.tol)
     if not converged and res > bound:
         raise NoConvergence(
@@ -262,7 +342,7 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
             diagnostics={"err_est": state.err_est, "residual": float(res)},
         )
     return SdaOutcome(
-        X=state.Hm, Y=state.G, steps=state.step, tail_from=tail_from,
+        X=x, Y=y, steps=state.step, tail_from=tail_from,
         converged=converged and res <= bound,
         residual=float(res), dual_residual=float(dual_res), gamma=float(gamma),
     )

@@ -1,8 +1,11 @@
 """kernel.both and the solver halves it runs: the same answers on two
-threads as on one, errors in the sequential order, and a forked child that
-still solves."""
+threads as on one, errors in the sequential order, a forked child that
+still solves, and two threads solving on one LU factor."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -95,6 +98,50 @@ def test_concurrent_halves_give_bitwise_equal_results(monkeypatch, two_cpus,
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         else:
             assert got == ref
+
+
+def test_tail_halves_give_bitwise_equal_results(monkeypatch, two_cpus):
+    # the problems above stay below sda.TAIL_MIN_DIM; this one reaches the tail
+    p = carved_mnare(64, 96, 1e-6)
+    runs = []
+    for threshold in (1, 10 ** 9):
+        monkeypatch.setattr(kernel, "PAR_MIN_DIM", threshold)
+        records = []
+        out = nk.sda_solve(p, nk.SdaConfig(trace=records.append))
+        runs.append((out, records))
+    (got, got_records), (ref, ref_records) = runs
+    assert ref.tail_from is not None and ref.tail_from < ref.steps
+    assert got_records == ref_records and got.report() == ref.report()
+    assert np.array_equal(got.X, ref.X) and np.array_equal(got.Y, ref.Y)
+
+
+_SHARED_FACTOR_SOLVES = """
+import sys, threading
+import numpy as np
+from narekit.kernel import lu_factor, lu_solve
+a = np.random.default_rng(0).standard_normal((64, 64)) + 64 * np.eye(64)
+factor, b = lu_factor(a), np.ones((64, 2))
+want, bad = lu_solve(factor, b), []
+def solve():
+    for _ in range(20000):
+        if not np.array_equal(lu_solve(factor, b), want):
+            bad.append(1)
+threads = [threading.Thread(target=solve) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+sys.exit(1 if bad else 0)
+"""
+
+
+def test_two_threads_solve_on_one_factor():
+    # getrs shifts the pivots in place with the interpreter lock released;
+    # on a shared pivot array this gave wrong solves or aborted the process
+    child = subprocess.run([sys.executable, "-c", _SHARED_FACTOR_SOLVES],
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                           capture_output=True, timeout=120)
+    assert child.returncode == 0, child.stderr.decode()[-2000:]
 
 
 class TestErrorOrder:

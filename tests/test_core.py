@@ -237,7 +237,7 @@ def test_guard_certifies_by_tau_rule_on_shared_factor(monkeypatch):
     monkeypatch.setattr(core, "classify_mmatrix", refuse)
     got = require_mmatrix(p, factor)
     assert got.tag == "SingularM"
-    assert got.spectral_abscissa_evidence > -core._z_tau(nk.build_m(p))
+    assert got.spectral_abscissa_evidence > -core._z_tau([nk.build_m(p)])
 
 
 class TestResiduals:

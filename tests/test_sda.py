@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import narekit as nk
 from narekit import sda
@@ -108,16 +109,16 @@ class TestStep:
     def test_breakdown_on_overflow(self, factored):
         # E' = E @ E overflows to inf with I - G@H = I perfectly conditioned
         big = np.array([[1e200]])
-        e = (big, np.eye(1)) if factored else big
-        f = (np.eye(1), np.eye(1)) if factored else np.eye(1)
-        s = SdaState(E=e, F=f, G=np.zeros((1, 1)), Hm=np.zeros((1, 1)), step=3)
+        s = SdaState(E=big, F=np.eye(1), G=np.zeros((1, 1)), Hm=np.zeros((1, 1)), step=3)
+        if factored:
+            s = sda._switch(s, (big, np.eye(1)), (np.eye(1), np.eye(1)))
         with pytest.raises(Breakdown) as err:
             nk.sda_step(s)
         assert err.value.diagnostics == {"step": 3, "cond_estimate": 1.0}
 
     def test_one_transposed_solve_per_factor(self, monkeypatch):
         # each factor is applied once, by a transposed solve on E^T (n
-        # columns) or F^T (m columns)
+        # columns) or F^T (m columns); a tail state has no factor to apply
         n, m = 7, 4
         rng = np.random.default_rng(12)
         s = SdaState(E=_unit_spectral(rng, n, n, np.float64),
@@ -134,34 +135,43 @@ class TestStep:
         monkeypatch.setattr(sda, "lu_solve", recording)
         nk.sda_step(s)
         assert calls == [(n, (n, n), 1), (m, (m, m), 1)]
+        tail = sda._switch(s, (s.E, np.eye(n)), (s.F, np.eye(m)))
+        nk.sda_step(nk.sda_step(tail))
+        assert calls == [(n, (n, n), 1), (m, (m, m), 1)]
 
     @pytest.mark.parametrize("n, m", [(7, 4), (3, 9)])
     def test_factored_step_matches_dense_step(self, monkeypatch, n, m):
-        # a thin state E = el @ er, F = fl @ fr steps like its dense product,
-        # solving for r columns and keeping the left factors
+        # a tail state made by the switch from E = el @ er, F = fl @ fr steps
+        # like its dense product, keeping the left factors, with no LU and
+        # no solve; three steps, so the Woodbury terms are not all zero
         rng = np.random.default_rng(13)
         r = 2
         el, er = rng.standard_normal((n, r)), rng.standard_normal((r, n)) / (2 * n)
         fl, fr = rng.standard_normal((m, r)), rng.standard_normal((r, m)) / (2 * m)
         g = _unit_spectral(rng, n, m, np.float64, 0.5)
         h = _unit_spectral(rng, m, n, np.float64, 0.5)
-        dense = nk.sda_step(SdaState(E=el @ er, F=fl @ fr, G=g, Hm=h, step=2))
+        dense = [SdaState(E=el @ er, F=fl @ fr, G=g, Hm=h, step=2)]
+        for _ in range(3):
+            dense.append(nk.sda_step(dense[-1]))
+        out = sda._switch(dense[0], (el, er), (fl, fr))
         calls = []
-        lu_solve = sda.lu_solve
-
-        def recording(factor, b, trans=0):
-            calls.append((factor[0].shape[0], np.shape(b), trans))
-            return lu_solve(factor, b, trans=trans)
-
-        monkeypatch.setattr(sda, "lu_solve", recording)
-        out = nk.sda_step(SdaState(E=(el, er), F=(fl, fr), G=g, Hm=h, step=2))
-        assert calls == [(n, (n, r), 1), (m, (m, r), 1)]
-        assert out.E[0] is el and out.F[0] is fl and out.step == 3
-        for got, ref in [(out.E[0] @ out.E[1], dense.E), (out.F[0] @ out.F[1], dense.F),
-                         (out.G, dense.G), (out.Hm, dense.Hm)]:
-            assert frobenius_norm(got - ref) <= 1e-13 * max(frobenius_norm(ref), 1.0)
-        assert out.cond == dense.cond
-        assert out.err_est == pytest.approx(dense.err_est, rel=1e-12)
+        monkeypatch.setattr(sda, "lu_solve", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(sda, "lu_factor", lambda *args, **kw: calls.append(args))
+        for before, ref in zip(dense, dense[1:]):
+            out = nk.sda_step(out)
+            assert out.E.left is el and out.F.left is fl and out.step == ref.step
+            g, h = sda._iterates(out)
+            for got, want in [(out.E.left @ out.E.right, ref.E), (g, ref.G),
+                              (out.F.left @ out.F.right, ref.F), (h, ref.Hm)]:
+                assert frobenius_norm(got - want) <= 1e-13 * max(frobenius_norm(want), 1.0)
+            # exact norms, where the dense step reads gecon's estimates
+            gh, hg = np.eye(n) - before.G @ before.Hm, np.eye(m) - before.Hm @ before.G
+            cond = max(np.linalg.cond(gh, 1), np.linalg.cond(hg, 1))
+            err_est = (np.linalg.norm(ref.E, 1) * np.linalg.norm(ref.F, 1)
+                       * np.linalg.norm(np.linalg.inv(gh), 1))
+            assert out.cond == pytest.approx(cond, rel=1e-12)
+            assert out.err_est == pytest.approx(err_est, rel=1e-12)
+        assert calls == []
 
     def test_doubling_consistency_decoupled(self):
         # with B = C = 0 the coupling never activates, so after k steps
@@ -190,16 +200,16 @@ class TestStepKernels:
         n, m = 6, 5
         g = _unit_spectral(rng, n, m, np.float64, 0.5)
         h = _unit_spectral(rng, m, n, np.float64, 0.5)
-        if factored:
-            e = (rng.standard_normal((n, 2)), rng.standard_normal((2, n)) / (2 * n))
-            f = (rng.standard_normal((m, 2)), rng.standard_normal((2, m)) / (2 * m))
-        else:
-            e, f = _unit_spectral(rng, n, n, np.float64), _unit_spectral(rng, m, m, np.float64)
+        e, f = _unit_spectral(rng, n, n, np.float64), _unit_spectral(rng, m, m, np.float64)
         s = SdaState(E=e, F=f, G=g, Hm=h)
+        if factored:  # a tail state one step past the switch: coef is not 0
+            s = nk.sda_step(sda._switch(
+                s, (rng.standard_normal((n, 2)), rng.standard_normal((2, n)) / (2 * n)),
+                (rng.standard_normal((m, 2)), rng.standard_normal((2, m)) / (2 * m))))
 
-        def arrays(state):
+        def arrays(state):  # all but a tail's scratch array
             return [a for v in (state.E, state.F, state.G, state.Hm)
-                    for a in (v if isinstance(v, tuple) else (v,))]
+                    for a in (v[:-1] if isinstance(v, sda._Tail) else (v,))]
 
         kept = [a.copy() for a in arrays(s)]
         nk.sda_step(s)
@@ -262,7 +272,7 @@ def test_step_matches_explicit_formulas(n, m, dtype, seed):
 
 class TestSolve:
     def test_four_lus_to_start_then_two_per_step(self, monkeypatch):
-        p = nk.random_mnare(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3))
+        # two per dense step and two at the switch; a tail step takes none
         calls = []
         lu_factor = sda.lu_factor
 
@@ -271,8 +281,16 @@ class TestSolve:
             return lu_factor(a, *args, **kwargs)
 
         monkeypatch.setattr(sda, "lu_factor", counting)
-        out = nk.sda_solve(p, nk.SdaConfig())
-        assert len(calls) == 4 + 2 * out.steps
+        for spec, tail in [(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3), False),
+                           (nk.RandomMnareSpec(n=64, alpha=1e-3, seed=3), True)]:
+            calls.clear()
+            out = nk.sda_solve(nk.random_mnare(spec))
+            assert (out.tail_from is not None) == tail
+            if tail:
+                assert out.tail_from < out.steps
+                assert len(calls) == 4 + 2 * out.tail_from + 2
+            else:
+                assert len(calls) == 4 + 2 * out.steps
 
     def test_random_mnare_converges_nonnegative(self):
         p = nk.random_mnare(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3))
@@ -463,6 +481,62 @@ class TestTail:
         assert (out.steps, out.converged) == (state.step, converged)
         assert out.residual <= sda.residual_bound(p, 1e-15)
         assert frobenius_norm(out.X - state.Hm) <= 1e-6 * frobenius_norm(state.Hm)
+
+
+    @pytest.mark.parametrize("problem", [
+        lambda: nk.transport_problem(nk.TransportSpec.near_critical(128, 1e-12)),
+        lambda: nk.transport_problem(nk.TransportSpec.near_critical(256, 1.5e-12)),
+        lambda: nk.random_mnare(nk.RandomMnareSpec(n=128, alpha=1e-3, seed=0)),
+    ], ids=["transport-128", "transport-256", "random-128"])
+    def test_woodbury_inverse_matches_fresh_solve(self, monkeypatch, problem):
+        # each tail step's (I - G H)^-1 and (I - H G)^-1, left in the halves'
+        # scratch arrays, against a fresh LU solve, within kappa eps
+        seen = []
+        step = sda.sda_step
+
+        def recording(s):
+            out = step(s)
+            if isinstance(s.E, sda._Tail):
+                g, h = sda._iterates(s)
+                seen.extend([(np.eye(len(g)) - g @ h, s.E.work.copy()),
+                             (np.eye(len(h)) - h @ g, s.F.work.copy())])
+            return out
+
+        monkeypatch.setattr(sda, "sda_step", recording)
+        out = nk.sda_solve(problem())
+        assert len(seen) == 2 * (out.steps - out.tail_from)
+        eps = np.finfo(np.float64).eps
+        for mat, inv in seen:
+            ref = np.linalg.solve(mat, np.eye(len(mat)))
+            kappa = np.linalg.norm(mat, 1) * np.linalg.norm(ref, 1)
+            assert np.linalg.norm(inv - ref, 1) <= kappa * eps * np.linalg.norm(ref, 1)
+
+    def test_no_lu_after_the_switch(self, monkeypatch):
+        # no getrf on an n x n or m x m matrix in a tail step
+        p = carved_mnare(100, 70, 1e-9)
+        factored, in_tail = [], [False]
+        step, lapack = sda.sda_step, scipy.linalg.get_lapack_funcs
+
+        def stepping(s):
+            in_tail[0] = isinstance(s.E, sda._Tail)
+            try:
+                return step(s)
+            finally:
+                in_tail[0] = False
+
+        def lookup(names, arrays=(), *args, **kwargs):
+            func = lapack(names, arrays, *args, **kwargs)
+
+            def getrf(a, *rest, **kw):
+                factored.append((a.shape, in_tail[0]))
+                return func(a, *rest, **kw)
+            return getrf if names == "getrf" else func
+
+        monkeypatch.setattr(sda, "sda_step", stepping)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lookup)
+        out = nk.sda_solve(p)
+        assert out.tail_from is not None and out.tail_from < out.steps - 1
+        assert factored and not any(tail for _, tail in factored)
 
 
 ESTIMATE_PROBLEMS = (
