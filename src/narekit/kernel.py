@@ -5,12 +5,18 @@ guarded pivoted LU, thin QR with a fixed sign convention, the 1- and
 2-norm, the distance between subspaces, dense nonsymmetric eigenvalues and
 singular values.  All functions are pure and accept/return plain ndarrays;
 float32 inputs are honored for the single-precision mode.  lu_factor,
-lu_solve and lu_inverse, the only LU entry points, call getrf, getrs and
-getri directly, looked up on each call by scipy.linalg.get_lapack_funcs,
-uncached, so the benchmark's tracer sees it.  The per-step kernels on N x k iterates skip
-numpy's wrappers, whose dispatch costs more than the work: thin_qr calls
-geqrf/orgqr and the thin spectral_norm syevd on a k x k Gram, which that
-tracer does not count.
+lu_factor_cond, lu_solve and lu_inverse, the only LU entry points, call
+getrf, gecon, getrs and getri directly, looked up on each call by
+scipy.linalg.get_lapack_funcs, uncached, so the benchmark's tracer sees
+it.  lu_factor_cond serves a matrix its caller just formed, a doubling
+step's I - G H: one 1-norm, getrf's info and gecon stand in for
+lu_factor's scans, so with OpenBLAS on one thread of a 2-vCPU Xeon a
+dense half at n = 32 took 43 us in float32 and 54 in float64, not 51 and
+65.  The per-step kernels skip numpy's wrappers, whose dispatch costs
+more than the work: thin_qr calls geqrf/orgqr, the thin spectral_norm
+syevd on a k x k Gram, which that tracer does not count, and one_norm
+lange up to _LANGE_MAX_SIZE entries (float32: 3.1 us against numpy's 5.2
+at order 64, 6.0 against 6.0 at 96, 9.3 against 7.9 at 128).
 
 both(first, second, dim) runs two halves of a step that share no data on
 two threads from dim >= PAR_MIN_DIM, if the process may use two CPUs, else
@@ -39,6 +45,8 @@ from .errors import InvalidProblem, NoConvergence, SingularMatrix
 
 #: smallest dim at which both() runs its halves on two threads (see above)
 PAR_MIN_DIM = 128
+#: most entries for which one_norm calls lange: float32's crossover (see above)
+_LANGE_MAX_SIZE = 96 * 96
 _cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
 
 
@@ -83,7 +91,11 @@ def frobenius_norm(m):
 
 def one_norm(m):
     """||m||_1, the largest column sum of |m|, as np.linalg.norm(m, 1)
-    computes it (a scalar of m's dtype) without that function's dispatch."""
+    computes it (a scalar of m's dtype) without that function's dispatch;
+    a small C-ordered m by lange on m^T, which sums in numpy's order."""
+    if m.flags.c_contiguous and m.size <= _LANGE_MAX_SIZE:
+        lange = scipy.linalg.get_lapack_funcs("lange", (m,))
+        return m.dtype.type(lange("I", m.T))
     return np.abs(m).sum(axis=0).max()
 
 
@@ -122,12 +134,27 @@ def lu_factor(m, pivot_tol=None):
         raise SingularMatrix("matrix has non-finite entries")
     if pivot_tol is None:
         pivot_tol = float(np.finfo(m.dtype).eps) * frobenius_norm(m) * m.shape[0]
-    lu, piv, _ = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)
-    small = np.abs(np.diag(lu)).min()
+    lu, piv, info = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)
+    # info > 0 is an exact zero pivot, all that pivot_tol=0.0 rejects
+    small = 0.0 if info > 0 else (np.abs(np.diag(lu)).min() if pivot_tol else np.inf)
     if small < pivot_tol or small == 0.0:
         raise SingularMatrix(f"matrix is numerically singular: smallest pivot "
                              f"{small:.3e}, threshold {pivot_tol:.3e}")
     return lu, piv
+
+
+def lu_factor_cond(m):
+    """(factor, cond, ||m^-1||_1) of a square m: getrf's (lu, piv), gecon's
+    1-norm estimate and cond / ||m||_1, with ||m||_1 taken once; (None, inf,
+    inf) for a non-finite ||m||_1 or getrf's info > 0, an exact zero pivot."""
+    anorm = one_norm(m)
+    if anorm < np.inf:  # not for inf or nan
+        lu, piv, info = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)
+        if info == 0:
+            rcond, _ = scipy.linalg.get_lapack_funcs("gecon", (lu,))(lu, anorm)
+            cond = 1.0 / rcond if rcond > 0 else np.inf
+            return (lu, piv), cond, cond / anorm
+    return None, np.inf, np.inf
 
 
 def lu_solve(factor, b, trans=0):

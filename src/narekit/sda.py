@@ -55,12 +55,11 @@ import numbers
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .core import NareProblem, gamma_star, relative_residual
 from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
-from .kernel import (both, frobenius_norm, lu_factor, lu_inverse, lu_solve, one_norm,
-                     thin_qr)
+from .kernel import (both, frobenius_norm, lu_factor, lu_factor_cond, lu_inverse, lu_solve,
+                     one_norm, thin_qr)
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
@@ -154,21 +153,13 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
 
 
 def _guarded_factor(mat, step):
-    """LU factor of I - G@H or I - H@G, its 1-norm condition estimate and the
-    1-norm of its inverse (cond / ||mat||_1); raises Breakdown when the
-    estimate exceeds BREAKDOWN_COND, with cond_estimate inf on an exact zero
-    pivot or non-finite entries."""
-    try:
-        factor = lu_factor(mat, pivot_tol=0.0)
-    except SingularMatrix:
-        cond = np.inf
-    else:
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
-        anorm = one_norm(mat)
-        rcond, _ = gecon(factor[0], anorm)
-        cond = 1.0 / rcond if rcond > 0 else np.inf
+    """(factor, cond, ||mat^-1||_1) of I - G@H or I - H@G for _half and
+    _switch, by kernel.lu_factor_cond; raises Breakdown when cond exceeds
+    BREAKDOWN_COND, with cond_estimate inf on an exact zero pivot or
+    non-finite entries."""
+    factor, cond, inv_norm = lu_factor_cond(mat)
     _guard(cond, step)
-    return factor, float(cond), float(cond / anorm)
+    return factor, float(cond), float(inv_norm)
 
 
 def _guard(cond, step):
@@ -209,7 +200,8 @@ def sda_step(s: SdaState) -> SdaState:
 
 def _half(e, f, g, h, step):
     """(E', G', cond, ||(I - G H)^-1||_1, ||E'||_1) of a doubling step, and
-    (F', H', ...) with the roles swapped; see sda_step."""
+    (F', H', ...) with the roles swapped; see sda_step.  A dense half makes
+    three LAPACK calls: getrf and gecon by _guarded_factor, getrs by lu_solve."""
     if isinstance(e, _Tail):
         return _tail_half(e, f, g, h, step)
     factor, cond, inv_norm = _guarded_factor(np.eye(len(g), dtype=g.dtype) - g @ h, step)

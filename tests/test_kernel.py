@@ -12,6 +12,7 @@ from narekit.kernel import (
     eigenvalues,
     frobenius_norm,
     lu_factor,
+    lu_factor_cond,
     lu_solve,
     one_norm,
     smallest_singular_value,
@@ -60,6 +61,30 @@ class TestLuFactor:
         lu, _ = lu_factor(a)
         npt.assert_array_equal(a, kept)
         assert not np.shares_memory(lu, a)
+
+
+class TestLuFactorCond:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_and_condition_estimate(self, dtype):
+        rng = np.random.default_rng(9)
+        a = (rng.standard_normal((6, 6)) + 3 * np.eye(6)).astype(dtype)
+        kept = a.copy()
+        factor, cond, inv_norm = lu_factor_cond(a)
+        npt.assert_array_equal(a, kept)
+        for got, want in zip(factor, lu_factor(a, pivot_tol=0.0), strict=True):
+            assert got.tobytes() == want.tobytes()
+        exact = np.linalg.cond(a.astype(np.float64), 1)
+        assert exact / 3 <= cond <= exact * (1 + 1e-4)
+        assert inv_norm == cond / one_norm(a)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_is_infinitely_conditioned(self, entry):
+        a = np.eye(3)
+        a[0, 2] = entry
+        assert lu_factor_cond(a) == (None, np.inf, np.inf)
+
+    def test_exact_zero_pivot_is_infinitely_conditioned(self):
+        assert lu_factor_cond(np.array([[1.0, 2.0], [2.0, 4.0]])) == (None, np.inf, np.inf)
 
 
 class TestLuSolve:
@@ -259,3 +284,24 @@ class TestNorms:
         m = np.random.default_rng(13).standard_normal((9, 5)).astype(dtype)
         got, ref = one_norm(m), np.linalg.norm(m, 1)
         assert got == ref and type(got) is type(ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, order", [((9, 5), "C"), ((96, 96), "C"),
+                                              ((97, 96), "C"), ((64, 5), "F")],
+                             ids=["lange", "lange-largest", "numpy", "numpy-F"])
+    def test_one_norm_bitwise_on_both_paths(self, dtype, shape, order):
+        # lange below the size limit and numpy above it or off C order, on
+        # magnitudes spread wide enough that the order of the sums shows
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        m = np.asarray(m.astype(dtype), order=order)
+        got, ref = one_norm(m), np.linalg.norm(m, 1)
+        assert got == ref and type(got) is type(ref)
+
+    @pytest.mark.parametrize("size", [3, 100])
+    def test_one_norm_of_non_finite(self, size):
+        m = np.ones((size, size))
+        m[1, 2] = np.inf
+        assert one_norm(m) == np.inf
+        m[2, 1] = np.nan
+        assert np.isnan(one_norm(m))

@@ -116,6 +116,51 @@ class TestStep:
             nk.sda_step(s)
         assert err.value.diagnostics == {"step": 3, "cond_estimate": 1.0}
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, entry", [("G", np.nan), ("Hm", np.inf)])
+    def test_breakdown_on_non_finite_coupling(self, field, entry):
+        # I - G@H is not finite: no factor, an infinite condition estimate
+        rng = np.random.default_rng(14)
+        s = SdaState(E=np.eye(3), F=np.eye(2), G=rng.random((3, 2)) / 9,
+                     Hm=rng.random((2, 3)) / 9, step=4)
+        getattr(s, field)[1, 1] = entry
+        with pytest.raises(Breakdown) as err:
+            nk.sda_step(s)
+        assert err.value.diagnostics == {"step": s.step, "cond_estimate": np.inf}
+
+    @pytest.mark.filterwarnings("error")
+    def test_breakdown_on_nan_in_e(self):
+        s = SdaState(E=np.array([[np.nan, 0.0], [0.0, 1.0]]), F=np.eye(2),
+                     G=np.zeros((2, 2)), Hm=np.zeros((2, 2)), step=2)
+        with pytest.raises(Breakdown, match="E or F overflowed") as err:
+            nk.sda_step(s)
+        assert err.value.diagnostics == {"step": 2, "cond_estimate": 1.0}
+
+    def test_lapack_calls_per_step(self, monkeypatch):
+        # a dense step fetches one getrf, gecon and getrs per half, in that
+        # order; a tail step none of them
+        n, m = 7, 4
+        rng = np.random.default_rng(15)
+        s = SdaState(E=_unit_spectral(rng, n, n, np.float64),
+                     F=_unit_spectral(rng, m, m, np.float64),
+                     G=_unit_spectral(rng, n, m, np.float64, 0.5),
+                     Hm=_unit_spectral(rng, m, n, np.float64, 0.5))
+        tail = sda._switch(s, (s.E, np.eye(n)), (s.F, np.eye(m)))
+        fetched = []
+        lapack = scipy.linalg.get_lapack_funcs
+
+        def lookup(names, *args, **kwargs):
+            if names in ("getrf", "gecon", "getrs"):
+                fetched.append(names)
+            return lapack(names, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lookup)
+        nk.sda_step(s)
+        assert fetched == ["getrf", "gecon", "getrs"] * 2
+        fetched.clear()
+        nk.sda_step(nk.sda_step(tail))
+        assert fetched == []
+
     def test_one_transposed_solve_per_factor(self, monkeypatch):
         # each factor is applied once, by a transposed solve on E^T (n
         # columns) or F^T (m columns); a tail state has no factor to apply
@@ -272,19 +317,22 @@ def test_step_matches_explicit_formulas(n, m, dtype, seed):
 
 class TestSolve:
     def test_four_lus_to_start_then_two_per_step(self, monkeypatch):
-        # two per dense step and two at the switch; a tail step takes none
+        # two per dense step and two at the switch; a tail step takes none;
+        # counted as getrf lookups, which every LU entry of kernel makes
         calls = []
-        lu_factor = sda.lu_factor
+        lapack = scipy.linalg.get_lapack_funcs
 
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return lu_factor(a, *args, **kwargs)
+        def counting(names, *args, **kwargs):
+            if names == "getrf":
+                calls.append(names)
+            return lapack(names, *args, **kwargs)
 
-        monkeypatch.setattr(sda, "lu_factor", counting)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
         for spec, tail in [(nk.RandomMnareSpec(n=10, alpha=0.5, seed=3), False),
                            (nk.RandomMnareSpec(n=64, alpha=1e-3, seed=3), True)]:
+            p = nk.random_mnare(spec)
             calls.clear()
-            out = nk.sda_solve(nk.random_mnare(spec))
+            out = nk.sda_solve(p)
             assert (out.tail_from is not None) == tail
             if tail:
                 assert out.tail_from < out.steps
