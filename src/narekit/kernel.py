@@ -10,32 +10,28 @@ getrf, gecon, getrs and getri directly, looked up on each call by
 scipy.linalg.get_lapack_funcs, uncached, so the benchmark's tracer sees
 it.  lu_factor_cond serves a matrix its caller just formed, a doubling
 step's I - G H: one 1-norm, getrf's info and gecon stand in for
-lu_factor's scans, so with OpenBLAS on one thread of a 2-vCPU Xeon a
-dense half at n = 32 took 43 us in float32 and 54 in float64, not 51 and
-65.  The per-step kernels skip numpy's wrappers, whose dispatch costs
-more than the work: thin_qr calls geqrf/orgqr, the thin spectral_norm
-syevd on a k x k Gram, which that tracer does not count, and one_norm
-lange up to _LANGE_MAX_SIZE entries (float32: 3.1 us against numpy's 5.2
-at order 64, 6.0 against 6.0 at 96, 9.3 against 7.9 at 128).
+lu_factor's scans.  The per-step kernels skip numpy's wrappers, whose
+dispatch costs more than the work at small orders: thin_qr calls
+geqrf/orgqr, the thin spectral_norm syevd on a k x k Gram, which that
+tracer does not count, and one_norm lange up to _LANGE_MAX_SIZE entries.
 
 both(first, second, dim) runs two halves of a step that share no data on
 two threads from dim >= PAR_MIN_DIM, if the process may use two CPUs, else
 in sequence; LAPACK and BLAS release the interpreter lock, and each half
-makes the calls, so gets the bits, it makes in sequence.  With OpenBLAS on
-one thread of a 2-vCPU Xeon a dense doubling step took 1.00-1.76x its
-sequential time at n = 64, 0.70-0.78x at 96 and 0.43-0.53x at 256; a
-rank-8 tail step, which factors nothing, took 1.4-1.6x at 128, about 1x
-at 192 and 0.85-1x at 256.  The worker thread starts on first use and is
-dropped in a forked child; an error in first is raised once second is
-done, so errors keep the sequential order.  The halves may share an LU
-factor: scipy's getrs wrapper shifts the pivot array to 1-based and back
-in place with the interpreter lock released, so two threads solving on
-one factor aborted the interpreter (double free) or solved wrongly;
-lu_solve, and lu_inverse for getri, pass each call a private copy of the
-pivots.
+makes the same calls on the same arrays as in sequence.  Its results are
+the sequential ones but for gecon's estimate, cond and err_est, which
+moves in its last bits with where memory lands, in sequence too (ROADMAP
+item 11).  The worker thread starts on first use and is dropped in a
+forked child; an error in first is raised once second is done, so errors
+keep the sequential order.  The halves may share an LU factor: scipy's
+getrs wrapper shifts the pivot array to 1-based and back in place with the
+interpreter lock released, so two threads solving on one factor aborted
+the interpreter (double free) or solved wrongly; lu_solve, and lu_inverse
+for getri, pass each call a private copy of the pivots.
 """
 
 import functools
+import math
 import os
 
 import numpy as np
@@ -43,9 +39,9 @@ import scipy.linalg
 
 from .errors import InvalidProblem, NoConvergence, SingularMatrix
 
-#: smallest dim at which both() runs its halves on two threads (see above)
+#: smallest dim at which both() runs its halves on two threads, which repay the hand-off
 PAR_MIN_DIM = 128
-#: most entries for which one_norm calls lange: float32's crossover (see above)
+#: most entries for which one_norm calls lange: past it numpy's sum is faster
 _LANGE_MAX_SIZE = 96 * 96
 _cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
 
@@ -110,9 +106,9 @@ def spectral_norm(m):
     if m.shape[0] <= m.shape[1]:
         return float(np.linalg.norm(m, 2))
     top = float(np.abs(m).max())
-    if top == 0.0 or not np.isfinite(top):
+    if top == 0.0 or not top < np.inf:  # zero, inf or nan
         return top
-    exp = int(np.frexp(top)[1])
+    exp = math.frexp(top)[1]
     m = np.ldexp(m.astype(np.float64, copy=False), -exp)
     gram = m.T @ m
     w = scipy.linalg.get_lapack_funcs("syevd", (gram,))(gram, compute_v=0)[0]
@@ -173,7 +169,7 @@ def lu_inverse(factor):
 def thin_qr(m):
     """Thin QR with nonnegative diagonal of R (deterministic sign convention),
     by geqrf and orgqr in float64, float32 input included, as np.linalg.qr
-    factors it; q and r come back in m's precision.
+    factors it; q and r come back in float32 for float32 m, else float64.
 
     No rank check: inverse iteration and the moduli probe feed it iterates
     that are close to rank deficient on purpose, and sda._thin a sketch of
@@ -188,10 +184,19 @@ def thin_qr(m):
     a, tau = geqrf(a, overwrite_a=True)[:2]
     sign = np.sign(a.diagonal())
     sign[sign == 0] = 1.0
-    r = np.triu(a[:cols]) * sign[:, None]
+    r = np.where(_upper(cols), a[:cols], 0.0) * sign[:, None]  # np.triu, mask cached
     q = orgqr(a, tau, overwrite_a=True)[0] * sign
-    out = np.result_type(m.dtype, np.float32)
-    return q.astype(out, copy=False), r.astype(out, copy=False)
+    if m.dtype == np.float32:
+        return q.astype(np.float32), r.astype(np.float32)
+    return q, r
+
+
+@functools.lru_cache(maxsize=16)
+def _upper(cols):
+    """Read-only cols x cols mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((cols, cols), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def subspace_distance(b1, b2) -> float:

@@ -22,17 +22,14 @@ The iterates carry their own error (Guo, Lin and Xu, Numer. Math. 103,
 so err_est = ||E_k||_1 ||F_k||_1 ||(I - G_{k-1} H_{k-1})^-1||_1, the
 inverse norm read off the condition estimate of the factor step k already
 made (exact in the tail, below), estimates the relative error
-||X - H_k||_1 / ||X||_1 at O(n^2) extra cost per step.  The iteration
-stops when err_est <= max(tol, 10 eps); the primal and dual residuals are
-taken once, after the loop.  A step is two halves that share no data, E'
-and G' from I - G H and F' and H' from I - H G; from min(n, m) >=
-kernel.PAR_MIN_DIM kernel.both runs them on two threads, as it does
-sda_init's two pairs of solves and the residuals.
+||X - H_k||_1 / ||X||_1 at O(n^2) extra cost per step.  A step is two
+halves that share no data, E' and G' from I - G H and F' and H' from
+I - H G; from min(n, m) >= kernel.PAR_MIN_DIM kernel.both runs them on two
+threads, as it does sda_init's two pairs of solves and the residuals.
 
 That error lies in the ranges of E_k and F_k, which near criticality
-collapse onto the slow mode: both are within 6 eps of rank 1 from step 15
-of 32 on transport n = 256, beta = 1e-12, and from step 4 of 12 on random
-n = 128, alpha = 1e-3.  So at min(n, m) >= TAIL_MIN_DIM sda_solve checks
+collapse onto the slow mode, within a few eps of rank 1 about halfway
+through the steps.  So at min(n, m) >= TAIL_MIN_DIM sda_solve checks
 each dense step's E and F against a seeded Gaussian sketch of r + 1 =
 TAIL_RANK + 1 columns (O(n^2) work); once both are within TAIL_TOL_EPS eps
 ||.||_F of the range of its first r, it switches to the tail (_switch).
@@ -42,14 +39,11 @@ M0 - P Q^T with M0 = I - G_t H_t and P = [G_t Fl, El] fixed at the switch
 (t) and Q^T = [B; A H].  One inverse of M0, made there, gives each tail
 step (I - G H)^-1 by the Sherman-Morrison-Woodbury identity (Hager, SIAM
 Review 31, 1989) at O(n^2 r): no LU, no n^3 product, and G and H formed
-once, after the loop.  With OpenBLAS on one thread of a 2-vCPU Xeon a tail
-step took 1.4-1.7 ms at n = 256, against 4.7-7.1 ms with two LUs, and
-0.45x a dense step at n = 64 (0.30x at 96).  TAIL_MIN_DIM was set when
-tail steps still factored: they then took 1.20x the dense loop's time at
-n = 32, 0.97-1.00x at n = 48 and 0.92-0.93x at n = 64.
+once, after the loop.
 """
 
 from dataclasses import dataclass, fields, replace
+import functools
 import json
 import numbers
 from typing import NamedTuple
@@ -65,7 +59,7 @@ from .kernel import (both, frobenius_norm, lu_factor, lu_factor_cond, lu_inverse
 BREAKDOWN_COND = 1e13
 #: multiple of the dtype's eps below which the stopping tolerance is not taken
 TOL_FLOOR_EPS = 10.0
-#: smallest min(n, m) at which sda_solve looks for a low-rank tail (see above)
+#: smallest min(n, m) at which a low-rank tail repays its sketch checks and switch
 TAIL_MIN_DIM = 64
 #: largest rank r of a factored tail (measured: rank 1; r = 8 costs 4% of a step)
 TAIL_RANK = 8
@@ -182,7 +176,7 @@ def sda_step(s: SdaState) -> SdaState:
     _half(E, F, G, H) and _half(F, E, H, G).  The new state's err_est is
     ||E'||_1 ||F'||_1 ||(I - G H)^-1||_1.  A tail state (see _switch) steps
     by _tail_half, with no LU, on two threads only from twice both's
-    threshold: at n = 128 its step took 0.71 ms in sequence and 1.15 on two.
+    threshold, its halves being O(n^2 r) work, not O(n^3).
     """
     dim = min(s.G.shape) // (2 if isinstance(s.E, _Tail) else 1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: breakdown
@@ -252,7 +246,7 @@ def _tail_half(e, f, g, h, step):
     qt = np.vstack([b, a @ h + (a @ f.left) @ b])
     work = np.matmul(e.p, qt, out=e.work)
     anorm = one_norm(np.subtract(e.m0, work, out=work))
-    try:  # inv, as getrs on 2r x n took 100 us, not 30, at n = 256
+    try:  # inv: cheaper than getrs on the 2r x n right-hand side
         y = np.linalg.inv(np.eye(len(qt), dtype=qt.dtype) - qt @ e.n0p) @ (qt @ e.n0)
     except np.linalg.LinAlgError:
         inv_norm = np.inf
@@ -275,6 +269,15 @@ def _iterates(s):
     return s.G + s.E.left @ s.E.coef, s.Hm + s.F.left @ s.F.coef
 
 
+@functools.lru_cache(maxsize=8)
+def _sketch(rows, dtype):
+    """Read-only rows x (TAIL_RANK + 1) Gaussian sketch of _thin, drawn from
+    seed 0 once per process and key."""
+    sketch = np.random.default_rng(0).standard_normal((rows, TAIL_RANK + 1)).astype(dtype)
+    sketch.flags.writeable = False
+    return sketch
+
+
 def _thin(a, sketch):
     """(left, right) within TAIL_TOL_EPS eps ||a||_F of a, left r columns of the
     Q of a @ sketch, else None; sketch column r + 1 first probes for rank > r."""
@@ -284,7 +287,7 @@ def _thin(a, sketch):
     left = q[:, :-1]
     right = left.T @ a
     gap = left @ right
-    gap -= a  # in place: a - left @ right took 360 us, not 60, at n = 256
+    gap -= a  # in place: a - left @ right allocates a second n x n array
     tol = TAIL_TOL_EPS * float(np.finfo(a.dtype).eps) * frobenius_norm(a)
     return (left, right) if frobenius_norm(gap) <= tol else None
 
@@ -309,8 +312,7 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
     tol = max(cfg.tol, TOL_FLOOR_EPS * float(np.finfo(p.dtype).eps))
     state = sda_init(p, gamma)
     converged, tail_from = False, None
-    sketch = (np.random.default_rng(0).standard_normal((max(p.n, p.m), TAIL_RANK + 1))
-              .astype(p.dtype) if min(p.n, p.m) >= TAIL_MIN_DIM else None)
+    sketch = _sketch(max(p.n, p.m), p.dtype) if min(p.n, p.m) >= TAIL_MIN_DIM else None
     while state.step < cfg.max_steps:
         state = sda_step(state)
         if cfg.trace is not None:

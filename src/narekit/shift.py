@@ -17,21 +17,10 @@ and the stages take that LU, not H: the M-matrix guard, the probe and every
 inverse iteration, the left one with H^T included, solve with it.  A
 central subspace has 1 <= k < n + m.  The fixed settings (seed, step
 caps, k limit, s clamp) are the module constants below.
-
-`sushi_solve` chains the whole pipeline: probe the moduli, detect k,
-compute the central pair, choose s, build the shifted equation, run the
-doubling solver on it with the original problem's gamma, and polish the
-result with a Newton defect-correction step on the original equation
-(forming the shifted coefficients in floating point perturbs the solution
-at level eps * (1 + s), which the correction removes), forming R(X) once
-per iterate.  Its Sylvester step solves the block between the central
-pair's slow eigenvectors exactly and the rest by Smith doubling on Cayley
-transforms at g = sqrt(|xi_{k+1}| gamma*): two LUs, one solve each, and
-products, no Schur form.  Y is not polished: S_MAX bounds the error it
-gets from s.
 """
 
 from dataclasses import dataclass, field, replace
+import functools
 import time
 
 import numpy as np
@@ -100,11 +89,15 @@ class ShiftPlan:
     rationale: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=8)
 def _seeded_start(dim, cols, dtype):
     """Orthonormal dim x cols start of the probe and the inverse iterations,
-    thin_qr of a standard normal block drawn from DEFAULT_SEED."""
+    thin_qr of a standard normal block drawn from DEFAULT_SEED; drawn once
+    per process and key, and read-only, as every caller shares it."""
     rng = np.random.default_rng(DEFAULT_SEED)
-    return thin_qr(rng.standard_normal((dim, cols)).astype(dtype))[0]
+    q = thin_qr(rng.standard_normal((dim, cols)).astype(dtype))[0]
+    q.flags.writeable = False
+    return q
 
 
 def inverse_orthogonal_iteration(factor, k, tol, trans=0):
@@ -132,7 +125,7 @@ def inverse_orthogonal_iteration(factor, k, tol, trans=0):
         gap = q_new - q @ (q.T @ q_new)
         dists.append(spectral_norm(gap))
         q = q_new
-        if not np.isfinite(dists[-1]):
+        if not dists[-1] < np.inf:  # nan or inf: the solve overflowed
             break
         if dists[-1] <= tol or (armed and dists[-1] >= 0.9 * dists[-2] and
                                 frobenius_norm(gap @ r) <= tol * frobenius_norm(r)):
@@ -365,9 +358,9 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     residual meets sda.residual_bound, and the shifted doubling's steps,
     gamma, tail_from and Y with the dual residual of the original equation.
     The shift keeps every invariant subspace of H and the sign of every
-    eigenvalue's real part, so that Y is the original dual solution up to
-    the eps * (1 + s) perturbation of forming the shifted equation; Y is
-    not polished.
+    eigenvalue's real part, so that X and Y are the original solutions up
+    to the eps * (1 + s) perturbation of forming the shifted equation; X
+    is polished, and S_MAX bounds Y's error.
     """
     t0 = time.perf_counter()
     h = build_h(p)

@@ -4,6 +4,7 @@ import pytest
 import scipy.linalg
 
 import narekit as nk
+from narekit import kernel
 from narekit.errors import (
     InvalidProblem,
     SingularMatrix,
@@ -180,6 +181,54 @@ class TestThinQr:
         npt.assert_allclose(r, ref_r, atol=1e-14)
         npt.assert_allclose(q[:, [0, 2]], ref_q[:, [0, 2]], atol=1e-14)
         assert frobenius_norm(q.T @ q - np.eye(3)) <= 1e-14
+
+    @staticmethod
+    def _triu_qr(m):
+        """thin_qr as written with np.triu and one cast per factor: the
+        reference for its bits."""
+        m = np.asarray(m)
+        a = np.array(m, dtype=np.float64, order="F")
+        geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (a,))
+        a, tau = geqrf(a, overwrite_a=True)[:2]
+        sign = np.sign(a.diagonal())
+        sign[sign == 0] = 1.0
+        r = np.triu(a[:m.shape[1]]) * sign[:, None]
+        q = orgqr(a, tau, overwrite_a=True)[0] * sign
+        out = np.result_type(m.dtype, np.float32)
+        return q.astype(out, copy=False), r.astype(out, copy=False)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("zero", [None, 0.0, -0.0])
+    def test_bitwise_equal_to_triu_formula(self, dtype, zero):
+        # every bit of q and r, signed zeros included: a row of R whose
+        # diagonal is negative has -0.0 below it, and an exactly zero
+        # column has a zero diagonal, whose sign counts as +1
+        rng = np.random.default_rng(12)
+        negative_zeros = 0
+        for cols in range(1, 10):
+            for rows in sorted({cols, cols + 1, 64, 512}):
+                m = rng.standard_normal((rows, cols)).astype(dtype)
+                if zero is not None:
+                    m[:, cols // 2] = zero
+                q, r = thin_qr(m)
+                ref_q, ref_r = self._triu_qr(m)
+                assert (q.dtype, r.dtype) == (ref_q.dtype, ref_r.dtype) == (dtype, dtype)
+                assert q.shape == ref_q.shape and r.shape == ref_r.shape
+                assert q.tobytes() == ref_q.tobytes()
+                assert r.tobytes() == ref_r.tobytes()
+                negative_zeros += np.signbit(r[np.tril_indices(cols, -1)]).sum()
+        assert negative_zeros > 0
+
+    def test_triangle_mask_cache_is_bounded_and_read_only(self):
+        mask = kernel._upper(3)
+        assert kernel._upper(3) is mask
+        npt.assert_array_equal(mask, np.triu(np.ones((3, 3), dtype=bool)))
+        with pytest.raises(ValueError):
+            mask[1, 0] = True
+        for cols in range(1, 40):
+            thin_qr(np.ones((cols, cols)))
+        info = kernel._upper.cache_info()
+        assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("shape", [(8, 8), (64, 2), (512, 9)])
     def test_float32_bit_identical_to_numpy(self, shape):

@@ -511,6 +511,19 @@ class TestTail:
         assert sda._thin(a + 100 * noise, sketch) is None
         assert sda._thin(rng.standard_normal((n, n)), sketch) is None
 
+    def test_sketch_drawn_once_read_only_bounded_and_equal_to_a_fresh_draw(self):
+        dtype = np.dtype(np.float32)
+        sketch = sda._sketch(96, dtype)
+        assert sda._sketch(96, dtype) is sketch
+        fresh = np.random.default_rng(0).standard_normal((96, sda.TAIL_RANK + 1))
+        assert sketch.dtype == dtype and sketch.tobytes() == fresh.astype(dtype).tobytes()
+        with pytest.raises(ValueError):
+            sketch[0, 0] = 0.0
+        for rows in range(64, 100):
+            sda._sketch(rows, dtype)
+        info = sda._sketch.cache_info()
+        assert info.currsize <= info.maxsize
+
     def test_below_floor_is_the_dense_loop(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-12))
         out = nk.sda_solve(p, nk.SdaConfig())

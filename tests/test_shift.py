@@ -13,7 +13,7 @@ from narekit.errors import (
     NoConvergence,
     SingularMatrix,
 )
-from narekit.kernel import frobenius_norm, lu_factor
+from narekit.kernel import frobenius_norm, lu_factor, thin_qr
 from narekit import core, diagnostics, sda, shift
 from narekit.sda import residual_bound
 from narekit.shift import (
@@ -141,6 +141,62 @@ class TestComputeCentralPair:
         with pytest.raises(CentralPairIllConditioned) as err:
             nk.compute_central_pair(h, 1)
         assert "e+05" in str(err.value)
+
+
+    @pytest.mark.parametrize("problem, opts", [
+        (lambda: nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-4))
+         .astype(np.float32), nk.SushiOptions(tol=1e-7, iter_tol=1e-6)),
+        (lambda: nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6)),
+         nk.SushiOptions()),
+        (lambda: nk.random_mnare(nk.RandomMnareSpec(n=10, alpha=1e-3, seed=0)),
+         nk.SushiOptions()),
+    ], ids=["transport-32-f32", "transport-16", "random-10"])
+    def test_right_iteration_makes_inv_iter_steps_getrs(self, monkeypatch, problem, opts):
+        # the benchmark's traced run counts the getrs calls fetched through
+        # get_lapack_funcs in the first inverse iteration under
+        # compute_central_pair and checks them against inv_iter_steps: that
+        # iteration is the right one (trans=0), one getrs per step
+        events = []
+        lapack, iterate = scipy.linalg.get_lapack_funcs, shift.inverse_orthogonal_iteration
+
+        def lookup(names, *args, **kwargs):
+            func = lapack(names, *args, **kwargs)
+
+            def getrs(*a, **kw):
+                events.append("getrs")
+                return func(*a, **kw)
+            return getrs if names == "getrs" else func
+
+        def iterating(factor, k, tol, trans=0):
+            events.append(("iteration", trans))
+            try:
+                return iterate(factor, k, tol, trans)
+            finally:
+                events.append("end")
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lookup)
+        monkeypatch.setattr(shift, "inverse_orthogonal_iteration", iterating)
+        _, cs, _, _ = nk.sushi_solve(problem(), opts)
+        starts = [i for i, e in enumerate(events) if isinstance(e, tuple)]
+        assert [events[i] for i in starts] == [("iteration", 0), ("iteration", 1)]
+        right = events[starts[0] + 1:events.index("end", starts[0])]
+        assert right == ["getrs"] * cs.inv_iter_steps
+
+
+class TestSeededStart:
+    def test_drawn_once_read_only_bounded_and_equal_to_a_fresh_draw(self):
+        dtype = np.dtype(np.float32)
+        start = shift._seeded_start(64, 3, dtype)
+        assert shift._seeded_start(64, 3, dtype) is start
+        rng = np.random.default_rng(shift.DEFAULT_SEED)
+        fresh = thin_qr(rng.standard_normal((64, 3)).astype(dtype))[0]
+        assert start.dtype == dtype and start.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            start[0, 0] = 0.0
+        for dim in range(3, 40):
+            shift._seeded_start(dim, 2, np.dtype(np.float64))
+        info = shift._seeded_start.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestCentralSubspaces:
