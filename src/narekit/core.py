@@ -135,9 +135,10 @@ class LinearizingMatrix:
         object.__setattr__(self, "H", h)
 
     def to_problem(self):
-        """Coefficient blocks read back from H (sign conventions included)."""
+        """Coefficient blocks read back from H (sign conventions included),
+        each a new C-ordered array, so the problem holds no reference to H."""
         h, n = self.H, self.n
-        return NareProblem(-h[n:, n:], h[n:, :n], -h[:n, n:], h[:n, :n])
+        return NareProblem(-h[n:, n:], h[n:, :n].copy(), -h[:n, n:], h[:n, :n].copy())
 
     @cached_property
     def _spectrum(self):  # not a field: eq, repr and replace ignore it
@@ -241,12 +242,16 @@ def residual(p: NareProblem, x) -> np.ndarray:
 
 def _residual_with_size(p: NareProblem, x):
     """(R(X), ||R(X)||_F / (||X C X + B||_F + ||A X + X D||_F)), each product
-    formed once.  The size is 0.0 when the denominator is 0, which by the
-    triangle inequality forces R(X) = 0 (B = 0 at X = 0, say)."""
+    formed once and R(X) = ((X C X - A X) - X D) + B in X C X's buffer.  The
+    size is 0.0 when the denominator is 0, which by the triangle inequality
+    forces R(X) = 0 (B = 0 at X = 0, say)."""
     x = np.asarray(x)
     xcx, ax, xd = x @ p.C @ x, p.A @ x, x @ p.D
     den = frobenius_norm(xcx + p.B) + frobenius_norm(ax + xd)
-    r = xcx - ax - xd + p.B
+    r = xcx.astype(np.result_type(xcx, ax, xd, p.B), copy=False)  # wider if blocks mix
+    r -= ax
+    r -= xd
+    r += p.B
     return r, frobenius_norm(r) / den if den else 0.0
 
 

@@ -200,8 +200,10 @@ def _half(e, f, g, h, step):
         return _tail_half(e, f, g, h, step)
     factor, cond, inv_norm = _guarded_factor(np.eye(len(g), dtype=g.dtype) - g @ h, step)
     z = lu_solve(factor, e.T, trans=1).T
-    e, g = z @ e, g + z @ (g @ f)
-    return e, g, cond, inv_norm, one_norm(e)
+    del factor
+    e, zgf = z @ e, z @ (g @ f)
+    zgf += g  # G + Z (G F) in place: IEEE addition commutes
+    return e, zgf, cond, inv_norm, one_norm(e)
 
 
 class _Tail(NamedTuple):
@@ -326,17 +328,19 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
             if e and (f := _thin(state.F, sketch)):
                 state, tail_from = _switch(state, e, f), state.step
     y, x = _iterates(state)
+    steps, err_est = state.step, state.err_est
+    del state  # E and F, or a tail's m0, n0 and work: no residual reads them
     res, dual_res = both(lambda: relative_residual(p, x),
                          lambda: relative_residual(p.dual(), y), min(p.n, p.m))
     bound = residual_bound(p, cfg.tol)
     if not converged and res > bound:
         raise NoConvergence(
             f"doubling did not converge in {cfg.max_steps} steps "
-            f"(error estimate {state.err_est:.3e}, relative residual {res:.3e})",
-            diagnostics={"err_est": state.err_est, "residual": float(res)},
+            f"(error estimate {err_est:.3e}, relative residual {res:.3e})",
+            diagnostics={"err_est": err_est, "residual": float(res)},
         )
     return SdaOutcome(
-        X=x, Y=y, steps=state.step, tail_from=tail_from,
+        X=x, Y=y, steps=steps, tail_from=tail_from,
         converged=converged and res <= bound,
         residual=float(res), dual_residual=float(dual_res), gamma=float(gamma),
     )

@@ -383,9 +383,11 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     else:
         plan = choose_shift_s(cs, moduli[k], frobenius_norm(h.H))
     shifted_problem = build_shifted_h(h, cs, plan.s).to_problem()
+    del h, factor  # N x N arrays the doubling does not read
     cfg = SdaConfig(gamma=gamma_star(p), tol=opts.tol,
                     max_steps=opts.max_steps, trace=opts.trace)
     shifted = sda_solve(shifted_problem, cfg)
+    del shifted_problem
     g = float(np.sqrt(max(moduli[k], eps * cfg.gamma) * cfg.gamma))
     (r, res), dual_res = both(lambda: _residual_with_size(p, shifted.X),
                               lambda: relative_residual(p.dual(), shifted.Y), min(p.n, p.m))

@@ -70,6 +70,17 @@ class TestBuildH:
         npt.assert_array_equal(q.C, p.C)
         npt.assert_array_equal(q.D, p.D)
 
+    @pytest.mark.parametrize("n, m", [(4, 4), (3, 5)])
+    def test_blocks_read_back_own_their_memory(self, n, m):
+        # copies, so a problem read back from a shifted H does not keep it alive
+        rng = np.random.default_rng(5)
+        h = nk.LinearizingMatrix(rng.standard_normal((n + m, n + m)), n, m)
+        q = h.to_problem()
+        for name in "ABCD":
+            block = getattr(q, name)
+            assert block.flags.c_contiguous, name
+            assert not np.shares_memory(block, h.H), name
+
     def test_build_m_sign_flips(self):
         p = scalar_problem(2.0, 1.0, 1.0, 2.0)
         npt.assert_array_equal(nk.build_m(p), [[2.0, -1.0], [-1.0, 2.0]])
@@ -276,6 +287,31 @@ class TestResiduals:
                + frobenius_norm(p.A @ x + x @ p.D))
         got = nk.relative_residual(p, x)
         assert got == frobenius_norm(nk.residual(p, x)) / den
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m, n", [(6, 6), (7, 4), (3, 9)])
+    def test_residual_bit_equal_to_the_plain_formula(self, m, n, order, dtype):
+        # R(X) is formed in one buffer, in the formula's operation order
+        rng = np.random.default_rng(17)
+        p = nk.NareProblem(A=rng.standard_normal((m, m)),
+                           B=rng.standard_normal((m, n)),
+                           C=rng.standard_normal((n, m)),
+                           D=rng.standard_normal((n, n))).astype(dtype)
+        x = np.asarray(rng.uniform(0.0, 1.0, (m, n)).astype(dtype), order=order)
+        want = x @ p.C @ x - p.A @ x - x @ p.D + p.B
+        got = nk.residual(p, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        den = (frobenius_norm(x @ p.C @ x + p.B)
+               + frobenius_norm(p.A @ x + x @ p.D))
+        assert nk.relative_residual(p, x) == frobenius_norm(want) / den
+
+    def test_residual_of_mixed_precision_blocks_is_not_narrowed(self):
+        # X C X in float32, A X in float64: R(X) takes the wider type
+        p = nk.NareProblem(A=[[2.0]], B=[[1.0]], C=np.float32([[1.0]]), D=[[3.0]])
+        x = np.float32([[0.1]])
+        r = nk.residual(p, x)
+        assert r.dtype == np.float64 and r[0, 0] == pytest.approx(0.51, rel=1e-7)
 
     def test_degenerate_denominator(self):
         # ||R||_F <= ||X C X + B||_F + ||A X + X D||_F, so a zero

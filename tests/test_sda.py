@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import narekit as nk
-from narekit import sda
+from narekit import kernel, sda
 from narekit.errors import Breakdown, InitSingular, InvalidProblem, NoConvergence
 from narekit.kernel import frobenius_norm
 from narekit.sda import BREAKDOWN_COND, SdaState, trace_writer
@@ -277,6 +277,31 @@ class TestStepKernels:
                 x, y = getattr(a, field), getattr(b, field)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
             assert (a.cond, a.err_est, a.step) == (b.cond, b.err_est, b.step)
+
+
+@pytest.mark.parametrize("par_min_dim", [1, None])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [32, 128])
+def test_dense_step_bit_equal_to_its_formulas(monkeypatch, n, dtype, par_min_dim):
+    # each half byte for byte as written out: Z = E (I - G H)^-1 by a
+    # transposed solve, E' = Z E and G' = G + Z (G F), on one thread or two
+    if par_min_dim is not None:
+        monkeypatch.setattr(kernel, "PAR_MIN_DIM", par_min_dim)
+    p = nk.transport_problem(nk.TransportSpec.near_critical(n, 1e-6)).astype(dtype)
+    s = nk.sda_step(nk.sda_init(p, nk.gamma_star(p)))
+
+    def half(e, f, g, h):
+        factor = scipy.linalg.lu_factor(np.eye(len(g), dtype=g.dtype) - g @ h)
+        z = scipy.linalg.lu_solve(factor, e.T, trans=1).T
+        return z @ e, g + z @ (g @ f)
+
+    out = nk.sda_step(s)
+    want = dict(zip("EG", half(s.E, s.F, s.G, s.Hm)))
+    want.update(zip(("F", "Hm"), half(s.F, s.E, s.Hm, s.G)))
+    for name, ref in want.items():
+        got = getattr(out, name)
+        assert got.dtype == ref.dtype and got.flags.c_contiguous == ref.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes(), name
 
 
 def _unit_spectral(rng, rows, cols, dtype, scale=1.0):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import numpy.testing as npt
@@ -850,6 +852,25 @@ def test_sushi_solve_residual_calls(monkeypatch):
     assert result.residual <= 1e-12
     assert sum(corrections) >= 1  # the polish ran
     assert len(formed) == 4 + sum(corrections)
+
+
+@pytest.mark.parametrize("solve, bound", [
+    (nk.sda_solve, 14.5),  # E, F, G, H, a step's new four and its temporaries
+    (nk.sushi_solve, 18.5),  # H, its LU and the shifted H freed before the doubling
+])
+def test_working_set(solve, bound):
+    # the call's peak traced memory in n x n float64 arrays; tracemalloc
+    # sees numpy's data buffers on both of kernel.both's threads
+    n = 128
+    p = nk.transport_problem(nk.TransportSpec.near_critical(n, 1e-12))
+    solve(p)  # warm: the seeded starts, the sketch and the worker thread
+    tracemalloc.start()
+    try:
+        solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= bound
 
 
 @pytest.mark.parametrize("doublings", [2, shift.POLISH_MAX_DOUBLINGS])
