@@ -197,7 +197,7 @@ def classify_mmatrix(m) -> MMatrixClass:
     m = m.astype(np.float64, copy=False)
     for tag, shift in (("NonsingularM", tau), ("SingularM", -tau)):
         try:
-            factor = lu_factor(m - shift * np.eye(m.shape[0]), pivot_tol=0.0)
+            factor = lu_factor(m - shift * np.eye(m.shape[0]))
         except SingularMatrix:
             continue
         x = lu_solve(factor, np.ones(m.shape[0]))

@@ -21,8 +21,8 @@ class NarekitError(Exception):
 # --- dense kernel -----------------------------------------------------------
 
 class SingularMatrix(NarekitError):
-    """A pivot of a factorization fell below the singularity threshold, or
-    the matrix has non-finite entries."""
+    """An LU met an exact zero pivot or non-finite entries; in a subclass, a
+    matrix to invert had a condition estimate above sda.BREAKDOWN_COND."""
 
 
 class NoConvergence(NarekitError):
@@ -40,8 +40,8 @@ class InvalidProblem(NarekitError):
 # --- doubling solver --------------------------------------------------------
 
 class InitSingular(SingularMatrix):
-    """One of the matrices inverted by the doubling initialization is
-    singular; diagnostics: which."""
+    """A matrix inverted by the doubling initialization has a condition
+    estimate above sda.BREAKDOWN_COND; diagnostics: which, cond_estimate."""
 
 
 class Breakdown(SingularMatrix):

@@ -1,19 +1,20 @@
 """Dense linear-algebra primitives shared by the whole package.
 
 Thin, contract-enforcing wrappers around LAPACK (via numpy/scipy): a
-guarded pivoted LU, thin QR with a fixed sign convention, the 1- and
-2-norm, the distance between subspaces, dense nonsymmetric eigenvalues and
-singular values.  All functions are pure and accept/return plain ndarrays;
-float32 inputs are honored for the single-precision mode.  lu_factor,
+pivoted LU, thin QR with a fixed sign convention, the 1- and 2-norm, the
+distance between subspaces, dense nonsymmetric eigenvalues and singular
+values.  All functions are pure and accept/return plain ndarrays; float32
+inputs are honored for the single-precision mode.  lu_factor,
 lu_factor_cond, lu_solve and lu_inverse, the only LU entry points, call
 getrf, gecon, getrs and getri directly, looked up on each call by
 scipy.linalg.get_lapack_funcs, uncached, so the benchmark's tracer sees
-it.  lu_factor_cond serves a matrix its caller just formed, a doubling
-step's I - G H: one 1-norm, getrf's info and gecon stand in for
-lu_factor's scans.  The per-step kernels skip numpy's wrappers, whose
-dispatch costs more than the work at small orders: thin_qr calls
-geqrf/orgqr, the thin spectral_norm syevd on a k x k Gram, which that
-tracer does not count, and one_norm lange up to _LANGE_MAX_SIZE entries.
+it.  lu_factor refuses only an exact zero pivot, for the H and M -+ tau I
+the shift wants nearly singular; lu_factor_cond adds gecon's estimate
+for every matrix the solvers invert, refused above sda.BREAKDOWN_COND.
+The per-step kernels skip numpy's wrappers, whose dispatch costs more
+than the work at small orders: thin_qr calls geqrf/orgqr, the thin
+spectral_norm syevd on a k x k Gram, which that tracer does not count,
+and one_norm lange up to _LANGE_MAX_SIZE entries.
 
 both(first, second, dim) runs two halves of a step that share no data on
 two threads from dim >= PAR_MIN_DIM, if the process may use two CPUs, else
@@ -115,34 +116,29 @@ def spectral_norm(m):
     return float(np.ldexp(np.sqrt(w[-1]), exp))
 
 
-def lu_factor(m, pivot_tol=None):
-    """Guarded pivoted LU factors (lu, piv) of a square matrix, by getrf.
+def lu_factor(m):
+    """Pivoted LU factors (lu, piv) of a square matrix, by getrf, for the
+    matrices the shift wants nearly singular: H and M -+ tau I.
 
-    Raises SingularMatrix for non-finite entries and when the smallest pivot
-    modulus is zero or below pivot_tol, which defaults to eps * ||m||_F * dim.
-    pivot_tol=0.0 rejects only an exact zero pivot, for inverse iteration,
-    which wants a nearly singular matrix.  m is left unchanged.
+    Raises SingularMatrix for non-finite entries and an exact zero pivot
+    only; a matrix to invert goes to lu_factor_cond.  m is left unchanged.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise InvalidProblem("lu_factor needs a nonempty square matrix")
     if not np.all(np.isfinite(m)):
         raise SingularMatrix("matrix has non-finite entries")
-    if pivot_tol is None:
-        pivot_tol = float(np.finfo(m.dtype).eps) * frobenius_norm(m) * m.shape[0]
     lu, piv, info = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)
-    # info > 0 is an exact zero pivot, all that pivot_tol=0.0 rejects
-    small = 0.0 if info > 0 else (np.abs(np.diag(lu)).min() if pivot_tol else np.inf)
-    if small < pivot_tol or small == 0.0:
-        raise SingularMatrix(f"matrix is numerically singular: smallest pivot "
-                             f"{small:.3e}, threshold {pivot_tol:.3e}")
+    if info > 0:
+        raise SingularMatrix(f"matrix is singular: pivot {info} is exactly zero")
     return lu, piv
 
 
 def lu_factor_cond(m):
-    """(factor, cond, ||m^-1||_1) of a square m: getrf's (lu, piv), gecon's
-    1-norm estimate and cond / ||m||_1, with ||m||_1 taken once; (None, inf,
-    inf) for a non-finite ||m||_1 or getrf's info > 0, an exact zero pivot."""
+    """(factor, cond, ||m^-1||_1) of a square m to be inverted: getrf's
+    (lu, piv), gecon's 1-norm estimate and cond / ||m||_1, with ||m||_1
+    taken once; (None, inf, inf) for a non-finite ||m||_1 or getrf's
+    info > 0, an exact zero pivot.  Callers refuse cond > sda.BREAKDOWN_COND."""
     anorm = one_norm(m)
     if anorm < np.inf:  # not for inf or nan
         lu, piv, info = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)

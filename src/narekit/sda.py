@@ -43,7 +43,6 @@ once, after the loop.
 """
 
 from dataclasses import dataclass, fields, replace
-import functools
 import json
 import numbers
 from typing import NamedTuple
@@ -51,9 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NareProblem, gamma_star, relative_residual
-from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence, SingularMatrix
-from .kernel import (both, frobenius_norm, lu_factor, lu_factor_cond, lu_inverse, lu_solve,
-                     one_norm, thin_qr)
+from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence
+from .kernel import (both, frobenius_norm, lu_factor_cond, lu_inverse, lu_solve, one_norm,
+                     thin_qr)
 
 #: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
 BREAKDOWN_COND = 1e13
@@ -115,6 +114,7 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
     H0 = 2 gamma W^-1 B (D + gamma I)^-1
 
     Each matrix is factored once; D + gamma I is solved on [C | I].
+    InitSingular (which, cond_estimate) past the steps' BREAKDOWN_COND.
     InvalidProblem unless 0 < gamma < inf (gamma = 0 starts at a fixed point).
     """
     if not 0.0 < gamma < np.inf:
@@ -127,10 +127,10 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
     d_g = p.D + g * eye_n
 
     def solve(mat, rhs, which):
-        try:
-            factor = lu_factor(mat)
-        except SingularMatrix as exc:
-            raise InitSingular(f"{which} is singular: {exc}", {"which": which}) from exc
+        factor, cond, _ = lu_factor_cond(mat)
+        if not cond <= BREAKDOWN_COND:
+            raise InitSingular(f"{which} is singular: cond estimate {cond:.3e}",
+                               {"which": which, "cond_estimate": float(cond)})
         return lu_solve(factor, rhs)
 
     dim = min(m, n)
@@ -271,15 +271,6 @@ def _iterates(s):
     return s.G + s.E.left @ s.E.coef, s.Hm + s.F.left @ s.F.coef
 
 
-@functools.lru_cache(maxsize=8)
-def _sketch(rows, dtype):
-    """Read-only rows x (TAIL_RANK + 1) Gaussian sketch of _thin, drawn from
-    seed 0 once per process and key."""
-    sketch = np.random.default_rng(0).standard_normal((rows, TAIL_RANK + 1)).astype(dtype)
-    sketch.flags.writeable = False
-    return sketch
-
-
 def _thin(a, sketch):
     """(left, right) within TAIL_TOL_EPS eps ||a||_F of a, left r columns of the
     Q of a @ sketch, else None; sketch column r + 1 first probes for rank > r."""
@@ -314,7 +305,8 @@ def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:
     tol = max(cfg.tol, TOL_FLOOR_EPS * float(np.finfo(p.dtype).eps))
     state = sda_init(p, gamma)
     converged, tail_from = False, None
-    sketch = _sketch(max(p.n, p.m), p.dtype) if min(p.n, p.m) >= TAIL_MIN_DIM else None
+    sketch = (np.random.default_rng(0).standard_normal((max(p.n, p.m), TAIL_RANK + 1))
+              .astype(p.dtype) if min(p.n, p.m) >= TAIL_MIN_DIM else None)  # seeded: reproducible
     while state.step < cfg.max_steps:
         state = sda_step(state)
         if cfg.trace is not None:

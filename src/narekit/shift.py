@@ -43,8 +43,8 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import as_matrix, cond_uv, eigenpairs, frobenius_norm
-from .kernel import both, lu_factor, lu_solve, spectral_norm, thin_qr
-from .sda import SdaConfig, residual_bound, sda_solve
+from .kernel import both, lu_factor, lu_factor_cond, lu_solve, spectral_norm, thin_qr
+from .sda import BREAKDOWN_COND, SdaConfig, residual_bound, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
 PAIR_MAX_ITERS = 100       #: inverse-iteration step cap of the central pair
@@ -149,7 +149,7 @@ def compute_central_pair(h, k, tol=1e-12, factor=None) -> CentralSubspaces:
     """
     h = np.asarray(h)
     if factor is None:
-        factor = lu_factor(h, pivot_tol=0.0)
+        factor = lu_factor(h)
     v, steps_v = inverse_orthogonal_iteration(factor, k, tol)
     u, _ = inverse_orthogonal_iteration(factor, k, tol, trans=1)
     lam, c = eigenpairs(v.T @ h @ v)
@@ -288,13 +288,14 @@ def central_modes(cs: CentralSubspaces):
 
 def _smith_correction(p: NareProblem, x, r, g, modes):
     """(D, doublings) with P D + D Q = r, r = R(X), P = A - X C, Q = D_coef - C X;
-    None when a matrix is singular or the sum diverges, as it can unless P
-    and Q are M-matrices.  The modes' r, l with Re lam > 0 give Q's slow
-    vectors z = r[:n], y = l[:n] + l[n:] X, the others P's w = r[n:] - X r[:n],
-    t = l[n:].  D = W D_s Y^T + sum_j S^j D0 T^j: (T^T P W) D_s (Y^T Z) +
-    (T^T W) D_s (Y^T Q Z) = T^T r Z, S = I - 2g P_g^-1, T = I - 2g Q_g^-1,
-    D0 = P_g^-1 2g (r - P W D_s Y^T - W D_s Y^T Q) Q_g^-1, P_g = P + gI and
-    Q_g = Q + gI (one solve per LU, against I), doubled until an increment no
+    None when P_g or Q_g (below) is past sda.BREAKDOWN_COND or the sum
+    diverges, as it can unless P and Q are M-matrices.  The modes' r, l
+    with Re lam > 0 give Q's slow vectors z = r[:n], y = l[:n] + l[n:] X,
+    the others P's w = r[n:] - X r[:n], t = l[n:].  D = W D_s Y^T +
+    sum_j S^j D0 T^j: (T^T P W) D_s (Y^T Z) + (T^T W) D_s (Y^T Q Z) =
+    T^T r Z, S = I - 2g P_g^-1, T = I - 2g Q_g^-1, D0 = P_g^-1 2g (r -
+    P W D_s Y^T - W D_s Y^T Q) Q_g^-1, P_g = P + gI and Q_g = Q + gI (one
+    solve per LU, against I), doubled until an increment no
     longer changes X (a residual target would drop the slowly converging part)."""
     eps, n, (on_q, right, left) = float(np.finfo(x.dtype).eps), p.n, modes
     pm, qm = p.A - x @ p.C, p.D - p.C @ x
@@ -305,9 +306,16 @@ def _smith_correction(p: NareProblem, x, r, g, modes):
         (y @ (qm @ z)).T, tp @ w)  # sum of kron(b, a), without np.kron's cost
     eye_m, eye_n = np.eye(p.m, dtype=x.dtype), np.eye(n, dtype=x.dtype)
     delta, dim = 2.0 * g * r, min(p.m, n)  # 2g r', then D0
+
+    def inverse(mat, eye):  # refused as a doubling step refuses its I - G H
+        factor, cond, _ = lu_factor_cond(mat)
+        if not cond <= BREAKDOWN_COND:
+            raise SingularMatrix(f"condition estimate {cond:.3e}")
+        return lu_solve(factor, eye)
+
     try:
-        p_inv, q_inv = both(lambda: lu_solve(lu_factor(pm + g * eye_m), eye_m),
-                            lambda: lu_solve(lu_factor(qm + g * eye_n), eye_n), dim)
+        p_inv, q_inv = both(lambda: inverse(pm + g * eye_m, eye_m),
+                            lambda: inverse(qm + g * eye_n, eye_n), dim)
         by = np.linalg.solve(lhs.swapaxes(1, 2).reshape(rs.size, rs.size),
                              rs.ravel("F")).reshape(rs.shape, order="F") @ y  # D_s Y^T
     except (SingularMatrix, np.linalg.LinAlgError):
@@ -365,7 +373,7 @@ def sushi_solve(p: NareProblem, opts: SushiOptions = SushiOptions()):
     t0 = time.perf_counter()
     h = build_h(p)
     try:
-        factor = lu_factor(h.H, pivot_tol=0.0)  # shared below
+        factor = lu_factor(h.H)  # shared below
     except SingularMatrix:
         if not opts.force:
             require_mmatrix(p)  # a problem that is not M-structured says so first

@@ -534,6 +534,32 @@ class TestBench:
         assert row["delta"] == want
         assert calls.count(h.H.shape) == 1  # gap and delta share it
 
+    def test_error_cells(self, capsys, monkeypatch):
+        # a cell whose stage raises reads error:<class>; at n = 1 (N = 2) no
+        # central k >= 2 exists, so the sushi and delta cells fail
+        code, out, _ = run(capsys, "bench", "--family", "transport",
+                           "--sizes", "1", "--params", "1e-3")
+        assert code == 0
+        payload = json.loads(out)
+        row = dict(zip(payload["header"], payload["rows"][0]))
+        for key in ("sushi_its", "orth_its", "sushi_res", "delta"):
+            assert row[key] == "error:KMaxReached"
+        assert isinstance(row["gap"], float) and isinstance(row["sda_its"], int)
+
+        def failing(*args, **kwargs):
+            raise narekit.errors.NoConvergence("forced")
+
+        for name in ("gap_of", "sda_solve", "delta_central"):
+            monkeypatch.setattr(cli, name, failing)
+        code, out, _ = run(capsys, "bench", "--family", "transport",
+                           "--sizes", "8", "--params", "1e-3")
+        assert code == 0
+        payload = json.loads(out)
+        row = dict(zip(payload["header"], payload["rows"][0]))
+        for key in ("gap", "sda_its", "sda_res", "delta"):
+            assert row[key] == "error:NoConvergence"
+        assert isinstance(row["sushi_its"], int)
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "transport",
                            "--sizes", "8,16", "--params", "1e-3",

@@ -95,6 +95,12 @@ class TestClassifyMmatrix:
         assert cls.tag == "SingularM"
         assert cls.is_mmatrix()
 
+    def test_exactly_singular_shift_is_skipped(self):
+        # M - tau I has an exact zero pivot, which lu_factor refuses, so the
+        # SingularM test on M + tau I decides; its evidence is 1e-10 to the bit
+        cls = nk.classify_mmatrix(np.diag([1.0, 1e-10]))
+        assert cls.tag == "SingularM" and cls.spectral_abscissa_evidence == 1e-10
+
     def test_positive_offdiagonal(self):
         assert nk.classify_mmatrix([[1.0, 0.5], [0.0, 1.0]]).tag == "NotM"
 
@@ -212,7 +218,7 @@ def test_guard_on_shared_factor_agrees_with_classifier(family, sizes, log_param,
     p = nk.NareProblem(A=mm[n:, n:], B=-mm[n:, :n], C=-mm[:n, n:],
                        D=mm[:n, :n]).astype(dtype)
     try:
-        factor = lu_factor(nk.build_h(p).H, pivot_tol=0.0)
+        factor = lu_factor(nk.build_h(p).H)
     except SingularMatrix:
         factor = None
     accepted = _guard_accepts(p, factor)
@@ -227,7 +233,7 @@ def test_guard_shortcut_evidence_and_tag():
     # where that bound cannot
     p = nk.transport_problem(nk.TransportSpec.near_critical(256, 1e-6))
     h = nk.build_h(p).H
-    factor = lu_factor(h, pivot_tol=0.0)
+    factor = lu_factor(h)
     shortcut = require_mmatrix(p, factor)
     x = np.linalg.solve(h, np.repeat([1.0, -1.0], [p.n, p.m]))
     assert x.min() > 0.0
@@ -244,7 +250,7 @@ def test_guard_certifies_by_tau_rule_on_shared_factor(monkeypatch):
         raise AssertionError("require_mmatrix fell back to classify_mmatrix")
 
     p = nk.transport_problem(nk.TransportSpec.near_critical(512, 1e-12))
-    factor = lu_factor(nk.build_h(p).H, pivot_tol=0.0)
+    factor = lu_factor(nk.build_h(p).H)
     monkeypatch.setattr(core, "classify_mmatrix", refuse)
     got = require_mmatrix(p, factor)
     assert got.tag == "SingularM"

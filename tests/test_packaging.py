@@ -123,3 +123,17 @@ def test_layering():
                 private = target.startswith("narekit.diagnostics._")
                 assert not (inside and (solver or private)), (
                     f"{path}:{node.lineno} imports {target}")
+    # one rule for "too singular": lu_factor, which refuses only an exact
+    # zero pivot, factors just the matrices the shift wants nearly singular
+    # (M -/+ tau I, H); every matrix a solver inverts goes through
+    # lu_factor_cond, under sda.BREAKDOWN_COND
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        assert "pivot_tol" not in path.read_text(), path
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and
+                        ast.unparse(node.func).split(".")[-1] == "lu_factor"):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"core.classify_mmatrix", "shift.compute_central_pair",
+                       "shift.sushi_solve"}

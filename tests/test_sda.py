@@ -52,7 +52,17 @@ class TestInit:
         p = scalar_problem(-1.0, 0.0, 0.0, 2.0)  # A + gamma*I = 0 at gamma = 1
         with pytest.raises(InitSingular) as err:
             nk.sda_init(p, gamma=1.0)
-        assert "A+gamma*I" in err.value.diagnostics["which"]
+        assert err.value.diagnostics == {"which": "A+gamma*I", "cond_estimate": np.inf}
+
+    def test_init_refuses_past_the_step_cap(self):
+        # a nonzero pivot is not enough: A + gamma*I = diag(1, 1e-14) has
+        # cond 1e14, above the cap every doubling step's I - G@H is held to
+        p = nk.NareProblem(A=np.diag([0.0, 1e-14 - 1.0]), B=np.zeros((2, 2)),
+                           C=np.zeros((2, 2)), D=np.eye(2))
+        with pytest.raises(InitSingular) as err:
+            nk.sda_init(p, gamma=1.0)
+        assert err.value.diagnostics["which"] == "A+gamma*I"
+        assert sda.BREAKDOWN_COND < err.value.diagnostics["cond_estimate"] < np.inf
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     def test_gamma_must_be_finite_and_positive(self, gamma):
@@ -199,9 +209,14 @@ class TestStep:
         for _ in range(3):
             dense.append(nk.sda_step(dense[-1]))
         out = sda._switch(dense[0], (el, er), (fl, fr))
-        calls = []
-        monkeypatch.setattr(sda, "lu_solve", lambda *args, **kw: calls.append(args))
-        monkeypatch.setattr(sda, "lu_factor", lambda *args, **kw: calls.append(args))
+        calls, lapack = [], scipy.linalg.get_lapack_funcs
+
+        def lookup(names, *args, **kwargs):  # every LU entry of kernel looks up getrf
+            if names in ("getrf", "gecon", "getrs", "getri"):
+                calls.append(names)
+            return lapack(names, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lookup)
         for before, ref in zip(dense, dense[1:]):
             out = nk.sda_step(out)
             assert out.E.left is el and out.F.left is fl and out.step == ref.step
@@ -217,6 +232,25 @@ class TestStep:
             assert out.cond == pytest.approx(cond, rel=1e-12)
             assert out.err_est == pytest.approx(err_est, rel=1e-12)
         assert calls == []
+
+    def test_singular_woodbury_matrix_is_breakdown(self, monkeypatch):
+        # a tail step that cannot invert its 2r x 2r Woodbury matrix C
+        # reads an infinite condition estimate and breaks down
+        rng = np.random.default_rng(16)
+        n, m = 6, 5
+        s = SdaState(E=np.zeros((n, n)), F=np.zeros((m, m)),
+                     G=_unit_spectral(rng, n, m, np.float64, 0.5),
+                     Hm=_unit_spectral(rng, m, n, np.float64, 0.5), step=3)
+        tail = sda._switch(s, (rng.standard_normal((n, 2)), np.zeros((2, n))),
+                           (rng.standard_normal((m, 2)), np.zeros((2, m))))
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(Breakdown) as err:
+            nk.sda_step(tail)
+        assert err.value.diagnostics == {"step": 3, "cond_estimate": np.inf}
 
     def test_doubling_consistency_decoupled(self):
         # with B = C = 0 the coupling never activates, so after k steps
@@ -535,19 +569,6 @@ class TestTail:
         assert left.shape == (n, sda.TAIL_RANK) and right.shape == (sda.TAIL_RANK, n)
         assert sda._thin(a + 100 * noise, sketch) is None
         assert sda._thin(rng.standard_normal((n, n)), sketch) is None
-
-    def test_sketch_drawn_once_read_only_bounded_and_equal_to_a_fresh_draw(self):
-        dtype = np.dtype(np.float32)
-        sketch = sda._sketch(96, dtype)
-        assert sda._sketch(96, dtype) is sketch
-        fresh = np.random.default_rng(0).standard_normal((96, sda.TAIL_RANK + 1))
-        assert sketch.dtype == dtype and sketch.tobytes() == fresh.astype(dtype).tobytes()
-        with pytest.raises(ValueError):
-            sketch[0, 0] = 0.0
-        for rows in range(64, 100):
-            sda._sketch(rows, dtype)
-        info = sda._sketch.cache_info()
-        assert info.currsize <= info.maxsize
 
     def test_below_floor_is_the_dense_loop(self):
         p = nk.transport_problem(nk.TransportSpec.near_critical(32, 1e-12))

@@ -31,7 +31,7 @@ from oracles import relative_error
 
 def _lu(h):
     """H's LU as sushi_solve factors it: what the iteration stages take."""
-    return lu_factor(np.asarray(h), pivot_tol=0.0)
+    return lu_factor(np.asarray(h))
 
 
 class TestInverseIteration:
@@ -66,7 +66,7 @@ class TestInverseIteration:
         # the solve against the pivot 1e-310 overflows, so the first
         # distance is nan: a NoConvergence at step 1, not numpy's
         # LinAlgError from an SVD nor 100 steps on nan
-        factor = lu_factor(np.diag([1e-310, 1.0, 2.0, 3.0, 4.0, 5.0]), pivot_tol=0.0)
+        factor = lu_factor(np.diag([1e-310, 1.0, 2.0, 3.0, 4.0, 5.0]))
         with pytest.raises(NoConvergence) as err:
             inverse_orthogonal_iteration(factor, 2, 1e-12)
         assert err.value.diagnostics["steps"] == 1
@@ -254,20 +254,27 @@ class TestCentralSubspaces:
 
 
 class TestSharedFactor:
+    @staticmethod
+    def _count_lus(monkeypatch, record):
+        """record(a) on every LU of the package: both kernel entry points,
+        patched in each module that binds one."""
+        for mod in (core, sda, shift):
+            for name in ("lu_factor", "lu_factor_cond"):
+                if hasattr(mod, name):
+                    def counting(a, _fn=getattr(mod, name)):
+                        record(a)
+                        return _fn(a)
+                    monkeypatch.setattr(mod, name, counting)
+
     def test_one_lu_of_h_per_solve(self, monkeypatch):
-        # every LU of the package, in each module that binds lu_factor; the
-        # classification factors M -/+ tau I and the polish m x m and n x n
-        # matrices, not H
+        # the classification factors M -/+ tau I, the doubling and the
+        # polish m x m and n x n matrices, not H
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, 1e-6))
         h = nk.build_h(p).H
         of_h = []
-        for mod in (core, sda, shift):
-            def counting(a, *args, _fn=mod.lu_factor, **kwargs):
-                of_h.append(np.array_equal(a, h))
-                return _fn(a, *args, **kwargs)
-            monkeypatch.setattr(mod, "lu_factor", counting)
+        self._count_lus(monkeypatch, lambda a: of_h.append(np.array_equal(a, h)))
         nk.sushi_solve(p)
-        assert sum(of_h) == 1
+        assert sum(of_h) == 1 and len(of_h) > 1
 
     @pytest.mark.parametrize("beta", [1e-12, 1e-6])
     def test_one_big_lu_per_solve(self, monkeypatch, beta):
@@ -275,13 +282,10 @@ class TestSharedFactor:
         # the whole solve factors one (n + m)-square matrix
         p = nk.transport_problem(nk.TransportSpec.near_critical(16, beta))
         shapes = []
-        for mod in (core, sda, shift):
-            def counting(a, *args, _fn=mod.lu_factor, **kwargs):
-                shapes.append(np.shape(a))
-                return _fn(a, *args, **kwargs)
-            monkeypatch.setattr(mod, "lu_factor", counting)
+        self._count_lus(monkeypatch, lambda a: shapes.append(np.shape(a)))
         nk.sushi_solve(p)
         assert shapes.count((p.n + p.m, p.n + p.m)) == 1
+        assert shapes.count((p.n, p.n)) >= 4  # the doubling's own LUs are counted too
 
     @pytest.mark.parametrize("n, k, s, columns", [
         (16, 2, 100.0, [3]), (16, 2, None, [3]), (16, None, 100.0, [shift.K_MAX + 1]),
@@ -359,6 +363,12 @@ class TestDetectK:
         assert detect_k(smallest_moduli(_lu(nk.build_h(p).H), 9)) == 2
         result, cs, _, _ = nk.sushi_solve(p)
         assert cs.k == 2 and result.residual <= 1e-12
+
+    def test_probe_on_nan_solves_is_degenerate(self):
+        # a factor whose solves return nan leaves R without a positive diagonal
+        lu, piv = _lu(np.diag([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(DegenerateSpectrum):
+            smallest_moduli((np.full_like(lu, np.nan), piv), 3)
 
     def test_no_separation_raises(self, monkeypatch):
         # all eigenvalues on the unit circle: no modulus gap anywhere
@@ -863,7 +873,7 @@ def test_working_set(solve, bound):
     # sees numpy's data buffers on both of kernel.both's threads
     n = 128
     p = nk.transport_problem(nk.TransportSpec.near_critical(n, 1e-12))
-    solve(p)  # warm: the seeded starts, the sketch and the worker thread
+    solve(p)  # warm: the seeded starts and the worker thread
     tracemalloc.start()
     try:
         solve(p)
@@ -887,10 +897,11 @@ def test_newton_polish_keeps_x_when_doubling_diverges(monkeypatch, doublings):
 
 
 def test_newton_polish_keeps_x_when_a_factor_is_singular(monkeypatch):
-    def singular(*args, **kwargs):
-        raise SingularMatrix("forced")
+    # P + gI and Q + gI are refused past the doubling's cap, as a step's I - G H
+    def past_the_cap(mat, _fn=shift.lu_factor_cond):
+        return _fn(mat)[0], 10.0 * sda.BREAKDOWN_COND, np.inf
 
-    monkeypatch.setattr(shift, "lu_factor", singular)
+    monkeypatch.setattr(shift, "lu_factor_cond", past_the_cap)
     p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
     x = nk.sda_solve(p).X + 1e-8
     res = nk.relative_residual(p, x)
