@@ -9,10 +9,10 @@ Subcommands::
     bench     grid of (plain vs shifted) runs, one row per cell
 
 Exit codes: 0 success (--help and --version included), 2 solver
-breakdown (SingularMatrix, InitSingular and Breakdown included), 3 any
-other NarekitError (no convergence, no central subspace, an
-ill-conditioned central pair), 4 InvalidProblem (not an M-matrix
-equation, a spectrum that does not split), 5 usage or input/output error
+breakdown (SingularMatrix, Breakdown included), 3 any other NarekitError
+(no convergence, no central subspace, an ill-conditioned central pair),
+4 InvalidProblem (not an M-matrix equation, a spectrum that does not
+split), 5 usage or input/output error
 (an unknown flag, a malformed value, a --k, --s, --gamma, --tol,
 --max-steps or bench --seeds out of range, a problem file or generator
 that raises InvalidProblem, and an --out, --output, --trace or
@@ -400,7 +400,7 @@ def main(argv=None):
         return _error_exit(args, exc.code, str(exc))
     except OSError as exc:  # a file that cannot be written
         return _error_exit(args, EXIT_IO, str(exc))
-    except SingularMatrix as exc:  # InitSingular and Breakdown included
+    except SingularMatrix as exc:  # Breakdown included
         return _error_exit(args, EXIT_BREAKDOWN, str(exc))
     except InvalidProblem as exc:
         return _error_exit(args, EXIT_CLASSIFICATION, str(exc))

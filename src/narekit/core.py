@@ -15,6 +15,7 @@ minimal entrywise-nonnegative solution exists.
 from dataclasses import dataclass, field
 from functools import cached_property
 import json
+import numbers
 
 import numpy as np
 
@@ -96,12 +97,15 @@ class NareProblem:
     def from_json(cls, text):
         """The problem of a to_json payload; InvalidProblem for any malformed
         one (bad JSON or encoding, nesting too deep to parse, a missing key,
-        a ragged, non-numeric or overflowing block, a payload that is not an
-        object)."""
+        a ragged, non-numeric or overflowing block, a payload or metadata
+        that is not an object)."""
         try:
             payload = json.loads(text)
             blocks = [np.array(payload[k], dtype=float) for k in "ABCD"]
-            prob = cls(*blocks, metadata=payload.get("metadata", {}))
+            metadata = payload.get("metadata", {})
+            if not isinstance(metadata, dict):
+                raise InvalidProblem(f"metadata must be a JSON object, got {metadata!r}")
+            prob = cls(*blocks, metadata=metadata)
             declared = (payload["m"], payload["n"])
         except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise InvalidProblem(str(exc)) from exc
@@ -130,6 +134,8 @@ class LinearizingMatrix:
 
     def __post_init__(self):
         h = as_matrix(self.H, name="H")
+        if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (self.n, self.m)):
+            raise InvalidProblem(f"block sizes n={self.n!r}, m={self.m!r} must be integers >= 1")
         if h.shape != (self.n + self.m, self.n + self.m):
             raise InvalidProblem("H shape disagrees with n + m")
         object.__setattr__(self, "H", h)

@@ -3,10 +3,10 @@
 Every failure mode raised by the library derives from :class:`NarekitError`
 and has its one constructor: a message and a ``diagnostics`` dict of the
 values behind it, or None.  The CLI maps three cases to exit codes:
-SingularMatrix (InitSingular and Breakdown included) to 2, InvalidProblem
-to 4 and any other NarekitError to 3.  A defined value is no error: a
-relative residual with a zero denominator is 0.0, and a Cayley transform at
-its pole is infinite.
+SingularMatrix (Breakdown included) to 2, InvalidProblem to 4 and any
+other NarekitError to 3.  A defined value is no error: a relative residual
+with a zero denominator is 0.0, and a Cayley transform at its pole is
+infinite.
 """
 
 
@@ -21,8 +21,14 @@ class NarekitError(Exception):
 # --- dense kernel -----------------------------------------------------------
 
 class SingularMatrix(NarekitError):
-    """An LU met an exact zero pivot or non-finite entries; in a subclass, a
-    matrix to invert had a condition estimate above sda.BREAKDOWN_COND."""
+    """An LU met an exact zero pivot or non-finite entries."""
+
+
+class Breakdown(SingularMatrix):
+    """A matrix to invert (the doubling's start, a doubling step's I - G@H,
+    the polish's P + gI or Q + gI) had a condition estimate above
+    kernel.BREAKDOWN_COND, or a doubling step's E or F overflowed;
+    diagnostics: which (the start's matrix) or step, and cond_estimate."""
 
 
 class NoConvergence(NarekitError):
@@ -35,18 +41,6 @@ class InvalidProblem(NarekitError):
     """Problem data is malformed, dimensionally inconsistent or non-finite,
     or the problem lies outside what a solver accepts (no M-matrix
     structure, a spectrum that does not split, a bad parameter)."""
-
-
-# --- doubling solver --------------------------------------------------------
-
-class InitSingular(SingularMatrix):
-    """A matrix inverted by the doubling initialization has a condition
-    estimate above sda.BREAKDOWN_COND; diagnostics: which, cond_estimate."""
-
-
-class Breakdown(SingularMatrix):
-    """The doubling iteration hit a (near-)singular I - G@H; diagnostics:
-    step, cond_estimate."""
 
 
 # --- subspace shift ---------------------------------------------------------

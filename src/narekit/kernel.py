@@ -10,7 +10,8 @@ getrf, gecon, getrs and getri directly, looked up on each call by
 scipy.linalg.get_lapack_funcs, uncached, so the benchmark's tracer sees
 it.  lu_factor refuses only an exact zero pivot, for the H and M -+ tau I
 the shift wants nearly singular; lu_factor_cond adds gecon's estimate
-for every matrix the solvers invert, refused above sda.BREAKDOWN_COND.
+for every matrix the solvers invert, and check_cond raises Breakdown
+above BREAKDOWN_COND, the one rule for "too singular to invert".
 The per-step kernels skip numpy's wrappers, whose dispatch costs more
 than the work at small orders: thin_qr calls geqrf/orgqr, the thin
 spectral_norm syevd on a k x k Gram, which that tracer does not count,
@@ -38,8 +39,10 @@ import os
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidProblem, NoConvergence, SingularMatrix
+from .errors import Breakdown, InvalidProblem, NoConvergence, SingularMatrix
 
+#: 1-norm condition estimate above which a matrix to invert is refused
+BREAKDOWN_COND = 1e13
 #: smallest dim at which both() runs its halves on two threads, which repay the hand-off
 PAR_MIN_DIM = 128
 #: most entries for which one_norm calls lange: past it numpy's sum is faster
@@ -102,8 +105,10 @@ def spectral_norm(m):
     a power of two that brings the largest entry into [0.5, 1), so neither
     overflow nor underflow of the squares spoils it at any finite scale:
     within a few eps of the SVD's value.  nan or inf when m holds one (syevd
-    would not propagate nan).  Other shapes by the SVD."""
+    would not propagate nan).  Other shapes by the SVD; 0.0 for an empty m."""
     m = np.asarray(m)
+    if not m.size:
+        return 0.0
     if m.shape[0] <= m.shape[1]:
         return float(np.linalg.norm(m, 2))
     top = float(np.abs(m).max())
@@ -134,19 +139,30 @@ def lu_factor(m):
     return lu, piv
 
 
-def lu_factor_cond(m):
+def lu_factor_cond(m, **context):
     """(factor, cond, ||m^-1||_1) of a square m to be inverted: getrf's
     (lu, piv), gecon's 1-norm estimate and cond / ||m||_1, with ||m||_1
-    taken once; (None, inf, inf) for a non-finite ||m||_1 or getrf's
-    info > 0, an exact zero pivot.  Callers refuse cond > sda.BREAKDOWN_COND."""
+    taken once.  check_cond(cond, **context) refuses it, cond inf for a
+    non-finite ||m||_1 or getrf's info > 0, an exact zero pivot."""
     anorm = one_norm(m)
+    factor, cond = None, np.inf
     if anorm < np.inf:  # not for inf or nan
         lu, piv, info = scipy.linalg.get_lapack_funcs("getrf", (m,))(m)
         if info == 0:
             rcond, _ = scipy.linalg.get_lapack_funcs("gecon", (lu,))(lu, anorm)
-            cond = 1.0 / rcond if rcond > 0 else np.inf
-            return (lu, piv), cond, cond / anorm
-    return None, np.inf, np.inf
+            factor, cond = (lu, piv), 1.0 / rcond if rcond > 0 else np.inf
+    check_cond(cond, **context)
+    return factor, cond, float(cond / anorm)
+
+
+def check_cond(cond, **context):
+    """Breakdown, diagnostics context and cond_estimate, unless cond <=
+    BREAKDOWN_COND; a nan cond reads as inf."""
+    if not cond <= BREAKDOWN_COND:
+        cond = np.inf if np.isnan(cond) else cond
+        where = ", ".join(f"{key}={value}" for key, value in context.items())
+        raise Breakdown(f"matrix too singular to invert ({where}): condition estimate "
+                        f"{cond:.3e} > {BREAKDOWN_COND:.0e}", {**context, "cond_estimate": cond})
 
 
 def lu_solve(factor, b, trans=0):

@@ -50,12 +50,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NareProblem, gamma_star, relative_residual
-from .errors import Breakdown, InitSingular, InvalidProblem, NoConvergence
-from .kernel import (both, frobenius_norm, lu_factor_cond, lu_inverse, lu_solve, one_norm,
-                     thin_qr)
+from .errors import Breakdown, InvalidProblem, NoConvergence
+from .kernel import (both, check_cond, frobenius_norm, lu_factor_cond, lu_inverse, lu_solve,
+                     one_norm, thin_qr)
 
-#: 1-norm condition estimate of I - G@H or I - H@G above which a step breaks down
-BREAKDOWN_COND = 1e13
 #: multiple of the dtype's eps below which the stopping tolerance is not taken
 TOL_FLOOR_EPS = 10.0
 #: smallest min(n, m) at which a low-rank tail repays its sketch checks and switch
@@ -114,7 +112,7 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
     H0 = 2 gamma W^-1 B (D + gamma I)^-1
 
     Each matrix is factored once; D + gamma I is solved on [C | I].
-    InitSingular (which, cond_estimate) past the steps' BREAKDOWN_COND.
+    Breakdown (which, cond_estimate) past kernel.BREAKDOWN_COND.
     InvalidProblem unless 0 < gamma < inf (gamma = 0 starts at a fixed point).
     """
     if not 0.0 < gamma < np.inf:
@@ -127,11 +125,7 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
     d_g = p.D + g * eye_n
 
     def solve(mat, rhs, which):
-        factor, cond, _ = lu_factor_cond(mat)
-        if not cond <= BREAKDOWN_COND:
-            raise InitSingular(f"{which} is singular: cond estimate {cond:.3e}",
-                               {"which": which, "cond_estimate": float(cond)})
-        return lu_solve(factor, rhs)
+        return lu_solve(lu_factor_cond(mat, which=which)[0], rhs)
 
     dim = min(m, n)
     dg_sol, ag_inv_b = both(lambda: solve(d_g, np.hstack([p.C, eye_n]), "D+gamma*I"),
@@ -144,25 +138,6 @@ def sda_init(p: NareProblem, gamma: float) -> SdaState:
     g0 = 2 * g * dg_inv_c @ w_inv
     h0 = 2 * g * w_inv @ p.B @ dg_inv
     return SdaState(E=e0, F=f0, G=g0, Hm=h0, step=0)
-
-
-def _guarded_factor(mat, step):
-    """(factor, cond, ||mat^-1||_1) of I - G@H or I - H@G for _half and
-    _switch, by kernel.lu_factor_cond; raises Breakdown when cond exceeds
-    BREAKDOWN_COND, with cond_estimate inf on an exact zero pivot or
-    non-finite entries."""
-    factor, cond, inv_norm = lu_factor_cond(mat)
-    _guard(cond, step)
-    return factor, float(cond), float(inv_norm)
-
-
-def _guard(cond, step):
-    """Breakdown unless cond <= BREAKDOWN_COND; a nan cond reports as inf."""
-    if not cond <= BREAKDOWN_COND:
-        cond = np.inf if np.isnan(cond) else cond
-        raise Breakdown(f"doubling breakdown at step {step}: "
-                        f"cond(I - G@H) estimate {cond:.3e}",
-                        {"step": step, "cond_estimate": cond})
 
 
 def sda_step(s: SdaState) -> SdaState:
@@ -195,10 +170,11 @@ def sda_step(s: SdaState) -> SdaState:
 def _half(e, f, g, h, step):
     """(E', G', cond, ||(I - G H)^-1||_1, ||E'||_1) of a doubling step, and
     (F', H', ...) with the roles swapped; see sda_step.  A dense half makes
-    three LAPACK calls: getrf and gecon by _guarded_factor, getrs by lu_solve."""
+    three LAPACK calls: getrf and gecon by kernel.lu_factor_cond, which
+    raises Breakdown (step, cond_estimate) past its cap, getrs by lu_solve."""
     if isinstance(e, _Tail):
         return _tail_half(e, f, g, h, step)
-    factor, cond, inv_norm = _guarded_factor(np.eye(len(g), dtype=g.dtype) - g @ h, step)
+    factor, cond, inv_norm = lu_factor_cond(np.eye(len(g), dtype=g.dtype) - g @ h, step=step)
     z = lu_solve(factor, e.T, trans=1).T
     del factor
     e, zgf = z @ e, z @ (g @ f)
@@ -228,7 +204,7 @@ def _switch(s, e, f):
     I - H G once, here, and its inverse by getri."""
     def half(left, right, f_left, g, h):
         m0 = np.eye(len(g), dtype=g.dtype) - g @ h
-        n0 = lu_inverse(_guarded_factor(m0, s.step)[0])
+        n0 = lu_inverse(lu_factor_cond(m0, step=s.step)[0])
         p = np.hstack([g @ f_left, left])
         return _Tail(left, right, np.zeros((len(right), g.shape[1]), g.dtype),
                      m0, n0, p, n0 @ p, np.empty_like(m0))
@@ -256,7 +232,7 @@ def _tail_half(e, f, g, h, step):
         work = np.add(e.n0, np.matmul(e.n0p, y, out=work), out=work)
         inv_norm = one_norm(work)
     cond = float(anorm) * float(inv_norm)
-    _guard(cond, step)
+    check_cond(cond, step=step)
     w = e.right @ work
     right = w @ e.left @ e.right
     coef = a + w @ (e.p[:, :len(b)] + e.left @ (a @ f.left)) @ f.right

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .kernel import as_matrix, cond_uv, eigenpairs, frobenius_norm
 from .kernel import both, lu_factor, lu_factor_cond, lu_solve, spectral_norm, thin_qr
-from .sda import BREAKDOWN_COND, SdaConfig, residual_bound, sda_solve
+from .sda import SdaConfig, residual_bound, sda_solve
 
 DEFAULT_SEED = 20120601    #: seed of the starting bases, so step counts reproduce
 PAIR_MAX_ITERS = 100       #: inverse-iteration step cap of the central pair
@@ -61,8 +61,9 @@ POLISH_MAX_DOUBLINGS = 50  #: doubling cap of the polish's Sylvester solve (2^50
 class CentralSubspaces:
     """Right and left central bases V, U, paired: k = V.shape[1] and cond_uv
     = ||(U^T V)^-1||_2 = 1 / sigma_min(U^T V) are read off the bases.
-    InvalidProblem for non-finite or mismatched bases, and
-    CentralPairIllConditioned unless cond_uv <= COND_CAP."""
+    InvalidProblem for non-finite or mismatched bases, central_eigs not of
+    length k or central_vecs not k x k, and CentralPairIllConditioned
+    unless cond_uv <= COND_CAP."""
 
     V: np.ndarray  # right basis, orthonormal columns
     U: np.ndarray  # left basis, orthonormal columns
@@ -75,11 +76,15 @@ class CentralSubspaces:
     def __post_init__(self):
         v = as_matrix(self.V, name="V")
         cond = cond_uv(as_matrix(self.U, name="U"), v)
+        k = v.shape[1]
+        if np.shape(self.central_eigs) != (k,) or np.shape(self.central_vecs) != (k, k):
+            raise InvalidProblem(f"central_eigs must have length k={k} and central_vecs "
+                                 f"be {k}x{k}")
         if not cond <= COND_CAP:
             raise CentralPairIllConditioned(
                 f"cond(U^T V) = {cond:.3e} exceeds the acceptance cap",
                 {"cond_uv": cond})
-        object.__setattr__(self, "k", v.shape[1])
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "cond_uv", cond)
 
 
@@ -288,7 +293,7 @@ def central_modes(cs: CentralSubspaces):
 
 def _smith_correction(p: NareProblem, x, r, g, modes):
     """(D, doublings) with P D + D Q = r, r = R(X), P = A - X C, Q = D_coef - C X;
-    None when P_g or Q_g (below) is past sda.BREAKDOWN_COND or the sum
+    None when P_g or Q_g (below) is past kernel.BREAKDOWN_COND or the sum
     diverges, as it can unless P and Q are M-matrices.  The modes' r, l
     with Re lam > 0 give Q's slow vectors z = r[:n], y = l[:n] + l[n:] X,
     the others P's w = r[n:] - X r[:n], t = l[n:].  D = W D_s Y^T +
@@ -307,15 +312,12 @@ def _smith_correction(p: NareProblem, x, r, g, modes):
     eye_m, eye_n = np.eye(p.m, dtype=x.dtype), np.eye(n, dtype=x.dtype)
     delta, dim = 2.0 * g * r, min(p.m, n)  # 2g r', then D0
 
-    def inverse(mat, eye):  # refused as a doubling step refuses its I - G H
-        factor, cond, _ = lu_factor_cond(mat)
-        if not cond <= BREAKDOWN_COND:
-            raise SingularMatrix(f"condition estimate {cond:.3e}")
-        return lu_solve(factor, eye)
+    def inverse(mat, eye, which):  # refused as a doubling step refuses its I - G H
+        return lu_solve(lu_factor_cond(mat, which=which)[0], eye)
 
     try:
-        p_inv, q_inv = both(lambda: inverse(pm + g * eye_m, eye_m),
-                            lambda: inverse(qm + g * eye_n, eye_n), dim)
+        p_inv, q_inv = both(lambda: inverse(pm + g * eye_m, eye_m, "P+g*I"),
+                            lambda: inverse(qm + g * eye_n, eye_n, "Q+g*I"), dim)
         by = np.linalg.solve(lhs.swapaxes(1, 2).reshape(rs.size, rs.size),
                              rs.ravel("F")).reshape(rs.shape, order="F") @ y  # D_s Y^T
     except (SingularMatrix, np.linalg.LinAlgError):

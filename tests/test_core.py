@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -40,6 +41,13 @@ class TestProblemModel:
         npt.assert_array_equal(back.C, p.C)
         npt.assert_array_equal(back.D, p.D)
         assert back.metadata["family"] == "transport"
+
+    @pytest.mark.parametrize("metadata", [5, "x", [1, 2], None])
+    def test_metadata_that_is_not_an_object_is_invalid(self, metadata):
+        payload = json.loads(scalar_problem(2.0, 1.0, 1.0, 2.0).to_json())
+        payload["metadata"] = metadata
+        with pytest.raises(InvalidProblem, match="metadata"):
+            nk.NareProblem.from_json(json.dumps(payload))
 
     def test_dual_swaps_blocks(self):
         p = scalar_problem(2.0, 3.0, 5.0, 7.0)
@@ -84,6 +92,15 @@ class TestBuildH:
     def test_build_m_sign_flips(self):
         p = scalar_problem(2.0, 1.0, 1.0, 2.0)
         npt.assert_array_equal(nk.build_m(p), [[2.0, -1.0], [-1.0, 2.0]])
+
+    @pytest.mark.parametrize("n, m", [(-1, 3), (3, -1), (2, 0), (0, 2), (1.5, 0.5),
+                                      (np.float64(1.0), 1)])
+    def test_block_sizes_are_integers_of_at_least_one(self, n, m):
+        # (-1, 3) used to pass the n + m check, then gap_of read 2.0 and
+        # cayley_gap 0.0 off a partition that does not exist
+        with pytest.raises(InvalidProblem, match="block sizes"):
+            nk.LinearizingMatrix(np.diag([1.0, -1.0]), n, m)
+        assert nk.LinearizingMatrix(np.diag([1.0, -1.0]), np.int64(1), 1).n == 1
 
 
 class TestClassifyMmatrix:

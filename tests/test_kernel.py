@@ -6,10 +6,13 @@ import scipy.linalg
 import narekit as nk
 from narekit import kernel
 from narekit.errors import (
+    Breakdown,
     InvalidProblem,
     SingularMatrix,
 )
 from narekit.kernel import (
+    BREAKDOWN_COND,
+    check_cond,
     eigenvalues,
     frobenius_norm,
     lu_factor,
@@ -81,10 +84,28 @@ class TestLuFactorCond:
     def test_non_finite_entry_is_infinitely_conditioned(self, entry):
         a = np.eye(3)
         a[0, 2] = entry
-        assert lu_factor_cond(a) == (None, np.inf, np.inf)
+        with pytest.raises(Breakdown) as err:
+            lu_factor_cond(a, step=4)
+        assert err.value.diagnostics == {"step": 4, "cond_estimate": np.inf}
 
     def test_exact_zero_pivot_is_infinitely_conditioned(self):
-        assert lu_factor_cond(np.array([[1.0, 2.0], [2.0, 4.0]])) == (None, np.inf, np.inf)
+        with pytest.raises(Breakdown, match="which=V_gamma") as err:
+            lu_factor_cond(np.array([[1.0, 2.0], [2.0, 4.0]]), which="V_gamma")
+        assert err.value.diagnostics == {"which": "V_gamma", "cond_estimate": np.inf}
+
+    def test_refuses_past_the_cap(self):
+        a = np.diag([1.0, 1e-14])  # a nonzero pivot, cond 1e14
+        with pytest.raises(Breakdown) as err:
+            lu_factor_cond(a, step=2)
+        assert err.value.diagnostics["step"] == 2
+        assert err.value.diagnostics["cond_estimate"] == pytest.approx(1e14)
+        assert lu_factor_cond(np.diag([1.0, 1e-12]))[1] == pytest.approx(1e12)
+
+    def test_nan_condition_reads_as_inf(self):
+        check_cond(BREAKDOWN_COND)
+        with pytest.raises(Breakdown) as err:
+            check_cond(np.nan, step=1)
+        assert err.value.diagnostics == {"step": 1, "cond_estimate": np.inf}
 
 
 class TestLuSolve:
@@ -291,6 +312,14 @@ class TestNorms:
     def test_row_vector(self):
         m = np.array([[3.0, 4.0]])
         npt.assert_allclose((frobenius_norm(m), spectral_norm(m)), (5.0, 5.0))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_spectral_norm_of_empty_is_zero(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+
+    def test_distance_between_empty_bases_is_zero(self):
+        assert nk.subspace_distance(np.zeros((3, 0)), np.zeros((3, 0))) == 0.0
+        assert nk.subspace_distance(np.eye(3)[:, :1], np.zeros((3, 0))) == 1.0
 
     def test_norm_sandwich(self):
         rng = np.random.default_rng(7)

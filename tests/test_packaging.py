@@ -126,7 +126,8 @@ def test_layering():
     # one rule for "too singular": lu_factor, which refuses only an exact
     # zero pivot, factors just the matrices the shift wants nearly singular
     # (M -/+ tau I, H); every matrix a solver inverts goes through
-    # lu_factor_cond, under sda.BREAKDOWN_COND
+    # lu_factor_cond, whose cap, kernel.BREAKDOWN_COND, no other module
+    # defines, imports or compares
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         assert "pivot_tol" not in path.read_text(), path
@@ -135,5 +136,9 @@ def test_layering():
                 if (isinstance(node, ast.Call) and
                         ast.unparse(node.func).split(".")[-1] == "lu_factor"):
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                names = [getattr(node, "id", getattr(node, "attr", None))] + [
+                    alias.name for alias in getattr(node, "names", ())]
+                assert "BREAKDOWN_COND" not in names or path.stem == "kernel", (
+                    f"{path}:{node.lineno} reads BREAKDOWN_COND outside kernel.py")
     assert callers == {"core.classify_mmatrix", "shift.compute_central_pair",
                        "shift.sushi_solve"}

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ import scipy.linalg
 
 import narekit as nk
 from narekit.errors import (
+    Breakdown,
     CentralPairIllConditioned,
     DegenerateSpectrum,
     InvalidProblem,
@@ -16,7 +18,7 @@ from narekit.errors import (
     SingularMatrix,
 )
 from narekit.kernel import frobenius_norm, lu_factor, thin_qr
-from narekit import core, diagnostics, sda, shift
+from narekit import core, diagnostics, kernel, sda, shift
 from narekit.sda import residual_bound
 from narekit.shift import (
     CentralSubspaces,
@@ -239,6 +241,18 @@ class TestCentralSubspaces:
         with pytest.raises(InvalidProblem):
             self._pair(np.eye(4)[:, :2], np.eye(5)[:, :2])
 
+    def test_central_eigs_and_vecs_must_match_k(self):
+        # the true bases with one central eigenvalue used to be accepted:
+        # k read 2 and choose_shift_s took xi_1 and xi_k from that one value
+        p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
+        cs = nk.compute_central_pair(nk.build_h(p).H, 2)
+        for eigs, vecs in ((cs.central_eigs[:1], np.eye(3)),
+                           (cs.central_eigs[:1], cs.central_vecs),
+                           (cs.central_eigs, cs.central_vecs[:, :1])):
+            with pytest.raises(InvalidProblem, match="central_eigs"):
+                dataclasses.replace(cs, central_eigs=eigs, central_vecs=vecs)
+        assert dataclasses.replace(cs, inv_iter_steps=0).k == 2
+
     def test_k_and_cond_read_off_hand_built_bases(self):
         rng = np.random.default_rng(30)
         eigs = np.concatenate([[0.05, -0.06, 0.07], rng.uniform(1.0, 2.0, 7)])
@@ -261,9 +275,9 @@ class TestSharedFactor:
         for mod in (core, sda, shift):
             for name in ("lu_factor", "lu_factor_cond"):
                 if hasattr(mod, name):
-                    def counting(a, _fn=getattr(mod, name)):
+                    def counting(a, _fn=getattr(mod, name), **context):
                         record(a)
-                        return _fn(a)
+                        return _fn(a, **context)
                     monkeypatch.setattr(mod, name, counting)
 
     def test_one_lu_of_h_per_solve(self, monkeypatch):
@@ -898,14 +912,23 @@ def test_newton_polish_keeps_x_when_doubling_diverges(monkeypatch, doublings):
 
 def test_newton_polish_keeps_x_when_a_factor_is_singular(monkeypatch):
     # P + gI and Q + gI are refused past the doubling's cap, as a step's I - G H
-    def past_the_cap(mat, _fn=shift.lu_factor_cond):
-        return _fn(mat)[0], 10.0 * sda.BREAKDOWN_COND, np.inf
-
-    monkeypatch.setattr(shift, "lu_factor_cond", past_the_cap)
     p = nk.transport_problem(nk.TransportSpec.near_critical(8, 1e-3))
     x = nk.sda_solve(p).X + 1e-8
     res = nk.relative_residual(p, x)
     assert res > 100.0 * np.finfo(float).eps  # above the polish's floor
+    refused = []
+
+    def past_the_cap(mat, _fn=shift.lu_factor_cond, **context):
+        try:
+            return _fn(mat, **context)
+        except Breakdown as exc:
+            refused.append(exc.diagnostics)
+            raise
+
+    monkeypatch.setattr(kernel, "BREAKDOWN_COND", 1.0)  # every cond estimate is >= 1
+    monkeypatch.setattr(shift, "lu_factor_cond", past_the_cap)
     got, got_res = _polish(p, x)
+    assert refused and refused[0]["which"] in ("P+g*I", "Q+g*I")
+    assert 1.0 < refused[0]["cond_estimate"] < np.inf
     assert got is x
     assert got_res == res
