@@ -30,16 +30,16 @@ threads, as it does sda_init's two pairs of solves and the residuals.
 That error lies in the ranges of E_k and F_k, which near criticality
 collapse onto the slow mode, within a few eps of rank 1 about halfway
 through the steps.  So at min(n, m) >= TAIL_MIN_DIM sda_solve checks
-each dense step's E and F against a seeded Gaussian sketch of r + 1 =
-TAIL_RANK + 1 columns (O(n^2) work); once both are within TAIL_TOL_EPS eps
-||.||_F of the range of its first r, it switches to the tail (_switch).
-There E = El Er and F = Fl Fr keep their left factors, and G = G_t + El A
-and H = H_t + Fl B move only inside span(El) and span(Fl), so I - G H =
-M0 - P Q^T with M0 = I - G_t H_t and P = [G_t Fl, El] fixed at the switch
-(t) and Q^T = [B; A H].  One inverse of M0, made there, gives each tail
-step (I - G H)^-1 by the Sherman-Morrison-Woodbury identity (Hager, SIAM
-Review 31, 1989) at O(n^2 r): no LU, no n^3 product, and G and H formed
-once, after the loop.
+each dense step's E and F against a seeded Gaussian sketch of TAIL_RANK + 1
+columns (O(n^2) work); once each is within TAIL_TOL_EPS eps ||.||_F of the
+range of the sketch's first r (its numerical rank, else TAIL_RANK: 1 at rank
+one), it switches to the tail (_switch).  There E = El Er and F = Fl Fr keep
+their left factors, and G = G_t + El A and H = H_t + Fl B move only inside
+span(El) and span(Fl), so I - G H = M0 - P Q^T with M0 = I - G_t H_t and
+P = [G_t Fl, El] fixed at the switch (t) and Q^T = [B; A H].  One inverse
+of M0, made there, gives each tail step (I - G H)^-1 by the
+Sherman-Morrison-Woodbury identity (Hager, SIAM Review 31, 1989) at
+O(n^2 r): no LU, no n^3 product, and G and H formed once, after the loop.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -58,7 +58,7 @@ from .kernel import (both, check_cond, frobenius_norm, lu_factor_cond, lu_invers
 TOL_FLOOR_EPS = 10.0
 #: smallest min(n, m) at which a low-rank tail repays its sketch checks and switch
 TAIL_MIN_DIM = 64
-#: largest rank r of a factored tail (measured: rank 1; r = 8 costs 4% of a step)
+#: widest factor of a tail; _thin tries the sketch's numerical rank first (measured: 1)
 TAIL_RANK = 8
 #: multiple of eps ||E||_F within which E or F is thin (measured: 1.4-5.6 of rank 1)
 TAIL_TOL_EPS = 8.0
@@ -187,7 +187,7 @@ class _Tail(NamedTuple):
     and G = G_t + left @ coef, with G_t, H_t the state's G and Hm, kept from
     the switch; m0 = I - G_t H_t, n0 = m0^-1, p = [G_t F_left, left] and
     n0p = n0 @ p are fixed there, and work is an n x n scratch array, so
-    one thread at a time steps a tail state."""
+    one thread at a time steps a tail state; r is _thin's width, m0, n0, work C-ordered."""
     left: np.ndarray  # n x r
     right: np.ndarray  # r x n
     coef: np.ndarray  # r x m
@@ -204,7 +204,7 @@ def _switch(s, e, f):
     I - H G once, here, and its inverse by getri."""
     def half(left, right, f_left, g, h):
         m0 = np.eye(len(g), dtype=g.dtype) - g @ h
-        n0 = lu_inverse(lu_factor_cond(m0, step=s.step)[0])
+        n0 = np.ascontiguousarray(lu_inverse(lu_factor_cond(m0, step=s.step)[0]))
         p = np.hstack([g @ f_left, left])
         return _Tail(left, right, np.zeros((len(right), g.shape[1]), g.dtype),
                      m0, n0, p, n0 @ p, np.empty_like(m0))
@@ -218,13 +218,13 @@ def _tail_half(e, f, g, h, step):
     """_half of a tail state at O(n^2 r), no LU: G H = G_t H_t + p q^T with
     q^T = [B; A H] (A = e.coef, B = f.coef, H = h + F_left B), so
     M = I - G H = m0 - p q^T and, by Woodbury, M^-1 = n0 + n0p C^-1 q^T n0,
-    C = I - q^T n0p of order 2r.  M^-1 goes to e.work; cond is the exact
-    ||M||_1 ||M^-1||_1, inf for an exactly singular C."""
+    C = I - q^T n0p of order r_F + r.  M^-1 goes to e.work; cond is the exact
+    ||M||_1 ||M^-1||_1, inf for an exactly singular C; ||E'||_1 = ||l||_1 max|r| at rank 1."""
     a, b = e.coef, f.coef
     qt = np.vstack([b, a @ h + (a @ f.left) @ b])
     work = np.matmul(e.p, qt, out=e.work)
     anorm = one_norm(np.subtract(e.m0, work, out=work))
-    try:  # inv: cheaper than getrs on the 2r x n right-hand side
+    try:  # inv: cheaper than getrs on the (r_F + r) x n right-hand side
         y = np.linalg.inv(np.eye(len(qt), dtype=qt.dtype) - qt @ e.n0p) @ (qt @ e.n0)
     except np.linalg.LinAlgError:
         inv_norm = np.inf
@@ -236,29 +236,39 @@ def _tail_half(e, f, g, h, step):
     w = e.right @ work
     right = w @ e.left @ e.right
     coef = a + w @ (e.p[:, :len(b)] + e.left @ (a @ f.left)) @ f.right
-    return (e._replace(right=right, coef=coef), g, cond, float(inv_norm),
-            one_norm(e.left @ right))
+    e_norm = one_norm(e.left @ right) if len(right) > 1 else abs(e.left).sum() * abs(right).max()
+    return e._replace(right=right, coef=coef), g, cond, float(inv_norm), e_norm
+
+
+def _product(left, right):
+    """left @ right, by broadcasting when one wide: the same bits, faster than matmul."""
+    return left * right if left.shape[1] == 1 else left @ right
 
 
 def _iterates(s):
     """(G, Hm) of a state, formed from a tail state's halves."""
     if not isinstance(s.E, _Tail):
         return s.G, s.Hm
-    return s.G + s.E.left @ s.E.coef, s.Hm + s.F.left @ s.F.coef
+    return s.G + _product(s.E.left, s.E.coef), s.Hm + _product(s.F.left, s.F.coef)
 
 
 def _thin(a, sketch):
-    """(left, right) within TAIL_TOL_EPS eps ||a||_F of a, left r columns of the
-    Q of a @ sketch, else None; sketch column r + 1 first probes for rank > r."""
+    """(left, right) within TAIL_TOL_EPS eps ||a||_F of a, left the first r columns of
+    the Q of a @ sketch, r first the count of R's diagonal entries above sqrt(eps) R_00,
+    then TAIL_RANK, else None; sketch column TAIL_RANK + 1 probes for rank > TAIL_RANK."""
     q, r = thin_qr(a @ sketch[:a.shape[1]])
-    if r[-1, -1] > np.sqrt(np.finfo(a.dtype).eps) * r[0, 0]:
+    above = r.diagonal() > np.sqrt(np.finfo(a.dtype).eps) * r[0, 0]
+    if above[-1]:
         return None
-    left = q[:, :-1]
-    right = left.T @ a
-    gap = left @ right
-    gap -= a  # in place: a - left @ right allocates a second n x n array
     tol = TAIL_TOL_EPS * float(np.finfo(a.dtype).eps) * frobenius_norm(a)
-    return (left, right) if frobenius_norm(gap) <= tol else None
+    for width in sorted({int(above.sum()), TAIL_RANK}):
+        left = q[:, :width]
+        right = left.T @ a
+        gap = _product(left, right)
+        gap -= a  # in place: a - left @ right allocates a second n x n array
+        if frobenius_norm(gap) <= tol:
+            return left, right
+    return None
 
 
 def sda_solve(p: NareProblem, cfg: SdaConfig = SdaConfig()) -> SdaOutcome:

@@ -194,13 +194,15 @@ class TestStep:
         nk.sda_step(nk.sda_step(tail))
         assert calls == [(n, (n, n), 1), (m, (m, m), 1)]
 
-    @pytest.mark.parametrize("n, m", [(7, 4), (3, 9)])
-    def test_factored_step_matches_dense_step(self, monkeypatch, n, m):
+    @pytest.mark.parametrize("n, m, r", [(7, 4, 2), (3, 9, 2), (7, 4, 1), (3, 9, 1)],
+                             ids=["7-4", "3-9", "7-4-rank1", "3-9-rank1"])
+    def test_factored_step_matches_dense_step(self, monkeypatch, n, m, r):
         # a tail state made by the switch from E = el @ er, F = fl @ fr steps
         # like its dense product, keeping the left factors, with no LU and
-        # no solve; three steps, so the Woodbury terms are not all zero
+        # no solve; three steps, so the Woodbury terms are not all zero.
+        # r = 1 is the width _thin gives a rank-one E or F: broadcast
+        # products and the rank-one ||E'||_1
         rng = np.random.default_rng(13)
-        r = 2
         el, er = rng.standard_normal((n, r)), rng.standard_normal((r, n)) / (2 * n)
         fl, fr = rng.standard_normal((m, r)), rng.standard_normal((r, m)) / (2 * m)
         g = _unit_spectral(rng, n, m, np.float64, 0.5)
@@ -538,11 +540,12 @@ class TestTail:
         *[(lambda seed=seed: nk.random_mnare(nk.RandomMnareSpec(n=128, alpha=1e-3, seed=seed)),
            1e-15) for seed in range(3)],  # 4
         (lambda: nk.transport_problem(nk.TransportSpec.near_critical(128, 1e-12)), 1e-15),  # 14
+        (lambda: nk.transport_problem(nk.TransportSpec.near_critical(256, 1.5e-12)), 1e-15),  # 15
         (lambda: carved_mnare(64, 96, 1e-6), 1e-15),  # 4
         (lambda: carved_mnare(100, 70, 1e-9), 1e-15),  # 4
         (lambda: nk.transport_problem(nk.TransportSpec.near_critical(128, 1e-4))
          .astype(np.float32), 1e-7),  # 12
-    ], ids=["random-0", "random-1", "random-2", "transport-128", "m64-n96",
+    ], ids=["random-0", "random-1", "random-2", "transport-128", "transport-256", "m64-n96",
             "m100-n70", "transport-128-f32"])
     def test_tail_matches_dense_loop(self, problem, tol):
         p = problem()
@@ -557,16 +560,27 @@ class TestTail:
         assert x.min() >= -eps * frobenius_norm(x)
 
     def test_switch_rule_tolerance(self):
-        # rank 1 plus noise at 1 eps of its norm is thin, at 100 eps it is
-        # not, and a full-rank matrix is not
+        # the factors are as wide as the sketch's numerical rank: rank 1
+        # plus noise at 1 eps of its norm takes one column and rank 3 three;
+        # a rank-two part at 1e-10 of the norm, under the sqrt(eps) rank
+        # test but over the 8-eps gap, takes TAIL_RANK; noise at 100 eps
+        # and a full-rank matrix are not thin
         rng = np.random.default_rng(14)
         n = 64
-        a = rng.standard_normal((n, 1)) @ rng.standard_normal((1, n))
-        noise = rng.standard_normal((n, n))
-        noise *= np.finfo(np.float64).eps * frobenius_norm(a) / frobenius_norm(noise)
+
+        def low_rank(r, scale=1.0):
+            a = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+            return a * (scale / frobenius_norm(a))
+
+        a = low_rank(1)
+        noise = low_rank(n, np.finfo(np.float64).eps)
         sketch = rng.standard_normal((n, sda.TAIL_RANK + 1))
-        left, right = sda._thin(a + noise, sketch)
-        assert left.shape == (n, sda.TAIL_RANK) and right.shape == (sda.TAIL_RANK, n)
+        for mat, width in [(a + noise, 1), (low_rank(3), 3),
+                           (a + low_rank(2, 1e-10), sda.TAIL_RANK)]:
+            left, right = sda._thin(mat, sketch)
+            assert left.shape == (n, width) and right.shape == (width, n)
+            tol = sda.TAIL_TOL_EPS * np.finfo(np.float64).eps * frobenius_norm(mat)
+            assert frobenius_norm(left @ right - mat) <= tol
         assert sda._thin(a + 100 * noise, sketch) is None
         assert sda._thin(rng.standard_normal((n, n)), sketch) is None
 
